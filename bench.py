@@ -86,7 +86,7 @@ def dir_bytes(d: str) -> int:
     )
 
 
-def run_pipeline(input_dir: str, out_root: str, encode_concurrency: int) -> dict:
+def run_pipeline(input_dir: str, out_root: str) -> dict:
     import ray.data as rd
 
     from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship
@@ -96,7 +96,6 @@ def run_pipeline(input_dir: str, out_root: str, encode_concurrency: int) -> dict
         shutil.rmtree(out_root)  # benchmark never resumes: measure full work
     cfg = FlagshipConfig(
         out_root=out_root,
-        encode_concurrency=encode_concurrency,
         changepoints=ChangepointConfig(method="pelt", cost="l2", penalty=5.0, min_size=2),
     )
     res = run_flagship(
@@ -153,7 +152,6 @@ def main() -> None:
             os.environ.get(
                 "GRAFT_BENCH_OUT", f"/tmp/signalsharp_ray/bench_out_{num_cpus}"
             ),
-            encode_concurrency=max(2, num_cpus // 4),
         )
         w = time.time() - t0
         walls.append(round(w, 2))

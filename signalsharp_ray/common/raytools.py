@@ -379,74 +379,6 @@ def bucketed_join(
     )
 
 
-def map_partition_dirs(
-    root: str,
-    fn,
-    key_cols: list[str],
-    drop_cols: tuple = ("series_bucket", "__bucket"),
-    attach_root: str | None = None,
-    attach_key: str = "url_hash",
-):
-    """Run a per-series kernel over a hive-partitioned dataset WITHOUT a
-    shuffle: the writer already partitioned by hash(series key) (__bucket),
-    so every partition directory contains complete series. One Ray task per
-    partition reads its files and applies `fn` per series group.
-
-    This is the 'choose one partitioning key and reuse it' path: rollup
-    writes tier parquet partitioned by __bucket = hash(url_hash) % N, and
-    gap-fill/encode/analysis consume it shuffle-free.
-
-    attach_root: a side dataset hive-partitioned by the SAME series_bucket
-    hash (e.g. the url dictionary). Each task left-merges its own
-    partition's slice of the side table onto its output — a fully
-    co-partitioned dictionary join with no shuffle and no driver-side
-    broadcast (the dictionary can be arbitrarily large).
-
-    Roots may be plain local paths OR URIs (s3://, file://, any fsspec
-    scheme): partition dirs resolve through pyarrow.fs, and each task
-    re-resolves the filesystem from the path string in-process.
-    """
-    import posixpath
-
-    import ray.data as rd
-
-    from . import fsio
-
-    dirs = fsio.list_partition_dirs(root, "series_bucket=")
-    if not dirs:
-        raise FileNotFoundError(f"No series_bucket=* partitions under {root}")
-
-    def process(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for path in batch["path"]:
-            df = fsio.read_parquet_dir(path)
-            df = df.drop(columns=[c for c in drop_cols if c in df.columns])
-            part_outs = []
-            for _, g in df.groupby(key_cols, sort=False):
-                out = fn(g)
-                if out is not None and len(out):
-                    part_outs.append(out)
-            if not part_outs:
-                continue
-            part = pd.concat(part_outs, ignore_index=True)
-            if attach_root is not None:
-                side_dir = fsio.join(attach_root, posixpath.basename(path))
-                sfs, spath = fsio.resolve_fs(side_dir)
-                if fsio.is_dir(sfs, spath):
-                    side = fsio.read_parquet_dir(side_dir)
-                    side = side.drop(
-                        columns=[c for c in drop_cols if c in side.columns]
-                    )
-                    part = part.merge(side, on=attach_key, how="left")
-            outs.append(part)
-        if not outs:
-            return pd.DataFrame()
-        return pd.concat(outs, ignore_index=True)
-
-    paths = rd.from_items([{"path": d} for d in dirs])
-    return paths.map_batches(process, batch_size=1, batch_format="pandas")
-
-
 def map_partition_tables(
     root: str,
     fn,
@@ -506,6 +438,71 @@ def map_partition_tables(
     return paths.map_batches(process, batch_size=1, batch_format="pandas")
 
 
+def bucket_groups(bucket_rows: dict[int, int], n_groups: int) -> list[list[int]]:
+    """Split the buckets into at most `n_groups` contiguous ranges of about
+    equal total rows; a bucket is never split."""
+    buckets = sorted(bucket_rows)
+    if len(buckets) <= n_groups:
+        return [[b] for b in buckets]
+    n = max(1, n_groups)
+    target = sum(bucket_rows.values()) / n
+    groups: list[list[int]] = []
+    cur: list[int] = []
+    acc = 0
+    for b in buckets:
+        cur.append(b)
+        acc += bucket_rows[b]
+        if len(groups) < n - 1 and acc >= target * (len(groups) + 1):
+            groups.append(cur)
+            cur = []
+    if cur:
+        groups.append(cur)
+    return groups
+
+
+def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str]) -> None:
+    """Run `fn(bucket) -> {stage: DataFrame}` over every bucket of a
+    hive-partitioned input as one Ray task per contiguous bucket group,
+    each task writing its own buckets' outputs into `out_dirs[stage]`.
+    Empty outputs write nothing.
+
+    One task per group instead of one Dataset job per stage: a task reads
+    its input buckets once, runs every stage's kernel in memory and writes
+    every stage, so the per-stage job, block and write costs are paid once
+    per group. Groups are sized by `bucket_rows` (bucket -> input rows) at
+    about 4 per cluster CPU. Out dirs may be URIs; tasks re-resolve the
+    filesystem from the string.
+
+    Files land at `<out_dir>/series_bucket=<b>/part-0.parquet`, the layout
+    Dataset.write_parquet(partition_cols=["series_bucket"]) produces, with
+    the partition column kept out of the file. The column is added before
+    the Arrow conversion only so the pandas schema metadata matches what a
+    Dataset write records. The fixed file name makes a retried task
+    overwrite its own file."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from . import fsio
+
+    n_cpus = int(ray.cluster_resources().get("CPU", 1))
+    groups = bucket_groups(bucket_rows, 4 * max(1, n_cpus))
+
+    @ray.remote
+    def run_group(buckets):
+        for b in buckets:
+            for stage, df in fn(b).items():
+                if not len(df):
+                    continue
+                df["series_bucket"] = b
+                table = pa.Table.from_pandas(df, preserve_index=False)
+                fs, path = fsio.resolve_fs(fsio.join(out_dirs[stage], f"series_bucket={b}"))
+                fsio.makedirs(fs, path)
+                pq.write_table(table.drop_columns(["series_bucket"]),
+                               fsio.join(path, "part-0.parquet"), filesystem=fs)
+
+    ray.get([run_group.remote(g) for g in groups])
+
+
 def hash_exchange(
     ds,
     n_buckets: int,
@@ -529,8 +526,10 @@ def hash_exchange(
     work overlaps the splitting. Each reduce task then concatenates its
     bucket's slices and applies reduce_fn(table) -> table; reduces start as
     soon as the last map finishes (a hash exchange is a barrier at the
-    reduce, not at the map). Returns a Dataset over the reduced buckets
-    (ray.data.from_arrow_refs), so downstream stays in the Dataset API.
+    reduce, not at the map). reduce_fn must accept an empty table (an
+    empty bucket): every returned block then has its schema. Returns a
+    Dataset over the reduced buckets (ray.data.from_arrow_refs), so
+    downstream stays in the Dataset API.
 
     Map tasks are sized by BYTES (target_map_bytes per split group, capped
     at max_blocks_per_map tiny blocks), keeping per-task memory bounded at
@@ -589,12 +588,10 @@ def hash_exchange(
 
     @ray.remote
     def reduce_bucket(*slices):
-        tables = [t for t in slices if t.num_rows > 0]
-        if not tables:
-            empty = slices[0].schema.empty_table() if slices else pa.table({})
-            return _strip_meta(empty)
-        merged = pa.concat_tables(tables)
-        return _strip_meta(reduce_fn(merged))
+        # an empty bucket goes through reduce_fn too, so its empty block
+        # carries the reducer's output schema rather than the map side's
+        tables = [t for t in slices if t.num_rows > 0] or [slices[0].schema.empty_table()]
+        return _strip_meta(reduce_fn(pa.concat_tables(tables)))
 
     @ray.remote
     def concat_slices(*slices):

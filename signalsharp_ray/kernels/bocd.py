@@ -110,7 +110,8 @@ def bocd_map_run_lengths(signal, options: BOCDOptions | None = None) -> np.ndarr
         beta = np.concatenate(([opts.beta0], beta_new))
         run_obs = np.concatenate(([0], run_obs + 1))
 
-        maps[t] = int(np.argmax(log_r))
+        # slot index != run length once truncation has dropped slots
+        maps[t] = int(run_obs[np.argmax(log_r)])
 
         # truncate negligible-mass run lengths (keep slot 0: the recursion
         # must always be able to restart)

@@ -1,20 +1,24 @@
 """Flagship pipeline: web pages -> extract -> rollup tiers -> gap-fill ->
 Gorilla/DoD encode -> changepoint analysis, with per-stage checkpointing.
 
-Stage graph (each box is a streamed Ray Data job; -> is a parquet handoff
-recorded in the manifest so a killed run resumes at the first incomplete
-stage):
+Stage graph (four jobs; every output is hive-partitioned by
+series_bucket = url_hash % n_buckets and recorded in the manifest, so a
+killed run resumes at the first incomplete job):
 
-    [pages] -> extract+dedup -> points.parquet
-    points  -> rollup 1m     -> tier=1m.parquet
-    tier=1m -> cascade 1h    -> tier=1h.parquet
-    tier=1h -> cascade 1d    -> tier=1d.parquet
-    tier=T  -> gapfill+encode-> blocks tier=T.parquet     (actor pool)
-    tier=T  -> PELT/CUSUM    -> changepoints tier=T.parquet
+    [pages] -> extract+dedup exchange -> points/data  (+ url dictionary,
+                                         points/dict, built alongside)
+    job 1: points/data  -> rollup 1m           -> tier_1m
+    job 2: tier_1m      -> cascade 1h -> 1d    -> tier_1h, tier_1d
+    job 3: tier_1m/1h/1d -> gap-fill + encode   -> blocks_1m, blocks_1h, blocks_1d
+           tier_1d      -> PELT / EMA / forecast -> changepoints_1d,
+                                                   smoothed_1d, forecast_1d
 
-Writing each tier to parquet before cascading is deliberate: it puts a
-durable, resumable boundary after every shuffle, and the cascade re-reads the
-(tiny) aggregate rows rather than re-shuffling raw points.
+The exchange is the only shuffle. Jobs 1-3 are partition-aligned: each is
+one Ray task per contiguous bucket group (run_bucket_groups) that reads its
+input buckets once, runs the whole-partition kernels in memory and writes
+its own buckets of every output stage. tier_1m commits on its own (the
+freshness point readers wait for), and the tiers commit before any derived
+output.
 """
 
 from __future__ import annotations
@@ -22,10 +26,20 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
+from ..common import fsio
+from ..common.raytools import run_bucket_groups
 from ..sources.synth import WebPagesSpec, generate_webpages_dataset
-from ..common.raytools import map_partition_tables, pool_size
-from ..stages.analysis import ChangepointConfig, ForecastConfig, SmoothingConfig
+from ..stages.analysis import (
+    ChangepointConfig,
+    ForecastConfig,
+    SmoothingConfig,
+    changepoints_partition_pandas,
+    forecast_partition_pandas,
+    smooth_partition_pandas,
+)
+from ..stages.encode import encode_partition_pandas
 from ..stages.extract import build_url_dict, extract_dedup_exchange
 from ..stages.rollup import TIERS_US, cascade_partition_pandas, rollup_partition_pandas
 from ..state.manifest import PipelineManifest
@@ -44,7 +58,6 @@ class FlagshipConfig:
     # bound the synthesized buckets per gap so sparse series never explode
     # into dense fine-tier grids (long gaps stay gaps)
     max_gap_buckets: int = 60
-    encode_concurrency: int = 4
     analysis_tier: str = "1d"
     analysis_value_col: str = "count"  # crawl-rate series: real regime shifts
     changepoints: ChangepointConfig = field(
@@ -64,6 +77,50 @@ class FlagshipConfig:
     encode: bool = True
 
 
+def _read_bucket(stage_dir: str, bucket: int):
+    # the partition column lives in the directory name, not in the files
+    return fsio.read_parquet_dir(fsio.join(stage_dir, f"series_bucket={bucket}"))
+
+
+def _rollup_bucket(bucket, src_dir, tier):
+    return {f"tier_{tier}": rollup_partition_pandas(_read_bucket(src_dir, bucket), TIERS_US[tier])}
+
+
+def _cascade_bucket(bucket, src_dir, tiers):
+    df = _read_bucket(src_dir, bucket)
+    out = {}
+    for tier in tiers:
+        df = out[f"tier_{tier}"] = cascade_partition_pandas(df, TIERS_US[tier])
+    return out
+
+
+def _derived_bucket(bucket, cfg, stages, tier_dirs, dict_dir):
+    """Blocks per tier and the three analyses of the analysis tier, for one
+    bucket; url/host strings attach to changepoints from the co-partitioned
+    dictionary slice of the same bucket."""
+    frames = {tier: _read_bucket(d, bucket) for tier, d in tier_dirs.items()}
+    out = {}
+    for tier, df in frames.items():
+        if f"blocks_{tier}" in stages:
+            out[f"blocks_{tier}"] = encode_partition_pandas(
+                df, tier, TIERS_US[tier], cfg.gapfill_method, cfg.max_gap_buckets
+            )
+    at, col = cfg.analysis_tier, cfg.analysis_value_col
+    df = frames.get(at)
+    if f"changepoints_{at}" in stages:
+        cps = changepoints_partition_pandas(df, cfg.changepoints, col, "url_hash")
+        if len(cps):
+            cps = cps.merge(_read_bucket(dict_dir, bucket), on="url_hash", how="left")
+        out[f"changepoints_{at}"] = cps
+    if f"smoothed_{at}" in stages:
+        out[f"smoothed_{at}"] = smooth_partition_pandas(df, cfg.smoothing, col, "url_hash")
+    if f"forecast_{at}" in stages:
+        out[f"forecast_{at}"] = forecast_partition_pandas(
+            df, cfg.forecast, TIERS_US[at], col, "url_hash"
+        )
+    return out
+
+
 def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | None = None):
     """Run (or resume) the flagship pipeline.
 
@@ -77,31 +134,34 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
     outputs: dict[str, str] = {}
     metrics: dict[str, float] = {}
 
-    def timed(stage, lineage, write_fn):
+    def timed(stages: dict[str, list[str]], write_fn):
         t0 = time.time()
-        out, skipped = manifest.run_stage(stage, fingerprint, lineage, write_fn)
-        metrics[stage] = time.time() - t0
-        outputs[stage] = out
-        return out, skipped
+        dirs, _ = manifest.run_stages(stages, fingerprint, write_fn)
+        for stage in stages:
+            metrics[stage] = time.time() - t0
+        outputs.update(dirs)
 
-    # 1. extract (+ exact dedup on url_hash, warc_ts) — dictionary-encoded:
-    # the points table carries int64 url_hash only; url/host strings live in
-    # a small side dictionary written once and joined back onto final outputs
+    def bucket_job(rows_of: str, fn):
+        """write_fn running fn(bucket) over the buckets of `rows_of`."""
+        return lambda out_dirs: run_bucket_groups(fn, manifest.bucket_rows(rows_of), out_dirs)
+
     import ray as _ray
 
     n_buckets = cfg.n_buckets or max(
         128, int(_ray.cluster_resources().get("CPU", 8)) * 4
     )
 
-    def write_points(out_dir):
-        # the ONE all-to-all of the whole pipeline (manual hash exchange —
-        # no Ray sort): points land hash-partitioned by series key; every
-        # later stage is partition-aligned and shuffle-free. The url
-        # dictionary (url column only — projection pushdown, html/text
-        # bytes never read; hive-partitioned on the SAME series_bucket
-        # hash for co-partitioned downstream attaches) builds CONCURRENTLY
-        # in a second thread: its light url-column pass hides entirely
-        # under the exchange instead of serializing after it.
+    def write_points(out_dirs):
+        # the pipeline's only all-to-all (manual hash exchange — no Ray
+        # sort): points land hash-partitioned by series key; every later
+        # stage is partition-aligned and shuffle-free. The url dictionary
+        # (url column only — projection pushdown, html/text bytes never
+        # read) goes through the same exchange on the SAME series_bucket
+        # hash, for co-partitioned downstream attaches. It builds
+        # CONCURRENTLY in a second thread: its light url-column pass hides
+        # under the points exchange instead of serializing after it.
+        out_dir = out_dirs["points"]
+
         def run_points():
             pts = extract_dedup_exchange(pages_ds_factory(), n_buckets=n_buckets)
             pts.write_parquet(out_dir + "/data", partition_cols=["series_bucket"])
@@ -116,126 +176,37 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
             for f in futures:
                 f.result()
 
-    points_stage, _ = timed("points", ["pages"], write_points)
-    points_dir = points_stage + "/data"
+    timed({"points": ["pages"]}, write_points)
+    points_dir = outputs["points"] + "/data"
+    outputs["url_dict"] = outputs["points"] + "/dict"
     outputs["points"] = points_dir
-    outputs["url_dict"] = points_stage + "/dict"
 
-    # 2. rollup 1m from points; cascade coarser tiers from the finer one
-    prev = None
-    for tier in cfg.tiers:
-        tier_stage = f"tier_{tier}"
-        src_dir = points_dir if prev is None else outputs[f"tier_{prev}"]
-        is_first = prev is None
+    # job 1: rollup of the first tier from points, committed alone
+    first, rest = cfg.tiers[0], cfg.tiers[1:]
+    timed({f"tier_{first}": ["points"]},
+          bucket_job("points/data", partial(_rollup_bucket, src_dir=points_dir, tier=first)))
+    first_dir = outputs[f"tier_{first}"]
 
-        def write_tier(out_dir, src_dir=src_dir, tier=tier, is_first=is_first):
-            tier_us = TIERS_US[tier]
-            fn = rollup_partition_pandas if is_first else cascade_partition_pandas
-            out = map_partition_tables(src_dir, lambda df: fn(df, tier_us))
-            out.write_parquet(out_dir, partition_cols=["series_bucket"])
+    # job 2: the coarser tiers, each cascaded in memory from the finer one
+    if rest:
+        lineage = dict(zip(rest, cfg.tiers))
+        timed({f"tier_{t}": [f"tier_{lineage[t]}"] for t in rest},
+              bucket_job(f"tier_{first}", partial(_cascade_bucket, src_dir=first_dir, tiers=rest)))
 
-        timed(tier_stage, [("points" if is_first else f"tier_{prev}")], write_tier)
-        prev = tier
-
-    # 3-5. everything downstream of the tiers is independent: run the
-    # per-tier encode jobs and the analysis jobs CONCURRENTLY (each thread
-    # drives its own Dataset execution; the streaming executor interleaves
-    # them, overlapping per-stage fixed costs and filling idle CPUs)
-    deferred = []
-
-    if cfg.encode:
-        for tier in cfg.tiers:
-            def write_blocks(out_dir, tier=tier):
-                from ..stages.encode import encode_partition_pandas
-                from ..stages.rollup import TIERS_US
-
-                tier_us = TIERS_US[tier]
-                # fused WHOLE-PARTITION gapfill+encode: one sort + numpy
-                # group slicing per partition; no per-series pandas frames
-                # (the per-series path's fixed frame costs dominated this
-                # stage); elastic tasks, codec is stateless — the
-                # actor-pool encoder remains available as encode_tier()
-                blocks = map_partition_tables(
-                    outputs[f"tier_{tier}"],
-                    lambda df: encode_partition_pandas(
-                        df, tier, tier_us, cfg.gapfill_method, cfg.max_gap_buckets
-                    ),
-                )
-                blocks.write_parquet(out_dir, partition_cols=["series_bucket"])
-
-            deferred.append((f"blocks_{tier}", [f"tier_{tier}"], write_blocks))
-
-    # 4. changepoint analysis on the configured tier
-    tier_available = f"tier_{cfg.analysis_tier}" in outputs
-    if cfg.analyze and tier_available:
-        tier = cfg.analysis_tier
-
-        def write_changepoints(out_dir, tier=tier):
-            from ..stages.analysis import changepoints_partition_pandas
-
-            # fused whole-partition kernel; url/host strings attach via the
-            # co-partitioned dictionary (same series_bucket hash; each task
-            # merges only its own partition's dict slice — no driver
-            # broadcast, dict may be arbitrarily large)
-            cps = map_partition_tables(
-                outputs[f"tier_{tier}"],
-                lambda df: changepoints_partition_pandas(
-                    df, cfg.changepoints, cfg.analysis_value_col, "url_hash"
-                ),
-                attach_root=outputs["url_dict"],
-            )
-            cps.write_parquet(out_dir, partition_cols=["series_bucket"])
-
-        deferred.append((f"changepoints_{tier}", [f"tier_{tier}"], write_changepoints))
-
-    # 5. smoothing + forecast tables on the same tier (same aligned path)
-    if cfg.smooth and tier_available:
-        tier = cfg.analysis_tier
-
-        def write_smoothed(out_dir, tier=tier):
-            from ..stages.analysis import smooth_partition_pandas
-
-            sm = map_partition_tables(
-                outputs[f"tier_{tier}"],
-                lambda df: smooth_partition_pandas(
-                    df, cfg.smoothing, cfg.analysis_value_col, "url_hash"
-                ),
-            )
-            sm.write_parquet(out_dir, partition_cols=["series_bucket"])
-
-        deferred.append((f"smoothed_{tier}", [f"tier_{tier}"], write_smoothed))
-
-    if cfg.do_forecast and tier_available:
-        tier = cfg.analysis_tier
-        from ..stages.rollup import TIERS_US as _T
-
-        def write_forecast(out_dir, tier=tier):
-            from ..stages.analysis import forecast_partition_pandas
-
-            fc = map_partition_tables(
-                outputs[f"tier_{tier}"],
-                lambda df: forecast_partition_pandas(
-                    df, cfg.forecast, _T[tier], cfg.analysis_value_col, "url_hash"
-                ),
-            )
-            fc.write_parquet(out_dir, partition_cols=["series_bucket"])
-
-        deferred.append((f"forecast_{tier}", [f"tier_{tier}"], write_forecast))
-
-    if deferred:
-        # pre-import modules the threads would otherwise import concurrently
-        # (a mid-import module seen from a second thread loses names)
-        try:
-            import fsspec.implementations.http  # noqa: F401
-        except ImportError:
-            pass
-        with ThreadPoolExecutor(max_workers=min(6, len(deferred))) as pool:
-            futures = [
-                pool.submit(timed, stage, lineage, fn)
-                for stage, lineage, fn in deferred
-            ]
-            for f in futures:
-                f.result()
+    # job 3: everything derived from the tiers
+    at = cfg.analysis_tier
+    analyses = [stage for stage, on in ((f"changepoints_{at}", cfg.analyze),
+                                        (f"smoothed_{at}", cfg.smooth),
+                                        (f"forecast_{at}", cfg.do_forecast))
+                if on and at in cfg.tiers]
+    derived = {f"blocks_{t}": [f"tier_{t}"] for t in cfg.tiers if cfg.encode}
+    derived.update({stage: [f"tier_{at}"] for stage in analyses})
+    if derived:
+        read = [t for t in cfg.tiers if cfg.encode or t == at]
+        fn = partial(_derived_bucket, cfg=cfg, stages=set(derived),
+                     tier_dirs={t: outputs[f"tier_{t}"] for t in read},
+                     dict_dir=outputs["url_dict"])
+        timed(derived, bucket_job(f"tier_{first}", fn))
 
     return {"outputs": outputs, "metrics": metrics, "manifest": manifest.records()}
 

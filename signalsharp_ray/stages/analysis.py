@@ -174,15 +174,6 @@ def smooth_kernel(
     return out
 
 
-def smooth_series(tier_ds, config: SmoothingConfig | None = None, value_col: str = "mean"):
-    from ..common.raytools import bucketed_map_groups
-
-    cfg = config or SmoothingConfig()
-    return bucketed_map_groups(
-        tier_ds, ["host", "url"], lambda df: smooth_kernel(df, cfg, value_col)
-    )
-
-
 @dataclass
 class ForecastConfig:
     method: str = "linear"  # linear | ses | holt
@@ -228,17 +219,6 @@ def forecast_kernel(
         }
     )
     return pd.DataFrame(out)
-
-
-def forecast_series(tier_ds, tier_us: int, config: ForecastConfig | None = None, value_col: str = "mean"):
-    from ..common.raytools import bucketed_map_groups
-
-    cfg = config or ForecastConfig()
-    return bucketed_map_groups(
-        tier_ds,
-        ["host", "url"],
-        lambda df: forecast_kernel(df, cfg, tier_us, value_col, ("host", "url")),
-    )
 
 
 # -- fused whole-partition kernels ----------------------------------------

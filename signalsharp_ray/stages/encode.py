@@ -109,38 +109,6 @@ def encode_tier(series_points_ds, tier: str, concurrency: int = 4, batch_size: i
     )
 
 
-def gapfill_and_encode_tier(
-    tier_ds,
-    tier: str,
-    method: str = "locf",
-    max_gap_buckets: int | None = None,
-    concurrency: int = 4,
-    batch_size: int = 64,
-    key_cols: tuple = ("host", "url"),
-):
-    """Fused gap-fill + assemble in ONE shuffle, then the actor-pool
-    encoder. Avoids shuffling the same series key twice."""
-    from ..common.raytools import bucketed_map_groups
-    from .gapfill import gapfill_series
-    from .rollup import TIERS_US
-
-    tier_us = TIERS_US[tier]
-
-    def fill_and_assemble(df: pd.DataFrame) -> pd.DataFrame:
-        filled = gapfill_series(df, tier_us, method, max_gap_buckets, key_cols)
-        return assemble_series(filled, value_col="value", key_cols=key_cols)
-
-    assembled = bucketed_map_groups(tier_ds, list(key_cols), fill_and_assemble)
-    return assembled.map_batches(
-        SeriesBlockEncoder,
-        fn_constructor_args=(tier, tuple(key_cols)),
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=pool_size(concurrency),
-        num_cpus=1,
-    )
-
-
 def encode_partition_pandas(
     df: pd.DataFrame,
     tier: str,

@@ -141,99 +141,6 @@ def check_text_byte_identity(points_ds) -> int:
     return bad.count()
 
 
-def extract_points_compact(pages_ds, drop_duplicates: bool = True, keep_bucket: bool = False):
-    """Dictionary-encoded extract: returns (points_ds, url_dict_ds).
-
-    points:   (url_hash:int64, ts, value, text_hash) — every downstream
-              shuffle (dedup, rollup, series assembly) moves int64 keys
-              instead of url/host strings (~4x fewer shuffle bytes; at
-              10^12 rows this is the difference between a sort that fits
-              and one that does not).
-    url_dict: (url_hash, url, host) — one row per distinct url; joined back
-              onto final outputs (broadcast at this scale; co-partitioned
-              dictionary join on a cluster).
-    """
-    from ..common.raytools import hash_bucket_aggregate
-
-    pts_full = pages_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
-        extract_points_batch, batch_format="pyarrow"
-    )
-
-    def compact(batch: pa.Table) -> pa.Table:
-        return batch.select(["url_hash", "ts", "value", "text_hash"])
-
-    def batch_dict(batch: pa.Table) -> pa.Table:
-        t = batch.select(["url_hash", "url", "host"])
-        g = t.group_by(["url_hash"], use_threads=False).aggregate(
-            [("url", "min"), ("host", "min")]
-        )
-        return g.rename_columns(["url_hash", "url", "host"])
-
-    points = pts_full.map_batches(compact, batch_format="pyarrow")
-    if drop_duplicates:
-        points = dedup_points_compact(points, keep_bucket=keep_bucket)
-
-    dict_partial = pts_full.map_batches(batch_dict, batch_format="pyarrow")
-    agg = hash_bucket_aggregate(
-        dict_partial, ["url_hash"], [("url", "min"), ("host", "min")]
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "url_hash": batch["url_hash"],
-                "url": batch["url_min"],
-                "host": batch["host_min"],
-            }
-        )
-
-    url_dict = agg.map_batches(rename, batch_format="pyarrow")
-    return points, url_dict
-
-
-def _first_per_key_compact(batch: pa.Table) -> pa.Table:
-    uh = batch["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-    ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False).view(np.uint64)
-    key = uh * np.uint64(1000003) ^ ts
-    _, first_idx = np.unique(key, return_index=True)
-    if first_idx.size == len(batch):
-        return batch
-    return batch.take(pa.array(np.sort(first_idx)))
-
-
-def dedup_points_compact(points_ds, keep_bucket: bool = False):
-    """Exact (url_hash, ts) dedup over the compact schema — int-only shuffle.
-
-    With keep_bucket=True the series-hash bucket column survives as
-    `series_bucket`: the points parquet is then hive-partitioned by it and
-    THIS is the pipeline's only shuffle — rollup, cascade, gap-fill, encode
-    and analysis all consume partitions aligned on the same key.
-    """
-    from ..common.raytools import hash_bucket_aggregate
-
-    pre = points_ds.map_batches(_first_per_key_compact, batch_format="pyarrow")
-    agg = hash_bucket_aggregate(
-        pre,
-        ["url_hash", "ts"],
-        [("value", "min"), ("text_hash", "min")],
-        bucket_cols=["url_hash"],
-        keep_bucket=keep_bucket,
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {
-            "url_hash": batch["url_hash"],
-            "ts": batch["ts"],
-            "value": batch["value_min"],
-            "text_hash": batch["text_hash_min"],
-        }
-        if keep_bucket:
-            cols["series_bucket"] = batch["__bucket"]
-        return pa.table(cols)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
-
-
 def attach_url_dict(ds, url_dict_df, key: str = "url_hash"):
     """Join url/host strings back onto url_hash-keyed rows via a broadcast
     dictionary: ray.put ONCE on the driver, ray.get per task (plasma reads
@@ -253,48 +160,47 @@ def attach_url_dict(ds, url_dict_df, key: str = "url_hash"):
 
 
 def build_url_dict(pages_ds, n_buckets: int | None = None):
-    """(url_hash, url, host) dictionary from the url column alone — the
-    projection pushes down to the parquet read, so this never touches
-    html/text bytes (unlike re-running the full extract).
+    """(url_hash, url, host, series_bucket) dictionary from the url column
+    alone — the projection pushes down to the parquet read, so this never
+    touches html/text bytes (unlike re-running the full extract).
 
-    With n_buckets set, the output carries `series_bucket` = url_hash %
-    n_buckets — the SAME bucketing as extract_dedup_exchange — so the dict
-    can be written hive-partitioned and joined co-partitioned downstream
-    (map_partition_dirs attach_root) with no shuffle and no broadcast."""
-    from ..common.raytools import hash_bucket_aggregate
+    series_bucket = url_hash % n_buckets, the SAME bucketing as
+    extract_dedup_exchange, and the dictionary goes through the same hash
+    exchange: each bucket's slice can be written hive-partitioned and
+    joined co-partitioned downstream (pipelines/flagship.py) with no
+    shuffle and no broadcast."""
+    from ..common.raytools import default_buckets, hash_exchange
+
+    if n_buckets is None:
+        n_buckets = default_buckets()
+
+    def first_url(t: pa.Table) -> pa.Table:
+        # url and host are functions of url_hash: min picks the one value
+        g = t.group_by(["url_hash", "__bucket"], use_threads=False).aggregate(
+            [("url", "min"), ("host", "min")]
+        )
+        g = g.rename_columns(["url_hash", "__bucket", "url", "host"])
+        return g.select(["url_hash", "url", "host", "__bucket"])
 
     def batch_dict(batch: pa.Table) -> pa.Table:
         url = batch["url"]
         host = pc.struct_field(
             pc.extract_regex(url, r"^[a-z]+://(?P<host>[^/]+)"), "host"
         )
-        t = pa.table({"url_hash": _hash_strings(url), "url": url, "host": host})
-        g = t.group_by(["url_hash"], use_threads=False).aggregate(
-            [("url", "min"), ("host", "min")]
+        url_hash = _hash_strings(url)
+        uh = url_hash.to_numpy(zero_copy_only=False).view(np.uint64)
+        bucket = pa.array((uh % np.uint64(n_buckets)).astype(np.int64))
+        return first_url(
+            pa.table({"url_hash": url_hash, "url": url, "host": host, "__bucket": bucket})
         )
-        return g.rename_columns(["url_hash", "url", "host"])
+
+    def reduce_dict(t: pa.Table) -> pa.Table:
+        return first_url(t).rename_columns(["url_hash", "url", "host", "series_bucket"])
 
     partial = pages_ds.select_columns(["url"]).map_batches(
         batch_dict, batch_format="pyarrow"
     )
-    agg = hash_bucket_aggregate(
-        partial, ["url_hash"], [("url", "min"), ("host", "min")]
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {
-            "url_hash": batch["url_hash"],
-            "url": batch["url_min"],
-            "host": batch["host_min"],
-        }
-        if n_buckets is not None:
-            uh = batch["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-            cols["series_bucket"] = pa.array(
-                (uh % np.uint64(n_buckets)).astype(np.int64)
-            )
-        return pa.table(cols)
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return hash_exchange(partial, n_buckets, reduce_dict, partial_fn=first_url)
 
 
 def extract_dedup_exchange(pages_ds, n_buckets: int | None = None):
@@ -321,7 +227,7 @@ def extract_dedup_exchange(pages_ds, n_buckets: int | None = None):
                 "text_hash": _hash_strings(batch["text"]),
             }
         )
-        t = _first_per_key_compact(t)
+        t = _first_per_key(t)
         uh = t["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
         bucket = (uh % np.uint64(n_buckets)).astype(np.int64)
         return t.append_column("__bucket", pa.array(bucket))
@@ -331,7 +237,7 @@ def extract_dedup_exchange(pages_ds, n_buckets: int | None = None):
     )
 
     def reduce_dedup(t: pa.Table) -> pa.Table:
-        bucket_val = t["__bucket"][0].as_py()
+        bucket_val = t["__bucket"][0].as_py() if t.num_rows else 0
         t = t.drop_columns(["__bucket"])
         g = t.group_by(["url_hash", "ts"], use_threads=False).aggregate(
             [("value", "min"), ("text_hash", "min")]

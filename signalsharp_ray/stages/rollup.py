@@ -96,7 +96,7 @@ def _merge_partials(ds, key_cols: list | None = None, keep_bucket: bool = False)
     The shuffle bucket is derived from the SERIES key only (not bucket_ts),
     so a whole series lands in one bucket; with keep_bucket=True the bucket
     id column survives, letting the writer hive-partition by it and every
-    downstream per-series stage run SHUFFLE-FREE (map_partition_dirs)."""
+    downstream per-series stage run SHUFFLE-FREE."""
     keys = list(key_cols or DEFAULT_SERIES_KEY)
     gk = keys + ["bucket_ts"]
     agg = hash_bucket_aggregate(

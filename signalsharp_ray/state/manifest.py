@@ -9,6 +9,10 @@ current fingerprint is skipped and its parquet output is reused.
 The root may be a plain local path or a URI (s3://, file://, any fsspec
 scheme): all filesystem access goes through pyarrow.fs via common.fsio.
 
+One job may write several stages (run_stages): the job reruns whole unless
+every one of its stages is complete, and its stages' entries commit in one
+manifest write.
+
 Commit protocol by filesystem:
 - LOCAL: output goes to `<stage>.tmp-<pid>` and is renamed into place
   before the manifest entry is committed, so a killed run never leaves a
@@ -24,6 +28,7 @@ Commit protocol by filesystem:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -80,10 +85,14 @@ class PipelineManifest:
             and fsio.is_dir(self._fs, self._stage_path(stage))
         )
 
-    def record(self, rec: StageRecord) -> None:
-        rec.completed_at = time.time()
+    def record(self, *recs: StageRecord) -> None:
+        """Commit records in ONE manifest write: stages written by one job
+        become complete together."""
+        now = time.time()
         with self._lock:
-            self._records[rec.stage] = asdict(rec)
+            for rec in recs:
+                rec.completed_at = now
+                self._records[rec.stage] = asdict(rec)
             fsio.write_text_atomic(
                 self._fs,
                 self._path,
@@ -94,54 +103,79 @@ class PipelineManifest:
     def records(self) -> dict[str, dict]:
         return dict(self._records)
 
+    def bucket_rows(self, rel: str) -> dict[int, int]:
+        """{bucket: rows} of a hive-partitioned (`key=<int>`) output: a
+        committed stage's recorded partitions, or for any other path under
+        the root (e.g. `points/data`) a walk of its parquet footers."""
+        rec = self._records.get(rel)
+        parts = rec["partitions"] if rec else _partition_stats(
+            self._fs, fsio.join(self._root_path, rel)
+        )
+        return {int(k.split("=", 1)[1]): p["rows"] for k, p in parts.items() if "=" in k}
+
     def run_stage(self, stage: str, fingerprint: str, lineage: list[str], write_fn):
         """Execute `write_fn(out_dir)` (which must write parquet into out_dir)
         unless the stage is already complete for this fingerprint.
 
         Returns (stage_dir, skipped: bool).
         """
-        out_dir = self.stage_dir(stage)
-        out_path = self._stage_path(stage)
-        if self.is_complete(stage, fingerprint):
-            return out_dir, True
+        dirs, skipped = self.run_stages(
+            {stage: lineage}, fingerprint, lambda out_dirs: write_fn(out_dirs[stage])
+        )
+        return dirs[stage], skipped
+
+    def run_stages(self, stages: dict[str, list[str]], fingerprint: str, write_fn):
+        """Execute one job that writes several stages: `write_fn({stage:
+        out_dir})` must write every stage's parquet into its out_dir. The
+        job is skipped only if EVERY stage is complete for this fingerprint;
+        otherwise all of them are rewritten. `stages` maps stage -> lineage.
+        One record per stage, all committed together, each carrying the
+        job's wall time.
+
+        Returns ({stage: stage_dir}, skipped: bool).
+        """
+        dirs = {stage: self.stage_dir(stage) for stage in stages}
+        if all(self.is_complete(stage, fingerprint) for stage in stages):
+            return dirs, True
         t0 = time.time()
         if self._local:
-            import os
-
-            # clear stale tmp dirs a KILLED prior run left behind (their
-            # pid differs, so the per-pid cleanup below won't match them)
+            # clear stale tmp dirs, ours or a KILLED prior run's
             sel = pafs.FileSelector(self._root_path, allow_not_found=True)
+            prefixes = tuple(f"{stage}.tmp-" for stage in stages)
             for info in self._fs.get_file_info(sel):
-                if (
-                    info.type == pafs.FileType.Directory
-                    and info.base_name.startswith(f"{stage}.tmp-")
-                ):
+                if info.type == pafs.FileType.Directory and info.base_name.startswith(prefixes):
                     fsio.rmtree(self._fs, info.path)
-            tmp_path = f"{out_path}.tmp-{os.getpid()}"
-            fsio.rmtree(self._fs, tmp_path)
-            fsio.makedirs(self._fs, tmp_path)
-            write_fn(fsio.join(self.root, f"{stage}.tmp-{os.getpid()}"))
-            fsio.rmtree(self._fs, out_path)
-            os.replace(tmp_path, out_path)
+            tmp = {stage: f"{stage}.tmp-{os.getpid()}" for stage in stages}
+            for name in tmp.values():
+                fsio.makedirs(self._fs, self._stage_path(name))
+            write_fn({stage: fsio.join(self.root, name) for stage, name in tmp.items()})
+            for stage, name in tmp.items():
+                out_path = self._stage_path(stage)
+                fsio.rmtree(self._fs, out_path)
+                os.replace(self._stage_path(name), out_path)
         else:
             # no atomic dir rename on object stores: write in place, commit
-            # via the manifest entry below (see module docstring)
-            fsio.rmtree(self._fs, out_path)
-            fsio.makedirs(self._fs, out_path)
-            write_fn(out_dir)
-        parts = _partition_stats(self._fs, out_path)  # one footer walk
-        self.record(
+            # via the manifest entries below (see module docstring)
+            for stage in stages:
+                fsio.rmtree(self._fs, self._stage_path(stage))
+                fsio.makedirs(self._fs, self._stage_path(stage))
+            write_fn(dirs)
+        # one footer walk per stage
+        parts = {stage: _partition_stats(self._fs, self._stage_path(stage)) for stage in stages}
+        wall_s = time.time() - t0
+        self.record(*(
             StageRecord(
                 stage=stage,
                 fingerprint=fingerprint,
-                rows=sum(p["rows"] for p in parts.values()),
-                bytes=sum(p["bytes"] for p in parts.values()),
-                wall_s=time.time() - t0,
+                rows=sum(p["rows"] for p in parts[stage].values()),
+                bytes=sum(p["bytes"] for p in parts[stage].values()),
+                wall_s=wall_s,
                 lineage=lineage,
-                partitions=parts,
+                partitions=parts[stage],
             )
-        )
-        return out_dir, False
+            for stage, lineage in stages.items()
+        ))
+        return dirs, False
 
 
 def _partition_stats(fs: pafs.FileSystem, directory: str) -> dict:

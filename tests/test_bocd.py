@@ -72,6 +72,19 @@ def test_truncation_matches_untruncated():
     )
 
 
+def test_map_run_length_survives_truncation_on_noisy_step():
+    # A run-length cap forces truncation from step 8 on: the MAP must be
+    # the run length of the best slot, not its position in the truncated
+    # arrays (which never exceeds the cap).
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0, 1, 200), rng.normal(6, 1, 200)])
+    opts = BOCDOptions(hazard=1 / 200, max_run_lengths=8)
+    maps = bocd_map_run_lengths(x, opts)
+    assert maps[199] >= 150 and maps[-1] >= 150
+    cps = bocd_changepoints(x, opts)
+    assert len(cps) == 1 and abs(int(cps[0]) - 200) <= 2
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         BOCDOptions(hazard=0.0)

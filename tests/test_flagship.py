@@ -23,7 +23,6 @@ def test_flagship_end_to_end_and_resume(out_root):
 
     cfg = FlagshipConfig(
         out_root=out_root,
-        encode_concurrency=2,
         changepoints=ChangepointConfig(method="pelt", cost="l2", penalty=2.0, min_size=2),
     )
     res = run_flagship_synthetic(SPEC, cfg)

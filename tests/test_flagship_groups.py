@@ -1,0 +1,131 @@
+"""The flagship's bucket-group jobs (raytools.run_bucket_groups +
+PipelineManifest.run_stages) against the per-stage Dataset path they
+replaced, and resume after a fault inside the derived job."""
+
+import glob
+
+import pyarrow.compute as pc
+import pyarrow.dataset as pds
+import pyarrow.parquet as pq
+import pytest
+
+from signalsharp_ray.common.raytools import bucket_groups
+from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship_synthetic
+from signalsharp_ray.sources.synth import WebPagesSpec
+from signalsharp_ray.state.manifest import PipelineManifest
+
+SPEC = WebPagesSpec(n_rows=3_000, n_hosts=12, urls_per_host=4, rows_per_shard=1_000)
+N_BUCKETS = 16
+TIER_STAGES = ["tier_1m", "tier_1h", "tier_1d"]
+DERIVED_STAGES = ["blocks_1m", "blocks_1h", "blocks_1d",
+                  "changepoints_1d", "smoothed_1d", "forecast_1d"]
+
+
+def _cfg(root, **kw):
+    return FlagshipConfig(out_root=str(root), n_buckets=N_BUCKETS, **kw)
+
+
+@pytest.fixture(scope="module")
+def clean(ray_session, tmp_path_factory):
+    root = tmp_path_factory.mktemp("groups") / "clean"
+    return run_flagship_synthetic(SPEC, _cfg(root)), root
+
+
+def _stage_table(stage_dir):
+    """All rows of a hive-partitioned stage, sorted by every column."""
+    t = pds.dataset(str(stage_dir), format="parquet", partitioning="hive").to_table()
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def _per_stage_dataset_path(cfg, out_root):
+    """The stages after `points` as one Dataset job each: map_partition_tables
+    over the upstream stage, then Dataset.write_parquet."""
+    from signalsharp_ray.common.raytools import map_partition_tables
+    from signalsharp_ray.stages.analysis import (
+        changepoints_partition_pandas,
+        forecast_partition_pandas,
+        smooth_partition_pandas,
+    )
+    from signalsharp_ray.stages.encode import encode_partition_pandas
+    from signalsharp_ray.stages.rollup import (
+        TIERS_US,
+        cascade_partition_pandas,
+        rollup_partition_pandas,
+    )
+
+    src = f"{cfg.out_root}/points/data"
+    col = cfg.analysis_value_col
+
+    def write(stage, src_dir, fn, attach=None):
+        out = map_partition_tables(src_dir, fn, attach_root=attach)
+        out.write_parquet(f"{out_root}/{stage}", partition_cols=["series_bucket"])
+        return f"{out_root}/{stage}"
+
+    prev = write("tier_1m", src, lambda df: rollup_partition_pandas(df, TIERS_US["1m"]))
+    for tier in ("1h", "1d"):
+        prev = write(f"tier_{tier}", prev,
+                     lambda df, tier=tier: cascade_partition_pandas(df, TIERS_US[tier]))
+    for tier in ("1m", "1h", "1d"):
+        write(f"blocks_{tier}", f"{out_root}/tier_{tier}",
+              lambda df, tier=tier: encode_partition_pandas(
+                  df, tier, TIERS_US[tier], cfg.gapfill_method, cfg.max_gap_buckets))
+    t1d = f"{out_root}/tier_1d"
+    write("changepoints_1d", t1d,
+          lambda df: changepoints_partition_pandas(df, cfg.changepoints, col, "url_hash"),
+          attach=f"{cfg.out_root}/points/dict")
+    write("smoothed_1d", t1d,
+          lambda df: smooth_partition_pandas(df, cfg.smoothing, col, "url_hash"))
+    write("forecast_1d", t1d,
+          lambda df: forecast_partition_pandas(df, cfg.forecast, TIERS_US["1d"], col, "url_hash"))
+
+
+def test_bucket_groups_contiguous_and_balanced():
+    rows = {0: 100, 1: 1, 2: 1, 5: 100, 7: 50, 9: 50}
+    groups = bucket_groups(rows, 3)
+    assert [b for g in groups for b in g] == sorted(rows)
+    assert groups == [[0, 1], [2, 5], [7, 9]]
+    assert bucket_groups(rows, 100) == [[b] for b in sorted(rows)]
+    assert bucket_groups({}, 4) == []
+
+
+def test_group_jobs_match_per_stage_dataset_path(clean, tmp_path):
+    res, root = clean
+    _per_stage_dataset_path(_cfg(root), tmp_path)
+    for stage in TIER_STAGES + DERIVED_STAGES:
+        new, old = _stage_table(root / stage), _stage_table(tmp_path / stage)
+        assert new.num_rows > 0, stage
+        assert new.schema.remove_metadata() == old.schema.remove_metadata(), stage
+        assert new.equals(old), stage
+        # same file schema, pandas metadata included, in every file
+        old_schema = pq.read_schema(glob.glob(f"{tmp_path}/{stage}/*/*.parquet")[0])
+        for f in glob.glob(f"{root}/{stage}/*/*.parquet"):
+            assert pq.read_schema(f).equals(old_schema, check_metadata=True), (stage, f)
+    # three jobs after the exchange: tier_1m alone, then the coarser tiers
+    # together, then every derived output together
+    man = res["manifest"]
+    assert man["tier_1m"]["completed_at"] < man["tier_1h"]["completed_at"]
+    assert man["tier_1h"]["completed_at"] == man["tier_1d"]["completed_at"]
+    assert man["tier_1d"]["completed_at"] < man["blocks_1m"]["completed_at"]
+    assert len({man[s]["completed_at"] for s in DERIVED_STAGES}) == 1
+    # counts are conserved through the in-memory cascade
+    counts = [pc.sum(_stage_table(root / s)["count"]).as_py() for s in TIER_STAGES]
+    assert counts[0] == counts[1] == counts[2] == man["points"]["partitions"]["data"]["rows"]
+
+
+def test_fault_in_derived_job_resumes_after_tiers(clean, tmp_path):
+    from signalsharp_ray.stages.analysis import ChangepointConfig
+
+    res_clean, clean_root = clean
+    root = tmp_path / "faulted"
+    # an unknown changepoint method raises inside every derived task
+    bad = _cfg(root, changepoints=ChangepointConfig(method="no-such-method"))
+    with pytest.raises(Exception, match="no-such-method"):
+        run_flagship_synthetic(SPEC, bad)
+    res_fail = PipelineManifest(str(root)).records()
+    assert set(res_fail) == {"points", *TIER_STAGES}
+
+    res = run_flagship_synthetic(SPEC, _cfg(root))
+    for stage in ["points", *TIER_STAGES]:
+        assert res["manifest"][stage]["completed_at"] == res_fail[stage]["completed_at"], stage
+    for stage in TIER_STAGES + DERIVED_STAGES:
+        assert _stage_table(root / stage).equals(_stage_table(clean_root / stage)), stage
