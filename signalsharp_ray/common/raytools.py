@@ -1,10 +1,23 @@
-"""Small Ray helpers shared by stages."""
+"""Small Ray helpers shared by stages.
+
+The library has one hash shuffle, `hash_exchange`: every grouped
+operator (hash_bucket_aggregate, bucketed_map_groups, bucketed_join, the
+incremental stores' apply) puts its rows in a `__bucket` by its own hash
+and hands a per-bucket reducer to it. The grouped helpers compute the
+bucket inside the exchange's split tasks, with no Ray Data map of their
+own. The exchange runs the reducer on EVERY bucket, empty ones included,
+so a reducer must accept an empty table and return an empty table of its
+usual schema. The grouped helpers then drop the empty buckets' blocks
+from their results (a downstream map_batches would strip their schema),
+and the pandas helpers never call their kernels on an empty bucket.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 
 _HANDOFF_SEQ = [0]
@@ -27,7 +40,9 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
 
     root defaults to $SIGNALSHARP_HANDOFF_ROOT or /tmp/signalsharp_ray/
     handoff — point it at a shared filesystem / object store URI on a real
-    multi-node cluster. Directories are left for the OS tmp reaper; callers
+    multi-node cluster: the /tmp default raises on a cluster with more
+    than one alive node (an explicit root is trusted to be shared).
+    Directories are left for the OS tmp reaper; callers
     that loop can pass an explicit root and clean it themselves.
     """
     import os
@@ -35,9 +50,18 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
 
     import ray.data as rd
 
-    base = root or os.environ.get(
-        "SIGNALSHARP_HANDOFF_ROOT", "/tmp/signalsharp_ray/handoff"
-    )
+    base = root or os.environ.get("SIGNALSHARP_HANDOFF_ROOT")
+    if base is None:
+        if _alive_nodes() > 1:
+            raise RuntimeError(
+                "parquet_handoff has no root= and SIGNALSHARP_HANDOFF_ROOT is "
+                "unset, so it would write to node-local /tmp on a Ray cluster "
+                "with more than one node: workers would write to their own "
+                "disks and the driver would miss their files. Pass root= (or "
+                "set SIGNALSHARP_HANDOFF_ROOT) to a path every node shares "
+                "(a shared mount or an object-store URI)."
+            )
+        base = "/tmp/signalsharp_ray/handoff"
     _HANDOFF_SEQ[0] += 1
     out = f"{base}/{tag}-{os.getpid()}-{_HANDOFF_SEQ[0]}-{uuid.uuid4().hex[:8]}"
     ds.write_parquet(out)
@@ -61,6 +85,12 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
     return rd.read_parquet(out)
 
 
+def _alive_nodes() -> int:
+    if not ray.is_initialized():
+        return 1
+    return sum(1 for n in ray.nodes() if n.get("Alive"))
+
+
 def hash_bucket_aggregate(
     ds,
     keys: list[str],
@@ -68,17 +98,14 @@ def hash_bucket_aggregate(
     n_buckets: int | None = None,
     count_alias: str | None = None,
     bucket_cols: list[str] | None = None,
-    keep_bucket: bool = False,
-    salt: int = 1,
-    _subsplit: int = 1,
 ):
     """Exact grouped aggregation that scales with HIGH key cardinality.
 
     Ray's built-in groupby().aggregate() iterates result groups in Python,
     which is O(#groups) interpreter work — measured ~90s for 55k groups on
-    one node. This helper instead shuffles on hash(keys) % n_buckets (a
-    LOW-cardinality key) and runs the real aggregation inside each bucket
-    with pyarrow's C++ hash groupby. Exact for commutative aggregates
+    one node. This helper instead exchanges rows on hash(keys) % n_buckets
+    (hash_exchange) and runs the real aggregation inside each bucket with
+    pyarrow's C++ hash groupby. Exact for commutative aggregates
     (sum/min/max/count): every row of a key lands in the same bucket.
 
     aggs: [(column, op)] with op in {sum, min, max}; count_alias adds a
@@ -86,51 +113,10 @@ def hash_bucket_aggregate(
     bucket_cols: columns to derive the shuffle bucket from (must be a
     function of the keys — e.g. a precomputed integer url_hash — so every
     key still lands in exactly one bucket); defaults to the keys.
-
-    salt: hot-key skew mitigation. With salt = S > 1, each key's rows are
-    SPLIT round-robin across S sub-buckets (so one hot key — a viral url,
-    a bot user — cannot make a single aggregation task hold its entire
-    row set), partial-aggregated there, and the <= S partials per key
-    merge through a second tiny exchange. Exact for the same associative
-    ops; costs one extra exchange over partial rows, so use it where a
-    per-batch combiner cannot run first (raw-row exchanges). Results are
-    identical for any salt (unit-tested over adversarially skewed keys).
     """
     if n_buckets is None:
         n_buckets = default_buckets()
     bcols = bucket_cols or keys
-
-    if salt > 1:
-        if keep_bucket:
-            raise ValueError("keep_bucket is not supported with salt > 1")
-        bad = [op for _, op in aggs if op not in ("sum", "min", "max")]
-        if bad:
-            # the two-phase merge is only exact for associative ops; a
-            # silent sum-of-partials for e.g. 'mean' would be wrong
-            raise ValueError(
-                f"salt > 1 supports only sum/min/max aggregates, got {bad}"
-            )
-        partials = hash_bucket_aggregate(
-            ds, keys, aggs,
-            n_buckets=n_buckets, count_alias=count_alias,
-            bucket_cols=bcols, _subsplit=salt,
-        )
-        merge_aggs = [
-            (f"{c}_{op}", op if op in ("min", "max") else "sum") for c, op in aggs
-        ]
-        if count_alias is not None:
-            merge_aggs = merge_aggs + [(count_alias, "sum")]
-        merged = hash_bucket_aggregate(
-            partials, keys, merge_aggs, n_buckets=n_buckets
-        )
-        renames = {
-            f"{c}_{op}_{'min' if op == 'min' else 'max' if op == 'max' else 'sum'}":
-                f"{c}_{op}"
-            for c, op in aggs
-        }
-        if count_alias is not None:
-            renames[f"{count_alias}_sum"] = count_alias
-        return merged.rename_columns(renames)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         h = np.zeros(batch.num_rows, dtype=np.uint64)
@@ -146,31 +132,19 @@ def hash_bucket_aggregate(
                     categorize=False,
                 )
         b = (h % np.uint64(n_buckets)).astype(np.int64)
-        if _subsplit > 1:
-            # salted phase 1: spread each key's rows round-robin across
-            # _subsplit sub-buckets so a hot key never concentrates
-            b = b * np.int64(_subsplit) + (
-                np.arange(batch.num_rows, dtype=np.int64) % np.int64(_subsplit)
-            )
         if batch.schema.metadata:
             # parquet/pandas-origin schema metadata is an unhashable dict:
-            # Ray's shuffle-side schema dedup then warns 'Failed to hash
-            # the schemas' per reduce task — drop it at the exchange edge
+            # Ray's schema dedup then warns 'Failed to hash the schemas' —
+            # drop it at the exchange edge
             batch = batch.replace_schema_metadata(None)
         return batch.append_column("__bucket", pa.array(b))
 
     agg_specs = [(c, op) for c, op in aggs]
     if count_alias is not None:
         agg_specs = agg_specs + [(keys[0], "count")]
-    out_names = list(keys) + [f"{c}_{op}" for c, op in aggs] + (
-        [count_alias] if count_alias is not None else []
-    )
 
     def agg_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.drop_columns(["__bucket"])
-        bucket_val = t["__bucket"][0]
-        t = t.drop_columns(["__bucket"])
+        # an empty bucket aggregates to an empty table of the same schema
         g = t.group_by(keys, use_threads=False).aggregate(agg_specs)
         # pyarrow names results "<col>_<op>"; put keys first, stable order
         cols = {k: g[k] for k in keys}
@@ -178,14 +152,9 @@ def hash_bucket_aggregate(
             cols[f"{c}_{op}"] = g[f"{c}_{op}"]
         if count_alias is not None:
             cols[count_alias] = g[f"{keys[0]}_count"]
-        if keep_bucket:
-            cols["__bucket"] = pa.array(
-                np.full(g.num_rows, bucket_val.as_py(), dtype=np.int64)
-            )
         return pa.table(cols)
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(agg_bucket, batch_format="pyarrow")
+    return _exchange([(ds, add_bucket)], n_buckets, agg_bucket, empty_like=ds, drop_empty=True)
 
 
 def pool_size(requested: int, num_cpus_per_actor: float = 1.0) -> tuple[int, int]:
@@ -196,8 +165,6 @@ def pool_size(requested: int, num_cpus_per_actor: float = 1.0) -> tuple[int, int
     executor; and two fixed pools in one pipeline can jointly demand more
     CPUs than exist. An autoscaling (min=1, max=n) pool always makes
     progress with one actor and grows only while CPUs are free."""
-    import ray
-
     requested = max(1, int(requested))
     cap = requested
     if ray.is_initialized():
@@ -210,12 +177,45 @@ def pool_size(requested: int, num_cpus_per_actor: float = 1.0) -> tuple[int, int
 
 
 def default_buckets() -> int:
-    import ray
-
     if ray.is_initialized():
         total = ray.cluster_resources().get("CPU", 8)
         return max(32, int(total) * 4)
     return 64
+
+
+def _pandas_bucket_exchange(sources, n_buckets: int, kernel, empty_like):
+    """_exchange `sources` (whose bucket_fns add `__bucket`) and apply the
+    pandas `kernel` to each non-empty bucket frame.
+
+    Blocks convert with Ray's own BlockAccessor conversions in both
+    directions, so the kernel sees the dtypes map_groups(batch_format=
+    "pandas") gives it. Per-group kernels index their group's first row,
+    so an empty bucket skips the kernel; the blocks of empty buckets (and
+    of kernels that return no rows) are dropped from the result, leaving
+    every block with the kernel's schema.
+    """
+    from ray.data.block import BlockAccessor
+
+    def reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t.drop_columns(["__bucket"])
+        out = kernel(BlockAccessor.for_block(t.drop_columns(["__bucket"])).to_pandas())
+        return BlockAccessor.for_block(out).to_arrow()
+
+    return _exchange(sources, n_buckets, reduce, empty_like=empty_like, drop_empty=True)
+
+
+def key_buckets(frame: pd.DataFrame, key_cols: list[str], n_buckets: int) -> np.ndarray:
+    """Bucket id per row: a pandas hash of the key columns mod n_buckets
+    (the ids the incremental stores persist as bucket=<B> paths)."""
+    h = np.zeros(len(frame), dtype=np.uint64)
+    for k in key_cols:
+        col = frame[k].to_numpy()
+        h = h * np.uint64(1000003) + pd.util.hash_array(
+            np.asarray(col, dtype=object) if col.dtype == object else col,
+            categorize=False,
+        )
+    return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
 def bucketed_map_groups(
@@ -228,11 +228,11 @@ def bucketed_map_groups(
     """groupby(key).map_groups(fn) with BOUNDED Ray per-group overhead.
 
     Ray's map_groups pays interpreter + block overhead per group; with
-    millions of (host, url) series that dominates wall time. This shuffles
-    on hash(key) % n_buckets instead and applies `fn` per key-group INSIDE
-    the bucket kernel via pandas groupby — same whole-group-in-one-call
-    contract, Ray overhead proportional to n_buckets only. fn takes and
-    returns a pandas DataFrame.
+    millions of (host, url) series that dominates wall time. This
+    exchanges rows on hash(key) % n_buckets instead and applies `fn` per
+    key-group INSIDE the bucket kernel via pandas groupby — same
+    whole-group-in-one-call contract, Ray overhead proportional to
+    n_buckets only. fn takes and returns a pandas DataFrame.
 
     whole_bucket_fn: alternative kernel applied to the ENTIRE bucket frame
     at once (all rows of every key hashing into the bucket) — for kernels
@@ -242,24 +242,18 @@ def bucketed_map_groups(
     if n_buckets is None:
         n_buckets = default_buckets()
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        h = np.zeros(len(batch), dtype=np.uint64)
-        for k in key_cols:
-            col = batch[k].to_numpy()
-            h = h * np.uint64(1000003) + pd.util.hash_array(
-                np.asarray(col, dtype=object) if col.dtype == object else col,
-                categorize=False,
-            )
-        batch = batch.copy()
-        batch["__bucket"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return batch
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        # bucket in Arrow: a pandas round trip of the whole batch would
+        # turn int columns with nulls into float64 in some blocks only,
+        # and the exchange concatenates a bucket's blocks
+        buckets = key_buckets(batch.select(key_cols).to_pandas(), key_cols, n_buckets)
+        return batch.replace_schema_metadata(None).append_column(
+            "__bucket", pa.array(buckets)
+        )
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["__bucket"])
         if whole_bucket_fn is not None:
             return whole_bucket_fn(df)
-        if len(df) == 0:
-            return df
         outs = [fn(g) for _, g in df.groupby(key_cols, sort=False)]
         outs = [o for o in outs if o is not None]
         if not outs:
@@ -271,8 +265,7 @@ def bucketed_map_groups(
             return outs[0]
         return pd.concat(non_empty, ignore_index=True)
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pandas")
-    return bucketed.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return _pandas_bucket_exchange([(ds, add_bucket)], n_buckets, per_bucket, ds)
 
 
 def bucketed_join(
@@ -286,52 +279,77 @@ def bucketed_join(
     """Distributed hash join through ONE bucketed exchange — the
     co-partitioned alternative to broadcasting a side to the driver.
 
-    Both sides are tagged, schema-aligned with typed nulls, unioned, hash
-    bucketed on the key columns, and pandas-merged per bucket (vectorized
+    Both sides stream into the exchange, where each block is tagged and
+    aligned to one Arrow schema (typed nulls for the other side's columns,
+    one widened type for a column the sides type differently) and hash
+    bucketed on the key columns; each bucket is pandas-merged (vectorized
     C join inside each kernel; Ray overhead proportional to n_buckets).
-    Neither side is ever collected on the driver, so both may be
-    arbitrarily large. Key columns must be hashable scalars.
+    Neither side is collected on the driver or materialized whole, so both
+    may be arbitrarily large. Key columns must be hashable scalars.
     """
-    import pyarrow as pa
-
     if n_buckets is None:
         n_buckets = default_buckets()
 
-    def _pa_type(t):
-        # pandas-block datasets report numpy dtypes (object for strings);
-        # normalize every schema entry to a pyarrow DataType
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError, ValueError):
-            return pa.string()
-
-    lschema, rschema = left_ds.schema(), right_ds.schema()
-    ltypes = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
-    rtypes = {n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)}
+    # both sides start streaming here: their first typed blocks' schemas
+    # align them, and the exchange consumes the rest of each stream
+    lschema, lbundles = _schema_and_bundles(left_ds)
+    rschema, rbundles = _schema_and_bundles(right_ds)
+    ltypes, rtypes = _pa_types(lschema), _pa_types(rschema)
+    # a side without a typed block has no rows: give it the other's keys
+    ltypes = ltypes or {k: rtypes.get(k, pa.null()) for k in on}
+    rtypes = rtypes or {k: ltypes[k] for k in on}
     lcols, rcols = list(ltypes), list(rtypes)
     all_types = dict(ltypes)
+    widened = set()
     for n, t in rtypes.items():
+        if n in all_types and all_types[n] != t:
+            # one column, two side types (int64 vs double): widen it so
+            # both sides' blocks share a schema; _restore narrows per side
+            try:
+                all_types[n] = pa.unify_schemas(
+                    [pa.schema([(n, all_types[n])]), pa.schema([(n, t)])],
+                    promote_options="permissive",
+                ).field(n).type
+                widened.add(n)
+            except (pa.ArrowInvalid, pa.ArrowTypeError):
+                pass
         all_types.setdefault(n, t)
-    all_names = list(all_types)
+
+    # hash each key under ONE unified dtype: a float64 block and an int64
+    # block carrying the same values must land in the same bucket
+    key_is_int = {
+        k: pa.types.is_integer(ltypes[k]) and pa.types.is_integer(rtypes[k])
+        for k in on
+    }
 
     def tag(side):
+        # tag and bucket in Arrow (inside the exchange's split tasks): a
+        # pandas round trip here would turn int columns with nulls into
+        # float64 in some blocks only, and the exchange concatenates both
+        # sides' blocks per bucket
         def fn(t: pa.Table) -> pa.Table:
-            for name in all_names:
-                if name not in t.column_names:
-                    t = t.append_column(name, pa.nulls(t.num_rows, all_types[name]))
-            t = t.select(all_names)
-            return t.append_column("__side", pa.array([side] * t.num_rows))
+            cols = {}
+            for name, typ in all_types.items():
+                col = t[name] if name in t.column_names else None
+                if col is None or pa.types.is_null(col.type):
+                    # the other side's column, or a pandas all-None one
+                    cols[name] = pa.nulls(t.num_rows, typ)
+                elif name in widened:
+                    cols[name] = col.cast(typ)
+                else:
+                    cols[name] = col
+            keys = pa.table({k: cols[k] for k in on}).to_pandas()
+            for k in on:
+                if key_is_int[k] and keys[k].dtype != np.int64 and keys[k].dtype != object:
+                    keys[k] = keys[k].astype(np.int64)
+            cols["__side"] = pa.array([side] * t.num_rows, pa.string())
+            cols["__bucket"] = pa.array(key_buckets(keys, on, n_buckets))
+            return pa.table(cols)
 
         return fn
 
-    both = left_ds.map_batches(tag("l"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
     def _restore(df: pd.DataFrame, types: dict) -> pd.DataFrame:
-        # the per-bucket concat of both sides turns int columns with
+        # the per-bucket union of both sides turns int columns with
         # cross-side nulls into float64; restore each side's declared
         # dtypes so merge keys AND output columns stay exact int64
         df = df.copy()
@@ -351,32 +369,45 @@ def bucketed_join(
         right = _restore(df[df["__side"] == "r"][rcols], rtypes)
         return left.merge(right, on=on, how=how, suffixes=("", suffix))
 
-    # hash each key under ONE unified dtype: a float64 block and an int64
-    # block carrying the same values must land in the same bucket
-    key_is_int = {
-        k: pa.types.is_integer(ltypes[k]) and pa.types.is_integer(rtypes[k])
-        for k in on
-    }
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        h = np.zeros(len(batch), dtype=np.uint64)
-        for k in on:
-            col = batch[k].to_numpy()
-            if key_is_int[k] and col.dtype != np.int64 and col.dtype != object:
-                col = col.astype(np.int64)
-            h = h * np.uint64(1000003) + pd.util.hash_array(
-                np.asarray(col, dtype=object) if col.dtype == object else col,
-                categorize=False,
-            )
-        batch = batch.copy()
-        batch["__bucket"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return batch
-
-    bucketed = both.map_batches(add_bucket, batch_format="pandas")
-    return bucketed.groupby("__bucket").map_groups(
-        lambda df: merge_bucket(df.drop(columns=["__bucket"])),
-        batch_format="pandas",
+    return _pandas_bucket_exchange(
+        [(lbundles, tag("l")), (rbundles, tag("r"))], n_buckets, merge_bucket, left_ds
     )
+
+
+def _schema_and_bundles(ds):
+    """Start `ds` and read its bundles up to the first typed one: that
+    bundle's schema (None when no block is typed) and an iterator over all
+    of its bundles. Dataset.schema() would instead run a limit(1) plan and
+    cancel the map tasks it started, which over exchange output upstream
+    has aborted the Ray 2.49 driver (a reference-count check failure)."""
+    import itertools
+
+    from ray.data.dataset import Schema
+
+    bundles = iter(ds.iter_internal_ref_bundles())
+    head = []
+    for bundle in bundles:
+        head.append(bundle)
+        if bundle.schema is not None and len(bundle.schema.names):
+            return Schema(bundle.schema), itertools.chain(head, bundles)
+    return None, iter(head)
+
+
+def _pa_types(schema) -> dict:
+    """{column: pyarrow type} of a Dataset schema; pandas blocks report
+    numpy dtypes (object for strings), which map to Arrow here."""
+
+    def pa_type(t):
+        if isinstance(t, pa.DataType):
+            return t
+        try:
+            return pa.from_numpy_dtype(t)
+        except (pa.ArrowNotImplementedError, TypeError, ValueError):
+            return pa.string()
+
+    if schema is None:
+        return {}
+    return {n: pa_type(t) for n, t in zip(schema.names, schema.types)}
 
 
 def map_partition_tables(
@@ -480,7 +511,6 @@ def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str])
     Dataset write records. The fixed file name makes a retried task
     overwrite its own file."""
     import pyarrow.parquet as pq
-    import ray
 
     from . import fsio
 
@@ -544,9 +574,9 @@ def hash_exchange(
     partial_fn: OPT-IN associative pre-reduce that overlaps the reduce
     barrier with the map tail. When given, every `partial_every` map
     groups each bucket's accumulated slices are folded by a
-    partial_bucket task SUBMITTED DURING the map loop (it runs as soon as
+    _fold_slices task SUBMITTED DURING the map loop (it runs as soon as
     its split slices land — while later maps are still producing), and
-    the final reduce_bucket sees pre-shrunk partials instead of every raw
+    the final reduce sees pre-shrunk partials instead of every raw
     slice. Contract: partial_fn must be SCHEMA-PRESERVING (same columns,
     same order, bucket_col retained) and associative with reduce_fn —
     reduce_fn(concat(partial_fn(A), partial_fn(B), C)) ==
@@ -556,68 +586,49 @@ def hash_exchange(
     the raw exchange rows, and split slices become reclaimable as soon as
     their partial folds them instead of living until the final reduce.
     """
-    import ray
+    return _exchange(
+        [(ds, None)], n_buckets, reduce_fn, bucket_col, target_map_bytes,
+        max_blocks_per_map, partial_fn, partial_every, empty_like=ds,
+    )
+
+
+def _exchange(
+    sources,
+    n_buckets: int,
+    reduce_fn,
+    bucket_col: str = "__bucket",
+    target_map_bytes: int = 256 << 20,
+    max_blocks_per_map: int = 32,
+    partial_fn=None,
+    partial_every: int = 8,
+    empty_like=None,
+    drop_empty: bool = False,
+):
+    """hash_exchange over `sources`, a list of (Dataset or iterator of its
+    ref bundles, bucket_fn): bucket_fn (None: the blocks already carry
+    bucket_col) maps each typed input table to the table to split, inside
+    the split task. Returns a Dataset over the reduced buckets; with
+    drop_empty only the non-empty ones (the first one when all are empty).
+    When no source yields a block, the result is `empty_like`'s columns
+    (minus bucket_col) with no rows."""
     import ray.data as rd
 
-    @ray.remote(num_returns=n_buckets)
-    def split_blocks(*tables):
-        tables = [
-            t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-            for t in tables
-        ]
-        nonempty = [t for t in tables if t.num_rows]
-        if not nonempty:
-            empty = tables[0]
-            return tuple(empty for _ in range(n_buckets)) if n_buckets > 1 else empty
-        table = nonempty[0] if len(nonempty) == 1 else pa.concat_tables(nonempty)
-        buckets = table[bucket_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(buckets, kind="stable")
-        table = table.take(pa.array(order))
-        sorted_buckets = buckets[order]
-        # one take + zero-copy slices per bucket (vs n_buckets filter scans)
-        edges = np.searchsorted(sorted_buckets, np.arange(n_buckets + 1))
-        out = [table.slice(edges[b], edges[b + 1] - edges[b]) for b in range(n_buckets)]
-        return tuple(out) if n_buckets > 1 else out[0]
+    def put(fn):
+        # one object per exchange instead of one function export per call
+        return None if fn is None else ray.put(fn)
 
-    def _strip_meta(t: pa.Table) -> pa.Table:
-        # pandas-origin schema metadata is an unhashable dict; Ray's
-        # schema-dedup then logs 'Failed to hash the schemas' per reduce
-        # task — strip it (metadata carries no data) for quiet, hashable
-        # schemas on every table this exchange returns
-        return t.replace_schema_metadata(None) if t.schema.metadata else t
-
-    @ray.remote
-    def reduce_bucket(*slices):
-        # an empty bucket goes through reduce_fn too, so its empty block
-        # carries the reducer's output schema rather than the map side's
-        tables = [t for t in slices if t.num_rows > 0] or [slices[0].schema.empty_table()]
-        return _strip_meta(reduce_fn(pa.concat_tables(tables)))
-
-    @ray.remote
-    def concat_slices(*slices):
-        tables = [t for t in slices if t.num_rows > 0]
-        if not tables:
-            empty = slices[0].schema.empty_table() if slices else pa.table({})
-            return _strip_meta(empty)
-        return _strip_meta(pa.concat_tables(tables))
-
-    @ray.remote
-    def partial_bucket(*slices):
-        tables = [t for t in slices if t.num_rows > 0]
-        if not tables:
-            empty = slices[0].schema.empty_table() if slices else pa.table({})
-            return _strip_meta(empty)
-        return _strip_meta(partial_fn(pa.concat_tables(tables)))
-
+    reduce_ref, partial_ref = put(reduce_fn), put(partial_fn)
     per_block: list = []
     partials: list = [[] for _ in range(n_buckets)]
     pending: list = [[] for _ in range(n_buckets)]
     group: list = []
     group_bytes = 0
 
-    def flush():
+    def flush(bucket_ref):
         nonlocal group, group_bytes
-        refs = split_blocks.remote(*group)
+        refs = _split_blocks.options(num_returns=n_buckets).remote(
+            n_buckets, bucket_col, bucket_ref, *group
+        )
         refs = [refs] if n_buckets == 1 else list(refs)
         if partial_fn is None:
             per_block.append(refs)
@@ -629,29 +640,29 @@ def hash_exchange(
             for b in range(n_buckets):
                 pending[b].append(refs[b])
                 if len(pending[b]) >= partial_every:
-                    partials[b].append(partial_bucket.remote(*pending[b]))
+                    partials[b].append(_fold_slices.remote(partial_ref, *pending[b]))
                     pending[b].clear()
         # drop driver refs: the pending split task keeps the blocks alive;
         # once it completes they are reclaimable (the streaming property)
         group = []
         group_bytes = 0
 
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            group.append(block_ref)
-            group_bytes += meta.size_bytes or 0
-            if group_bytes >= target_map_bytes or len(group) >= max_blocks_per_map:
-                flush()
-    if group:
-        flush()
+    for src, bucket_fn in sources:
+        bucket_ref = put(bucket_fn)
+        bundles = src.iter_internal_ref_bundles() if hasattr(src, "iter_internal_ref_bundles") else src
+        for bundle in bundles:
+            for block_ref, meta in bundle.blocks:
+                group.append(block_ref)
+                group_bytes += meta.size_bytes or 0
+                if group_bytes >= target_map_bytes or len(group) >= max_blocks_per_map:
+                    flush(bucket_ref)
+        if group:
+            # a group never mixes sources: each has its own bucket_fn
+            flush(bucket_ref)
 
     if not per_block and not any(partials) and not any(pending):
-        # empty input: no bundles were produced; preserve the input schema
-        # (minus the bucket column) so downstream stages see typed columns
-        schema = ds.schema()
-        empty = pa.table(
-            {n: pa.nulls(0, t) for n, t in zip(schema.names, schema.types)}
-        )
+        schema = empty_like.schema()
+        empty = pa.table({n: pa.nulls(0, t) for n, t in zip(schema.names, schema.types)})
         if bucket_col in empty.column_names:
             empty = empty.drop_columns([bucket_col])
         return rd.from_arrow(empty)
@@ -665,19 +676,97 @@ def hash_exchange(
     def gather(b: int):
         if partial_fn is None:
             slices = [slots[b] for slots in per_block]
-            fold = concat_slices
+            fold_ref = None
         else:
             # intermediate tree levels keep folding with partial_fn, so
             # every task's output stays distinct-keys-sized
             slices = partials[b] + pending[b]
-            fold = partial_bucket
+            fold_ref = partial_ref
         while len(slices) > FANIN:
             slices = [
-                fold.remote(*slices[i: i + FANIN])
+                _fold_slices.remote(fold_ref, *slices[i: i + FANIN])
                 for i in range(0, len(slices), FANIN)
             ]
-        return reduce_bucket.remote(*slices)
+        return _reduce_slices.remote(reduce_ref, *slices)
 
-    reduced = [gather(b) for b in range(n_buckets)]
+    tables, rows = zip(*[gather(b) for b in range(n_buckets)])
+    tables = list(tables)
+    if drop_empty:
+        tables = [t for t, n in zip(tables, ray.get(list(rows))) if n] or tables[:1]
     # refs stay in the object store; the Dataset consumes them lazily
-    return rd.from_arrow_refs(reduced)
+    return rd.from_arrow_refs(tables)
+
+
+def _concat(tables: list) -> pa.Table:
+    try:
+        return pa.concat_tables(tables)
+    except pa.ArrowInvalid:
+        # blocks whose schemas differ by all-null columns (a pandas block
+        # types an all-None column as null) or by a numeric width: unify
+        # them, as Ray's own block concat does
+        return pa.concat_tables(tables, promote_options="permissive")
+
+
+def _strip_meta(t: pa.Table) -> pa.Table:
+    # pandas-origin schema metadata is an unhashable dict; Ray's
+    # schema-dedup then logs 'Failed to hash the schemas' per reduce
+    # task — strip it (metadata carries no data) for quiet, hashable
+    # schemas on every table the exchange returns
+    return t.replace_schema_metadata(None) if t.schema.metadata else t
+
+
+def _bucket_table(slices) -> pa.Table | None:
+    """A bucket's slices as one table: the rows of the non-empty ones, or
+    the first typed slice when all are empty. None when no slice is typed
+    (zero columns: Ray Data turns an empty block into an untyped one when
+    a map skips it), since no reducer could type that bucket."""
+    typed = [t for t in slices if t.num_columns]
+    tables = [t for t in typed if t.num_rows] or typed[:1]
+    if not tables:
+        return None
+    return tables[0] if len(tables) == 1 else _concat(tables)
+
+
+@ray.remote
+def _split_blocks(n_buckets: int, bucket_col: str, bucket_fn, *blocks):
+    from ray.data.block import BlockAccessor
+
+    # Ray's own pandas conversion: no index column, all-None columns null
+    tables = [t if isinstance(t, pa.Table) else BlockAccessor.for_block(t).to_arrow() for t in blocks]
+    tables = [t for t in tables if t.num_columns] or tables[:1]
+    if bucket_fn is not None and tables[0].num_columns:
+        tables = [bucket_fn(t) for t in tables]
+    nonempty = [t for t in tables if t.num_rows]
+    if not nonempty:
+        return tuple(tables[0] for _ in range(n_buckets)) if n_buckets > 1 else tables[0]
+    table = nonempty[0] if len(nonempty) == 1 else _concat(nonempty)
+    buckets = table[bucket_col].to_numpy(zero_copy_only=False)
+    order = np.argsort(buckets, kind="stable")
+    table = table.take(pa.array(order))
+    sorted_buckets = buckets[order]
+    # one take + zero-copy slices per bucket (vs n_buckets filter scans)
+    edges = np.searchsorted(sorted_buckets, np.arange(n_buckets + 1))
+    out = [table.slice(edges[b], edges[b + 1] - edges[b]) for b in range(n_buckets)]
+    return tuple(out) if n_buckets > 1 else out[0]
+
+
+@ray.remote
+def _fold_slices(fn, *slices):
+    """Concatenate a bucket's slices (a fan-in level), folding them with
+    the partial_fn `fn` when one is given."""
+    t = _bucket_table(slices)
+    if t is None:
+        return slices[0]
+    return _strip_meta(t if fn is None or not t.num_rows else fn(t))
+
+
+@ray.remote(num_returns=2)
+def _reduce_slices(reduce_fn, *slices):
+    """reduce_fn over a bucket's slices, empty buckets included, so an
+    empty block carries the reducer's output schema rather than the map
+    side's; returns (table, rows)."""
+    t = _bucket_table(slices)
+    if t is None:
+        return slices[0], 0
+    out = _strip_meta(reduce_fn(t))
+    return out, out.num_rows

@@ -83,27 +83,40 @@ FROM terms
 """
 
 
+def _arima_group(df: pd.DataFrame) -> pd.DataFrame:
+    """One event_type's ARIMA(2,1,0) level forecasts for h = 1..3.
+    A series of fewer than 4 days cannot be differenced and fit, so it
+    yields no rows (the oracle's HAVING COUNT(*) >= 4)."""
+    from ..kernels.arima import arima_210_forecast
+
+    df = df.sort_values("bucket_ts")
+    if len(df) < 4:
+        return pd.DataFrame(
+            {
+                "event_type": df["event_type"].iloc[:0],
+                "h": np.array([], dtype=np.int64),
+                "forecast": np.array([], dtype=np.float64),
+            }
+        )
+    fc = arima_210_forecast(df["count"].to_numpy(np.float64), 3)
+    return pd.DataFrame(
+        {
+            "event_type": np.repeat(df["event_type"].iloc[0], 3),
+            "h": np.arange(1, 4, dtype=np.int64),
+            "forecast": _r6(fc),
+        }
+    )
+
+
 def q_arima_forecast(sf_dir: str):
     """Per event_type: 3-step ARIMA(2,1,0) forecast of the daily count
     series — difference, Yule-Walker AR(2) on the differences (biased
     autocovariances, closed-form Toeplitz solve), unrolled AR recursion,
     integrate back. Degenerate denominator (constant diffs) falls back to
-    pure drift in BOTH engines."""
-    from ..kernels.arima import arima_210_forecast
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("bucket_ts")
-        fc = arima_210_forecast(df["count"].to_numpy(np.float64), 3)
-        return pd.DataFrame(
-            {
-                "event_type": np.repeat(df["event_type"].iloc[0], 3),
-                "h": np.arange(1, 4, dtype=np.int64),
-                "forecast": _r6(fc),
-            }
-        )
-
+    pure drift in BOTH engines; series of fewer than 4 days are dropped
+    in both."""
     return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
+        _arima_group, batch_format="pandas"
     )
 
 
@@ -115,6 +128,7 @@ WITH s AS (
 ),
 a AS (
   SELECT event_type, list(v ORDER BY d) AS vs, COUNT(*) AS n FROM s GROUP BY 1
+  HAVING COUNT(*) >= 4
 ),
 dd AS (
   SELECT event_type, vs, n,

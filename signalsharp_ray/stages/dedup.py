@@ -929,12 +929,3 @@ def simhash_near_dup_pairs(docs_ds, max_hamming: int = 3, concurrency: int = 4):
     return bucketed_map_groups(
         exploded, ["table", "key"], None, whole_bucket_fn=bucket_pairs
     )
-
-
-# -- standalone n-gram jaccard -------------------------------------------
-
-
-def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, shingle_k: int = 3):
-    """Exact n-gram Jaccard near-dup pairs (inverted-index path) — kept as
-    the named operator from the brief; see exact_jaccard_pairs."""
-    return exact_jaccard_pairs(docs_ds, threshold=threshold, shingle_k=shingle_k)

@@ -1,18 +1,13 @@
 """Encode stage: per-series Gorilla + delta-of-delta compressed blocks.
 
-Two-step shape (north_star: "stateful actor-pool stages"):
-1. assemble_series — groupby(host, url).map_groups packs each series'
-   (sorted) timestamps and values into one row with list columns;
-2. SeriesBlockEncoder — a CALLABLE CLASS run via
-   map_batches(SeriesBlockEncoder, concurrency=N, batch_size=B): the actor
-   pool amortizes codec scratch state across batches and emits the
-   compressed-block schema:
+encode_partition_pandas gap-fills and encodes every series of a whole
+partition frame in one pass, emitting one block row per series:
 
-    host, url, tier, n_points:int32, first_ts:timestamp[us],
+    <key>, tier, n_points:int32, first_ts:timestamp[us],
     first_value:float64, ts_dod:binary, values_gorilla:binary
 
 Round-trip is exact (bit-identical float64, exact int64 timestamps) — see
-decode_blocks and tests/test_encode_stage.py.
+decode_blocks and tests/test_stages.py.
 """
 
 from __future__ import annotations
@@ -21,93 +16,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..common.raytools import pool_size
 from ..codecs import (
     decode_timestamps_dod,
     decode_values_gorilla,
     encode_timestamps_dod,
     encode_values_gorilla,
 )
-
-BLOCK_SCHEMA = pa.schema(
-    [
-        ("host", pa.string()),
-        ("url", pa.string()),
-        ("tier", pa.string()),
-        ("n_points", pa.int32()),
-        ("first_ts", pa.timestamp("us")),
-        ("first_value", pa.float64()),
-        ("ts_dod", pa.binary()),
-        ("values_gorilla", pa.binary()),
-    ]
-)
-
-
-def assemble_series(
-    df: pd.DataFrame,
-    value_col: str = "value",
-    key_cols: tuple = ("host", "url"),
-) -> pd.DataFrame:
-    """One row per series key: sorted timestamp + value arrays as lists."""
-    df = df.sort_values("bucket_ts")
-    ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
-    out = {k: [df[k].iloc[0]] for k in key_cols}
-    out["ts_us"] = [ts]
-    out["values"] = [df[value_col].to_numpy(dtype=np.float64)]
-    return pd.DataFrame(out)
-
-
-class SeriesBlockEncoder:
-    """Actor-pool batch encoder. State initialized once per actor
-    (__init__), applied per batch (__call__). Key columns pass through."""
-
-    def __init__(self, tier: str, key_cols: tuple = ("host", "url")):
-        self.tier = tier
-        self.key_cols = tuple(key_cols)
-
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        n_pts, first_ts, first_val, ts_blobs, val_blobs = [], [], [], [], []
-        for ts_us, values in zip(batch["ts_us"], batch["values"]):
-            ts_arr = np.asarray(ts_us, dtype=np.int64)
-            val_arr = np.asarray(values, dtype=np.float64)
-            n_pts.append(len(ts_arr))
-            first_ts.append(int(ts_arr[0]) if len(ts_arr) else 0)
-            first_val.append(float(val_arr[0]) if len(val_arr) else 0.0)
-            ts_blobs.append(encode_timestamps_dod(ts_arr))
-            val_blobs.append(encode_values_gorilla(val_arr))
-        cols = {k: pa.array(batch[k].tolist()) for k in self.key_cols}
-        cols.update(
-            {
-                "tier": pa.array([self.tier] * len(batch), pa.string()),
-                "n_points": pa.array(n_pts, pa.int32()),
-                "first_ts": pa.array(first_ts, pa.timestamp("us")),
-                "first_value": pa.array(first_val, pa.float64()),
-                "ts_dod": pa.array(ts_blobs, pa.binary()),
-                "values_gorilla": pa.array(val_blobs, pa.binary()),
-            }
-        )
-        return pa.table(cols)
-
-
-def encode_tier(series_points_ds, tier: str, concurrency: int = 4, batch_size: int = 64):
-    """Gap-filled tier rows -> compressed block rows.
-
-    The bucketed groupby shuffles once on hash(host, url); the encoder pool
-    then streams assembled series. batch_size is small because each row
-    carries a whole series.
-    """
-    from ..common.raytools import bucketed_map_groups
-
-    assembled = bucketed_map_groups(series_points_ds, ["host", "url"], assemble_series)
-    return assembled.map_batches(
-        SeriesBlockEncoder,
-        fn_constructor_args=(tier, ("host", "url")),
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=pool_size(concurrency),
-        num_cpus=1,
-    )
-
 
 def encode_partition_pandas(
     df: pd.DataFrame,

@@ -120,45 +120,6 @@ def dedup_points(points_ds):
     )
 
 
-def check_text_byte_identity(points_ds) -> int:
-    """Return the number of urls violating the byte-identical-text-per-url
-    invariant (0 expected). Aggregates nunique(text_hash) per url with an
-    in-batch partial (url, hash) distinct first, so the shuffle only moves
-    distinct pairs."""
-    import pandas as pd
-
-    def distinct_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["url", "text_hash"]].drop_duplicates()
-
-    pairs = points_ds.map_batches(distinct_pairs, batch_format="pandas")
-    per_url = pairs.groupby("url").map_groups(
-        lambda df: pd.DataFrame(
-            {"url": [df["url"].iloc[0]], "n_variants": [df["text_hash"].nunique()]}
-        ),
-        batch_format="pandas",
-    )
-    bad = per_url.filter(expr="n_variants > 1")
-    return bad.count()
-
-
-def attach_url_dict(ds, url_dict_df, key: str = "url_hash"):
-    """Join url/host strings back onto url_hash-keyed rows via a broadcast
-    dictionary: ray.put ONCE on the driver, ray.get per task (plasma reads
-    of the same object are shared on a node). Stateless tasks scale
-    elastically; an actor pool here was measured 4x slower (startup +
-    capped concurrency dominate for small outputs)."""
-    import pandas as pd
-    import ray
-
-    ref = ray.put(url_dict_df)
-
-    def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(ref)
-        return batch.merge(lookup, on=key, how="left")
-
-    return ds.map_batches(attach, batch_format="pandas")
-
-
 def build_url_dict(pages_ds, n_buckets: int | None = None):
     """(url_hash, url, host, series_bucket) dictionary from the url column
     alone — the projection pushes down to the parquet read, so this never

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 
 from .rollup import TIERS_US, partial_rollup_batch
@@ -49,16 +48,6 @@ class IncrementalTierStore:
 
     # -- helpers -----------------------------------------------------------
 
-    def _bucket_of(self, keys: pd.DataFrame) -> np.ndarray:
-        h = np.zeros(len(keys), dtype=np.uint64)
-        for k in self.key_cols:
-            col = keys[k].to_numpy()
-            h = h * np.uint64(1000003) + pd.util.hash_array(
-                np.asarray(col, dtype=object) if col.dtype == object else col,
-                categorize=False,
-            )
-        return (h % np.uint64(self.n_buckets)).astype(np.int64)
-
     def _bucket_path(self, b: int) -> str:
         return os.path.join(self.root, f"bucket={b}", "part.parquet")
 
@@ -70,7 +59,12 @@ class IncrementalTierStore:
 
         fingerprint: identifies this increment; a bucket whose footer
         already records it skips the merge (exactly-once per bucket under
-        crash + retry). None disables the ledger (at-least-once).
+        crash + retry). None applies at-least-once and keeps the ledger
+        of earlier fingerprinted increments.
+
+        apply() calls on one store must be serialized: each bucket is a
+        read-modify-write, so two concurrent applies touching one bucket
+        lose one increment's rows (last writer wins).
 
         The ledger is BOUNDED: each bucket footer keeps only the most
         recent _LEDGER_MAX fingerprints, so continuous streaming
@@ -82,7 +76,10 @@ class IncrementalTierStore:
         documented at-least-once boundary of this store."""
         import json
 
+        import pyarrow as pa
         import pyarrow.parquet as pq
+
+        from ..common.raytools import hash_exchange, key_buckets
 
         tier_us, key_cols = self.tier_us, self.key_cols
         gk = key_cols + ["bucket_ts"]
@@ -91,14 +88,23 @@ class IncrementalTierStore:
 
         def partial(batch) -> pd.DataFrame:
             t = partial_rollup_batch(batch, tier_us, key_cols).to_pandas()
-            t["__bucket"] = self._bucket_of(t[key_cols])
+            t["__bucket"] = key_buckets(t, key_cols, self.n_buckets)
             return t
 
-        def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            import pyarrow as pa
+        def manifest(b: list, rows: list, skipped: list) -> pa.Table:
+            return pa.table(
+                {
+                    "bucket": pa.array(b, pa.int64()),
+                    "rows_after": pa.array(rows, pa.int64()),
+                    "skipped": pa.array(skipped, pa.bool_()),
+                }
+            )
 
-            b = int(df["__bucket"].iloc[0])
-            df = df.drop(columns=["__bucket"])
+        def merge_bucket(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return manifest([], [], [])  # untouched: no file read or written
+            b = int(t["__bucket"][0].as_py())
+            df = t.drop_columns(["__bucket"]).to_pandas()
             path = self._bucket_path(b)
             applied: list[str] = []
             if os.path.exists(path):
@@ -107,13 +113,7 @@ class IncrementalTierStore:
                 if _LEDGER in meta:
                     applied = json.loads(meta[_LEDGER])
                 if fingerprint is not None and fingerprint in applied:
-                    return pd.DataFrame(
-                        {
-                            "bucket": [b],
-                            "rows_after": [np.int64(old_table.num_rows)],
-                            "skipped": [True],
-                        }
-                    )
+                    return manifest([b], [old_table.num_rows], [True])
                 df = pd.concat([old_table.to_pandas(), df], ignore_index=True)
             g = df.groupby(gk, sort=True).agg(
                 count=("count", "sum"),
@@ -125,28 +125,21 @@ class IncrementalTierStore:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             table = pa.Table.from_pandas(out, preserve_index=False)
             if fingerprint is not None:
-                # the ledger replaces atomically WITH the data: crash-safe
+                applied = (applied + [fingerprint])[-_LEDGER_MAX:]
+            if applied:
+                # the ledger replaces atomically WITH the data: crash-safe;
+                # an unfingerprinted apply keeps it as it was
                 meta = dict(table.schema.metadata or {})
-                meta[_LEDGER] = json.dumps(
-                    (applied + [fingerprint])[-_LEDGER_MAX:]
-                ).encode()
+                meta[_LEDGER] = json.dumps(applied).encode()
                 table = table.replace_schema_metadata(meta)
             tmp = path + ".tmp"
             pq.write_table(table, tmp)
             os.replace(tmp, path)  # atomic per bucket
-            return pd.DataFrame(
-                {
-                    "bucket": [b],
-                    "rows_after": [np.int64(len(out))],
-                    "skipped": [False],
-                }
-            )
+            return manifest([b], [len(out)], [False])
 
         partials = points_ds.map_batches(partial, batch_format="pyarrow")
-        manifest = partials.groupby("__bucket").map_groups(
-            merge_bucket, batch_format="pandas"
-        )
-        return manifest.to_pandas()  # tiny: one row per AFFECTED bucket
+        out = hash_exchange(partials, self.n_buckets, merge_bucket)
+        return out.to_pandas()  # tiny: one row per AFFECTED bucket
 
     # -- read path ---------------------------------------------------------
 

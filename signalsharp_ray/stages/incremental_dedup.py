@@ -69,9 +69,18 @@ class DedupIndexStore:
     def apply(self, docs_ds, fingerprint: str | None = None) -> pd.DataFrame:
         """Merge a Dataset of documents (doc_id, text) into the index.
         Returns a small manifest frame (bucket, distinct_after, new_texts,
-        skipped) — one row per AFFECTED bucket."""
+        skipped) — one row per AFFECTED bucket.
+
+        fingerprint: identifies this increment for exactly-once retries
+        (see the tier store); None applies at-least-once and keeps the
+        ledger of earlier fingerprinted increments. apply() calls on one
+        store must be serialized: each bucket is a read-modify-write, so
+        two concurrent applies touching one bucket lose one increment's
+        rows (last writer wins)."""
         import pyarrow as pa
         import pyarrow.parquet as pq
+
+        from ..common.raytools import hash_exchange
 
         n_buckets = self.n_buckets
         bucket_path = self._bucket_path
@@ -89,9 +98,21 @@ class DedupIndexStore:
             ).astype(np.int64)
             return g
 
-        def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            b = int(df["__bucket"].iloc[0])
-            df = df.drop(columns=["__bucket"])
+        def manifest(b: list, distinct: list, new: list, skipped: list) -> pa.Table:
+            return pa.table(
+                {
+                    "bucket": pa.array(b, pa.int64()),
+                    "distinct_after": pa.array(distinct, pa.int64()),
+                    "new_texts": pa.array(new, pa.int64()),
+                    "skipped": pa.array(skipped, pa.bool_()),
+                }
+            )
+
+        def merge_bucket(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return manifest([], [], [], [])  # untouched: no file read or written
+            b = int(t["__bucket"][0].as_py())
+            df = t.drop_columns(["__bucket"]).to_pandas()
             path = bucket_path(b)
             applied: list[str] = []
             n_before = 0
@@ -101,14 +122,7 @@ class DedupIndexStore:
                 if _LEDGER in meta:
                     applied = json.loads(meta[_LEDGER])
                 if fingerprint is not None and fingerprint in applied:
-                    return pd.DataFrame(
-                        {
-                            "bucket": [b],
-                            "distinct_after": [np.int64(old.num_rows)],
-                            "new_texts": [np.int64(0)],
-                            "skipped": [True],
-                        }
-                    )
+                    return manifest([b], [old.num_rows], [0], [True])
                 old_df = old.to_pandas()
                 n_before = len(old_df)
                 df = pd.concat([old_df, df], ignore_index=True)
@@ -118,32 +132,24 @@ class DedupIndexStore:
                 .reset_index()
             )
             os.makedirs(os.path.dirname(path), exist_ok=True)
+            if fingerprint is not None:
+                applied = (applied + [fingerprint])[-_LEDGER_MAX:]
             # no pandas metadata: per-bucket footers differ (ledger), and
             # unhashable schema metadata makes Ray's read-side schema
-            # dedup log noise on every read_dataset()
+            # dedup log noise on every read_dataset(); an unfingerprinted
+            # apply keeps the ledger as it was
             table = pa.Table.from_pandas(out, preserve_index=False)
             table = table.replace_schema_metadata(
-                {_LEDGER: json.dumps((applied + [fingerprint])[-_LEDGER_MAX:]).encode()}
-                if fingerprint is not None
-                else None
+                {_LEDGER: json.dumps(applied).encode()} if applied else None
             )
             tmp = path + ".tmp"
             pq.write_table(table, tmp)
             os.replace(tmp, path)  # atomic per bucket
-            return pd.DataFrame(
-                {
-                    "bucket": [b],
-                    "distinct_after": [np.int64(len(out))],
-                    "new_texts": [np.int64(len(out) - n_before)],
-                    "skipped": [False],
-                }
-            )
+            return manifest([b], [len(out)], [len(out) - n_before], [False])
 
         partials = docs_ds.map_batches(partial, batch_format="pandas")
-        manifest = partials.groupby("__bucket").map_groups(
-            merge_bucket, batch_format="pandas"
-        )
-        return manifest.to_pandas()  # tiny: one row per affected bucket
+        out = hash_exchange(partials, n_buckets, merge_bucket)
+        return out.to_pandas()  # tiny: one row per affected bucket
 
     # -- read paths --------------------------------------------------------
 

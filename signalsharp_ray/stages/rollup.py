@@ -10,7 +10,7 @@ Scale design:
   (host, url, bucket_ts) with pyarrow's hash groupby BEFORE the cluster-wide
   shuffle, so the all-to-all exchange moves one row per (key, bucket) per
   batch instead of one row per point. count/sum/min/max are commutative and
-  associative, so salting / partial merging is exact.
+  associative, so partial merging is exact.
 - TIER CASCADE: 1h is re-aggregated from 1m partials and 1d from 1h
   (sum of sums, sum of counts, min of mins, max of maxes) — exact, and the
   coarser tiers never touch the raw points again.
@@ -85,7 +85,7 @@ def partial_rollup_batch(
     return g.rename_columns(gk + ["count", "sum", "min", "max"])
 
 
-def _merge_partials(ds, key_cols: list | None = None, keep_bucket: bool = False):
+def _merge_partials(ds, key_cols: list | None = None):
     """Cluster-wide final merge of partial rows (the one shuffle per tier).
 
     Uses hash_bucket_aggregate instead of Ray's groupby().aggregate():
@@ -94,9 +94,7 @@ def _merge_partials(ds, key_cols: list | None = None, keep_bucket: bool = False)
     is exact for these commutative merges and O(#buckets) in Python.
 
     The shuffle bucket is derived from the SERIES key only (not bucket_ts),
-    so a whole series lands in one bucket; with keep_bucket=True the bucket
-    id column survives, letting the writer hive-partition by it and every
-    downstream per-series stage run SHUFFLE-FREE."""
+    so a whole series lands in one bucket."""
     keys = list(key_cols or DEFAULT_SERIES_KEY)
     gk = keys + ["bucket_ts"]
     agg = hash_bucket_aggregate(
@@ -104,7 +102,6 @@ def _merge_partials(ds, key_cols: list | None = None, keep_bucket: bool = False)
         gk,
         [("count", "sum"), ("sum", "sum"), ("min", "min"), ("max", "max")],
         bucket_cols=keys,
-        keep_bucket=keep_bucket,
     )
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -113,10 +110,6 @@ def _merge_partials(ds, key_cols: list | None = None, keep_bucket: bool = False)
         cols["sum"] = batch["sum_sum"]
         cols["min"] = batch["min_min"]
         cols["max"] = batch["max_max"]
-        if keep_bucket:
-            # leading underscores are invisible to pyarrow dataset discovery,
-            # so the persisted hive partition column gets a clean name
-            cols["series_bucket"] = batch["__bucket"]
         return pa.table(cols)
 
     return agg.map_batches(rename, batch_format="pyarrow").map_batches(
@@ -143,7 +136,6 @@ def rollup_tier(
     key_cols: list | None = None,
     ts_col: str = "ts",
     value_col: str = "value",
-    keep_bucket: bool = False,
 ):
     """points (key_cols..., ts, value) -> tier aggregate rows."""
     tier_us = TIERS_US[tier]
@@ -152,10 +144,10 @@ def rollup_tier(
         lambda b: partial_rollup_batch(b, tier_us, keys, ts_col, value_col),
         batch_format="pyarrow",
     )
-    return _merge_partials(partial, keys, keep_bucket)
+    return _merge_partials(partial, keys)
 
 
-def cascade_tier(finer_ds, coarser_tier: str, key_cols: list | None = None, keep_bucket: bool = False):
+def cascade_tier(finer_ds, coarser_tier: str, key_cols: list | None = None):
     """Re-aggregate a finer tier's rows into a coarser tier — exact because
     count/sum/min/max merge associatively; mean recomputed at the end."""
     tier_us = TIERS_US[coarser_tier]
@@ -174,20 +166,7 @@ def cascade_tier(finer_ds, coarser_tier: str, key_cols: list | None = None, keep
         return g.rename_columns(gk + ["count", "sum", "min", "max"])
 
     partial = finer_ds.map_batches(rebucket, batch_format="pyarrow")
-    return _merge_partials(partial, keys, keep_bucket)
-
-
-def rollup_all_tiers(points_ds) -> dict:
-    """1m from points; 1h from 1m; 1d from 1h. Returns {tier: Dataset}.
-
-    The 1m result is the only stage that reads the raw points; the cascade
-    reuses its (already tiny) aggregate rows.
-    """
-    tiers: dict[str, object] = {}
-    tiers["1m"] = rollup_tier(points_ds, "1m")
-    tiers["1h"] = cascade_tier(tiers["1m"], "1h")
-    tiers["1d"] = cascade_tier(tiers["1h"], "1d")
-    return tiers
+    return _merge_partials(partial, keys)
 
 
 def rollup_partition_pandas(df, tier_us: int, key: str = "url_hash"):

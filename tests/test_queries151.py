@@ -103,3 +103,43 @@ def test_incremental_dedup_fingerprint_skip_and_probe(tmp_path):
         .sort_values("doc_id")
     )
     np.testing.assert_array_equal(probe["known"].to_numpy(np.int8), [1, 0])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_dedup_unfingerprinted_apply_keeps_ledger(tmp_path):
+    """An apply without a fingerprint must not erase the applied-chunks
+    ledger: a later retry of a fingerprinted increment is still skipped."""
+    import ray.data as rd
+
+    from signalsharp_ray.stages.incremental_dedup import DedupIndexStore
+
+    df = _docs_table(["aaa", "bbb", "ccc"])
+    store = DedupIndexStore(str(tmp_path / "idx"), n_buckets=2)
+    store.apply(rd.from_pandas(df), fingerprint="chunk-0")
+    store.apply(rd.from_pandas(df))  # at-least-once increment
+    retry = store.apply(rd.from_pandas(df), fingerprint="chunk-0")
+    assert retry["skipped"].all()
+    state = store.read_dataset().to_pandas()
+    np.testing.assert_array_equal(state["n_copies"].to_numpy(np.int64), [2, 2, 2])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_incremental_dedup_untouched_buckets_not_rewritten(tmp_path):
+    import os
+
+    import ray.data as rd
+
+    from signalsharp_ray.stages.incremental_dedup import DedupIndexStore
+
+    root = tmp_path / "idx"
+    store = DedupIndexStore(str(root), n_buckets=8)
+    store.apply(rd.from_pandas(_docs_table([f"text {i}" for i in range(200)])))
+    mtimes = {d: os.path.getmtime(root / d / "part.parquet") for d in os.listdir(root)}
+    assert len(mtimes) == 8
+    # an increment of ONE text must rewrite only that text's bucket
+    manifest = store.apply(rd.from_pandas(_docs_table(["text 7"])))
+    assert len(manifest) == 1
+    touched = f"bucket={manifest['bucket'].iloc[0]}"
+    for d, old in mtimes.items():
+        now = os.path.getmtime(root / d / "part.parquet")
+        assert (now > old) if d == touched else (now == old)

@@ -93,12 +93,14 @@ def test_ray_rollup_tiers_match_oracle():
     import ray.data as rd
 
     from signalsharp_ray.stages.extract import extract_points
-    from signalsharp_ray.stages.rollup import rollup_all_tiers
+    from signalsharp_ray.stages.rollup import cascade_tier, rollup_tier
 
     pages = _pages_table()
     ds = rd.from_arrow(pages).repartition(8)
     pts = extract_points(ds, drop_duplicates=False)
-    tiers = rollup_all_tiers(pts)
+    tiers = {"1m": rollup_tier(pts, "1m")}
+    tiers["1h"] = cascade_tier(tiers["1m"], "1h")
+    tiers["1d"] = cascade_tier(tiers["1h"], "1d")
 
     oracle_pts = extract_points_batch(pages).to_pandas()
     for tier in ("1m", "1h", "1d"):

@@ -128,3 +128,40 @@ def test_power_iteration_matches_eigh():
         power_iteration_top(np.ones((2, 3)))
     with pytest.raises(ValueError):
         power_iteration_top(np.eye(3), iters=0)
+
+
+def test_arima_forecast_drops_series_shorter_than_four_days():
+    """A 3-day event_type yields no forecast rows in the query kernel and
+    in its oracle; a 5-day one is forecast identically by both."""
+    import duckdb
+    import pandas as pd
+
+    from signalsharp_ray.pipelines.queries152 import ORACLES152, _arima_group
+
+    rng = np.random.default_rng(7)
+    rows = []
+    for event_type, n_days in (("short", 3), ("long", 5)):
+        for day in range(n_days):
+            for _ in range(int(rng.integers(1, 6))):
+                rows.append((pd.Timestamp("2024-01-01") + pd.Timedelta(days=day), event_type))
+    events = pd.DataFrame(rows, columns=["ts", "event_type"])
+    daily = (
+        events.assign(bucket_ts=events["ts"].dt.floor("D"))
+        .groupby(["event_type", "bucket_ts"], as_index=False)
+        .size()
+        .rename(columns={"size": "count"})
+    )
+
+    short = _arima_group(daily[daily["event_type"] == "short"])
+    assert len(short) == 0
+    assert list(short.columns) == ["event_type", "h", "forecast"]
+
+    got = pd.concat([_arima_group(g) for _, g in daily.groupby("event_type")])
+    con = duckdb.connect()
+    con.register("events", events)
+    want = con.execute(ORACLES152["arima_forecast"]).fetchdf()
+    assert set(want["event_type"]) == {"long"}
+    got = got.sort_values("h").reset_index(drop=True)
+    want = want.sort_values("h").reset_index(drop=True)
+    np.testing.assert_array_equal(got["h"], want["h"])
+    np.testing.assert_allclose(got["forecast"], want["forecast"], rtol=0, atol=1e-9)

@@ -1,5 +1,7 @@
 """Gap-fill, encode, and analysis stage tests (kernel level + through Ray)."""
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,7 +14,7 @@ from signalsharp_ray.stages.analysis import (
     forecast_kernel,
     smooth_kernel,
 )
-from signalsharp_ray.stages.encode import SeriesBlockEncoder, assemble_series, decode_blocks
+from signalsharp_ray.stages.encode import decode_blocks, encode_partition_pandas
 from signalsharp_ray.stages.gapfill import gapfill_series
 from signalsharp_ray.stages.rollup import TIERS_US
 
@@ -77,12 +79,18 @@ class TestGapfill:
         np.testing.assert_allclose(out["value"].to_numpy(), oracle.to_numpy())
 
 
+# fused gap-fill + encode over whole frames keyed by url (a partial of the
+# library function, so Ray workers can unpickle it)
+_encode = functools.partial(
+    encode_partition_pandas, tier="1m", tier_us=TIERS_US["1m"], key_col="url"
+)
+
+
 class TestEncode:
-    def test_assemble_and_roundtrip(self):
+    def test_encode_and_roundtrip(self):
         df = _series_df(range(100), np.sin(np.arange(100)) * 10 + 100)
-        assembled = assemble_series(df, value_col="mean")
-        enc = SeriesBlockEncoder("1m")(assembled)
-        assert enc.num_rows == 1
+        enc = _encode(df)
+        assert len(enc) == 1
         dec = decode_blocks(enc)
         np.testing.assert_array_equal(
             dec["value"].to_numpy(), df["mean"].to_numpy()
@@ -93,9 +101,9 @@ class TestEncode:
 
     def test_compression_on_regular_grid(self):
         df = _series_df(range(2000), np.full(2000, 7.25))
-        enc = SeriesBlockEncoder("1h")(assemble_series(df, value_col="mean"))
+        enc = _encode(df)
         raw_bytes = 2000 * 16
-        comp_bytes = len(enc["ts_dod"][0].as_py()) + len(enc["values_gorilla"][0].as_py())
+        comp_bytes = len(enc["ts_dod"].iloc[0]) + len(enc["values_gorilla"].iloc[0])
         assert comp_bytes < raw_bytes / 20  # >20x on constant regular series
 
 
@@ -180,15 +188,15 @@ class TestThroughRay:
             np.testing.assert_array_equal(grp["breakpoint_index"].to_numpy(), [20])
 
     def test_gapfill_and_encode_distributed(self):
-        from signalsharp_ray.stages.encode import encode_tier
-        from signalsharp_ray.stages.gapfill import gapfill_tier
+        from signalsharp_ray.common.raytools import bucketed_map_groups
 
-        filled = gapfill_tier(self._tier_ds(), "1m", "locf")
-        blocks = encode_tier(filled, "1m", concurrency=2, batch_size=8)
+        # every third minute missing: LOCF gap-fill restores the dense grid
+        tier = self._tier_ds().filter(lambda r: r["bucket_ts"].minute % 3 != 1)
+        blocks = bucketed_map_groups(tier, ["url"], None, whole_bucket_fn=_encode)
         pdf = blocks.to_pandas()
         assert len(pdf) == 6
         dec = decode_blocks(pdf)
-        assert len(dec) == 240  # 6 series x 40 dense buckets
+        assert len(dec) == 240  # 6 series x 40 gap-filled buckets
 
 
 class TestGapfillBounded:
@@ -215,8 +223,8 @@ class TestGapfillBounded:
 def test_read_blocks_roundtrip(tmp_path):
     import ray.data as rd
 
-    from signalsharp_ray.stages.encode import encode_tier, read_blocks
-    from signalsharp_ray.stages.gapfill import gapfill_tier
+    from signalsharp_ray.common.raytools import bucketed_map_groups
+    from signalsharp_ray.stages.encode import read_blocks
 
     frames = [
         _series_df(range(30), np.arange(30.0) + i, host=f"h{i}.example.com",
@@ -224,17 +232,16 @@ def test_read_blocks_roundtrip(tmp_path):
         for i in range(4)
     ]
     tier = rd.from_pandas(pd.concat(frames, ignore_index=True))
-    filled = gapfill_tier(tier, "1m", "locf")
-    blocks = encode_tier(filled, "1m", concurrency=2)
+    blocks = bucketed_map_groups(tier, ["url"], None, whole_bucket_fn=_encode)
     out_dir = str(tmp_path / "blocks")
     blocks.write_parquet(out_dir)
 
     decoded = read_blocks(out_dir).to_pandas()
     assert len(decoded) == 4 * 30
-    got = decoded.sort_values(["host", "bucket_ts"]).reset_index(drop=True)
+    got = decoded.sort_values(["url", "bucket_ts"]).reset_index(drop=True)
     exp = (
         pd.concat(frames, ignore_index=True)
-        .sort_values(["host", "bucket_ts"])
+        .sort_values(["url", "bucket_ts"])
         .reset_index(drop=True)
     )
     np.testing.assert_array_equal(got["value"].to_numpy(), exp["mean"].to_numpy())
@@ -284,57 +291,6 @@ class TestEngineExactness:
         np.testing.assert_array_equal(got["v_min"], want["v_min"])
         np.testing.assert_array_equal(got["v_max"], want["v_max"])
         np.testing.assert_array_equal(got["n"], want["n"])
-
-    def test_salted_aggregate_identical_on_skewed_keys(self):
-        # one hot key holds ~90% of rows: salt=4 must split it across
-        # sub-buckets yet produce EXACTLY the salt=1 result (int sums
-        # so the merge is order-free and comparison exact)
-        import ray.data as rd
-
-        from signalsharp_ray.common.raytools import hash_bucket_aggregate
-
-        rng = np.random.default_rng(17)
-        n = 20_000
-        hot = rng.random(n) < 0.9
-        df = pd.DataFrame(
-            {
-                "k": np.where(hot, 7, rng.integers(0, 50, n)).astype(np.int64),
-                "v": rng.integers(-1000, 1000, n).astype(np.int64),
-            }
-        )
-        ds = rd.from_pandas(df).repartition(11)
-        kwargs = dict(
-            aggs=[("v", "sum"), ("v", "min"), ("v", "max")],
-            count_alias="n",
-            n_buckets=5,
-        )
-        plain = (
-            hash_bucket_aggregate(ds, ["k"], **kwargs)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        salted = (
-            hash_bucket_aggregate(ds, ["k"], salt=4, **kwargs)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            plain, salted[plain.columns.tolist()], check_dtype=False
-        )
-
-    def test_salted_aggregate_rejects_keep_bucket(self):
-        import pytest
-        import ray.data as rd
-
-        from signalsharp_ray.common.raytools import hash_bucket_aggregate
-
-        ds = rd.from_pandas(pd.DataFrame({"k": [1], "v": [1]}))
-        with pytest.raises(ValueError):
-            hash_bucket_aggregate(
-                ds, ["k"], [("v", "sum")], salt=2, keep_bucket=True
-            )
 
     def test_hash_exchange_partitions_completely_and_exactly(self):
         import pyarrow as pa
@@ -602,6 +558,19 @@ class TestIncrementalTierStore:
         m3 = store.apply(rd.from_pandas(df2), fingerprint="chunk-1")
         assert not m3["skipped"].any()
         assert store.read()["count"].sum() == 1500
+
+    def test_unfingerprinted_apply_keeps_ledger(self, tmp_path):
+        import ray.data as rd
+
+        from signalsharp_ray.stages.incremental import IncrementalTierStore
+
+        df = self._points(n=500, seed=13)
+        store = IncrementalTierStore(str(tmp_path / "y"), "1h", ("event_type",), 2)
+        store.apply(rd.from_pandas(df), fingerprint="chunk-0")
+        store.apply(rd.from_pandas(df))  # at-least-once increment
+        retry = store.apply(rd.from_pandas(df), fingerprint="chunk-0")
+        assert retry["skipped"].all()
+        assert store.read()["count"].sum() == 1000
 
 
 class TestGapfillProperties:
