@@ -8,6 +8,7 @@ then print ONE JSON line:
 
     {"metric": ..., "value": <end-to-end sec>, "unit": "sec",
      "queries": {<stage>: sec, ...}, "sf": ..., "num_cpus": N,
+     "nproc": ..., "cpu_count": ..., "ram_gb": ...,
      "rows": ..., "rows_per_s": ..., "input_gb": ..., "gb_per_s": ...}
 
 --scaling: run the same pipeline twice in FRESH processes (num_cpus=8 then
@@ -28,6 +29,8 @@ import shutil
 import subprocess
 import sys
 import time
+
+from perfbench.box import nproc
 
 
 def sf_from_dir(sf_dir: str) -> float:
@@ -170,6 +173,10 @@ def main() -> None:
         "queries": {k: round(v, 2) for k, v in res["metrics"].items()},
         "sf": sf,
         "num_cpus": num_cpus,
+        # the box the numbers were measured on
+        "nproc": nproc(),
+        "cpu_count": os.cpu_count(),
+        "ram_gb": round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1),
         "rows": spec.n_rows,
         "rows_per_s": round(spec.n_rows / wall),
         "input_gb": round(input_gb, 3),

@@ -96,6 +96,27 @@ def read_parquet_dir(path_or_uri: str):
     return pq.read_table(path, filesystem=fs).to_pandas()
 
 
+def write_bucket(data, out_dir: str, bucket: int) -> None:
+    """Write one bucket's rows, a pandas DataFrame or an Arrow table, to
+    `<out_dir>/series_bucket=<bucket>/part-0.parquet`; no rows write
+    nothing. That is the layout
+    Dataset.write_parquet(partition_cols=["series_bucket"]) produces, with
+    the partition column kept out of the file. A frame gets the column
+    before its Arrow conversion only so the pandas schema metadata matches
+    what a Dataset write records (the frame is modified). The fixed file
+    name makes a retried task overwrite its own file."""
+    import pyarrow.parquet as pq
+
+    if not len(data):
+        return
+    if not isinstance(data, pa.Table):
+        data["series_bucket"] = bucket
+        data = pa.Table.from_pandas(data, preserve_index=False).drop_columns(["series_bucket"])
+    fs, path = resolve_fs(join(out_dir, f"series_bucket={bucket}"))
+    makedirs(fs, path)
+    pq.write_table(data, join(path, "part-0.parquet"), filesystem=fs)
+
+
 def read_text(fs: pafs.FileSystem, path: str) -> str:
     with fs.open_input_stream(path) as f:
         return f.read().decode()

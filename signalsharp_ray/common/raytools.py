@@ -1,15 +1,16 @@
 """Small Ray helpers shared by stages.
 
 The library has one hash shuffle, `hash_exchange`: every grouped
-operator (hash_bucket_aggregate, bucketed_map_groups, bucketed_join, the
-incremental stores' apply) puts its rows in a `__bucket` by its own hash
-and hands a per-bucket reducer to it. The grouped helpers compute the
-bucket inside the exchange's split tasks, with no Ray Data map of their
-own. The exchange runs the reducer on EVERY bucket, empty ones included,
-so a reducer must accept an empty table and return an empty table of its
-usual schema. The grouped helpers then drop the empty buckets' blocks
-from their results (a downstream map_batches would strip their schema),
-and the pandas helpers never call their kernels on an empty bucket.
+operator (hash_bucket_aggregate, bucketed_map_groups, bucketed_cogroup,
+bucketed_join, the incremental stores' apply) puts its rows in a
+`__bucket` by its own hash and hands a per-bucket reducer to it. The
+grouped helpers compute the bucket inside the exchange's split tasks,
+with no Ray Data map of their own. The exchange runs the reducer on EVERY
+bucket, empty ones included, so a reducer must accept an empty table and
+return an empty table of its usual schema. The grouped helpers then drop
+the empty buckets' blocks from their results (a downstream map_batches
+would strip their schema), and the pandas helpers never call their
+kernels on an empty bucket.
 """
 
 from __future__ import annotations
@@ -239,17 +240,29 @@ def bucketed_map_groups(
     that are themselves vectorized across keys (e.g. a self-merge per
     shingle); pass fn=None with it.
     """
+    return _map_groups_exchange([(ds, None)], key_cols, fn, n_buckets, ds, whole_bucket_fn)
+
+
+def _map_groups_exchange(sources, key_cols, fn, n_buckets, empty_like, whole_bucket_fn=None):
+    """bucketed_map_groups over `sources`, a list of (Dataset or iterator
+    of its ref bundles, prep): prep (None: none) maps each typed input
+    table before it is bucketed, inside the exchange's split tasks."""
     if n_buckets is None:
         n_buckets = default_buckets()
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # bucket in Arrow: a pandas round trip of the whole batch would
-        # turn int columns with nulls into float64 in some blocks only,
-        # and the exchange concatenates a bucket's blocks
-        buckets = key_buckets(batch.select(key_cols).to_pandas(), key_cols, n_buckets)
-        return batch.replace_schema_metadata(None).append_column(
-            "__bucket", pa.array(buckets)
-        )
+    def add_bucket(prep):
+        def bucketed(batch: pa.Table) -> pa.Table:
+            if prep is not None:
+                batch = prep(batch)
+            # bucket in Arrow: a pandas round trip of the whole batch would
+            # turn int columns with nulls into float64 in some blocks
+            # only, and the exchange concatenates a bucket's blocks
+            buckets = key_buckets(batch.select(key_cols).to_pandas(), key_cols, n_buckets)
+            return batch.replace_schema_metadata(None).append_column(
+                "__bucket", pa.array(buckets)
+            )
+
+        return bucketed
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if whole_bucket_fn is not None:
@@ -265,7 +278,43 @@ def bucketed_map_groups(
             return outs[0]
         return pd.concat(non_empty, ignore_index=True)
 
-    return _pandas_bucket_exchange([(ds, add_bucket)], n_buckets, per_bucket, ds)
+    return _pandas_bucket_exchange(
+        [(src, add_bucket(prep)) for src, prep in sources], n_buckets, per_bucket, empty_like
+    )
+
+
+def bucketed_cogroup(left_ds, right_ds, key_cols: list[str], fn):
+    """Both sides through ONE bucketed exchange on key_cols: every row is
+    tagged with its side (`__side` = "l" / "r") and aligned to one schema,
+    the other side's columns as TYPED nulls (so datetime/int columns keep
+    their types), and fn(df) runs once per key group of both sides' rows.
+
+    Each side's schema comes from its first typed block
+    (_schema_and_bundles), and the rest of the side streams into the
+    exchange. Dataset.schema() would run a limit(1) probe that cancels the
+    map tasks it started, which has aborted the calling process under Ray
+    2.49."""
+    lschema, lbundles = _schema_and_bundles(left_ds)
+    rschema, rbundles = _schema_and_bundles(right_ds)
+    types: dict = {}
+    for side_types in (_pa_types(lschema), _pa_types(rschema)):
+        for n, t in side_types.items():
+            types.setdefault(n, t)
+    all_names = list(types)
+
+    def tag(side):
+        def tagged(t: pa.Table) -> pa.Table:
+            for name in all_names:
+                if name not in t.column_names:
+                    t = t.append_column(name, pa.nulls(t.num_rows, types[name]))
+            t = t.select(all_names)
+            return t.append_column("__side", pa.array([side] * t.num_rows))
+
+        return tagged
+
+    return _map_groups_exchange(
+        [(lbundles, tag("l")), (rbundles, tag("r"))], key_cols, fn, None, left_ds
+    )
 
 
 def bucketed_join(
@@ -494,24 +543,15 @@ def bucket_groups(bucket_rows: dict[int, int], n_groups: int) -> list[list[int]]
 def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str]) -> None:
     """Run `fn(bucket) -> {stage: DataFrame}` over every bucket of a
     hive-partitioned input as one Ray task per contiguous bucket group,
-    each task writing its own buckets' outputs into `out_dirs[stage]`.
-    Empty outputs write nothing.
+    each task writing its own buckets' outputs into `out_dirs[stage]`
+    (fsio.write_bucket; empty outputs write nothing).
 
     One task per group instead of one Dataset job per stage: a task reads
     its input buckets once, runs every stage's kernel in memory and writes
     every stage, so the per-stage job, block and write costs are paid once
     per group. Groups are sized by `bucket_rows` (bucket -> input rows) at
     about 4 per cluster CPU. Out dirs may be URIs; tasks re-resolve the
-    filesystem from the string.
-
-    Files land at `<out_dir>/series_bucket=<b>/part-0.parquet`, the layout
-    Dataset.write_parquet(partition_cols=["series_bucket"]) produces, with
-    the partition column kept out of the file. The column is added before
-    the Arrow conversion only so the pandas schema metadata matches what a
-    Dataset write records. The fixed file name makes a retried task
-    overwrite its own file."""
-    import pyarrow.parquet as pq
-
+    filesystem from the string."""
     from . import fsio
 
     n_cpus = int(ray.cluster_resources().get("CPU", 1))
@@ -521,16 +561,19 @@ def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str])
     def run_group(buckets):
         for b in buckets:
             for stage, df in fn(b).items():
-                if not len(df):
-                    continue
-                df["series_bucket"] = b
-                table = pa.Table.from_pandas(df, preserve_index=False)
-                fs, path = fsio.resolve_fs(fsio.join(out_dirs[stage], f"series_bucket={b}"))
-                fsio.makedirs(fs, path)
-                pq.write_table(table.drop_columns(["series_bucket"]),
-                               fsio.join(path, "part-0.parquet"), filesystem=fs)
+                fsio.write_bucket(df, out_dirs[stage], b)
 
-    ray.get([run_group.remote(g) for g in groups])
+    refs = [run_group.remote(g) for g in groups]
+    _wait_all(refs)
+    ray.get(refs)
+
+
+def _wait_all(refs: list) -> None:
+    """Wait until every task behind `refs` has ended, failed ones included:
+    a task that writes files must not outlive the call whose error
+    surfaces first, or it would write into a retry's output."""
+    if refs:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
 
 
 def hash_exchange(
@@ -559,7 +602,9 @@ def hash_exchange(
     reduce, not at the map). reduce_fn must accept an empty table (an
     empty bucket): every returned block then has its schema. Returns a
     Dataset over the reduced buckets (ray.data.from_arrow_refs), so
-    downstream stays in the Dataset API.
+    downstream stays in the Dataset API, once every reduce task has ended
+    (failed ones too, so a reducer that writes files never outlives a
+    failed call).
 
     Map tasks are sized by BYTES (target_map_bytes per split group, capped
     at max_blocks_per_map tiny blocks), keeping per-task memory bounded at
@@ -691,6 +736,7 @@ def _exchange(
 
     tables, rows = zip(*[gather(b) for b in range(n_buckets)])
     tables = list(tables)
+    _wait_all(tables)
     if drop_empty:
         tables = [t for t, n in zip(tables, ray.get(list(rows))) if n] or tables[:1]
     # refs stay in the object store; the Dataset consumes them lazily

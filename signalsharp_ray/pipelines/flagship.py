@@ -1,30 +1,30 @@
 """Flagship pipeline: web pages -> extract -> rollup tiers -> gap-fill ->
 Gorilla/DoD encode -> changepoint analysis, with per-stage checkpointing.
 
-Stage graph (four jobs; every output is hive-partitioned by
+Stage graph (three jobs; every output is hive-partitioned by
 series_bucket = url_hash % n_buckets and recorded in the manifest, so a
 killed run resumes at the first incomplete job):
 
-    [pages] -> extract+dedup exchange -> points/data  (+ url dictionary,
-                                         points/dict, built alongside)
-    job 1: points/data  -> rollup 1m           -> tier_1m
+    job 1: [pages] -> extract + dedup exchange -> points/data, points/dict
+                      (url dictionary), rollup 1m -> tier_1m
     job 2: tier_1m      -> cascade 1h -> 1d    -> tier_1h, tier_1d
     job 3: tier_1m/1h/1d -> gap-fill + encode   -> blocks_1m, blocks_1h, blocks_1d
            tier_1d      -> PELT / EMA / forecast -> changepoints_1d,
                                                    smoothed_1d, forecast_1d
 
-The exchange is the only shuffle. Jobs 1-3 are partition-aligned: each is
-one Ray task per contiguous bucket group (run_bucket_groups) that reads its
-input buckets once, runs the whole-partition kernels in memory and writes
-its own buckets of every output stage. tier_1m commits on its own (the
-freshness point readers wait for), and the tiers commit before any derived
+The exchange is the only shuffle, and job 1 ends in it: each reduce task
+dedups its bucket's points and writes them, the bucket's dictionary slice
+and its 1m tier, so points and tier_1m commit together (the freshness
+point readers wait for). Jobs 2-3 are partition-aligned: each is one Ray
+task per contiguous bucket group (run_bucket_groups) that reads its input
+buckets once, runs the whole-partition kernels in memory and writes its
+own buckets of every output stage. The tiers commit before any derived
 output.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,7 +40,7 @@ from ..stages.analysis import (
     smooth_partition_pandas,
 )
 from ..stages.encode import encode_partition_pandas
-from ..stages.extract import build_url_dict, extract_dedup_exchange
+from ..stages.extract import dedup_bucket, exchange_points, url_dict_bucket
 from ..stages.rollup import TIERS_US, cascade_partition_pandas, rollup_partition_pandas
 from ..state.manifest import PipelineManifest
 
@@ -82,8 +82,17 @@ def _read_bucket(stage_dir: str, bucket: int):
     return fsio.read_parquet_dir(fsio.join(stage_dir, f"series_bucket={bucket}"))
 
 
-def _rollup_bucket(bucket, src_dir, tier):
-    return {f"tier_{tier}": rollup_partition_pandas(_read_bucket(src_dir, bucket), TIERS_US[tier])}
+def _ingest_bucket(t, points_dir, tier_dir, tier_us):
+    """The points exchange's reducer: a bucket's deduplicated points, its
+    url dictionary slice and its first tier, each written to the bucket's
+    file. Returns no rows."""
+    points = dedup_bucket(t)
+    if points.num_rows:
+        b = t["__bucket"][0].as_py()
+        fsio.write_bucket(points, fsio.join(points_dir, "data"), b)
+        fsio.write_bucket(url_dict_bucket(t), fsio.join(points_dir, "dict"), b)
+        fsio.write_bucket(rollup_partition_pandas(points.to_pandas(), tier_us), tier_dir, b)
+    return points.slice(0, 0)
 
 
 def _cascade_bucket(bucket, src_dir, tiers):
@@ -151,40 +160,21 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
         128, int(_ray.cluster_resources().get("CPU", 8)) * 4
     )
 
-    def write_points(out_dirs):
-        # the pipeline's only all-to-all (manual hash exchange — no Ray
-        # sort): points land hash-partitioned by series key; every later
-        # stage is partition-aligned and shuffle-free. The url dictionary
-        # (url column only — projection pushdown, html/text bytes never
-        # read) goes through the same exchange on the SAME series_bucket
-        # hash, for co-partitioned downstream attaches. It builds
-        # CONCURRENTLY in a second thread: its light url-column pass hides
-        # under the points exchange instead of serializing after it.
-        out_dir = out_dirs["points"]
+    # job 1: the pipeline's only all-to-all (a manual hash exchange, no Ray
+    # sort), ending in tasks that write each bucket's points, url
+    # dictionary slice (co-partitioned with every later stage) and first
+    # tier; every later job is partition-aligned and shuffle-free
+    first, rest = cfg.tiers[0], cfg.tiers[1:]
 
-        def run_points():
-            pts = extract_dedup_exchange(pages_ds_factory(), n_buckets=n_buckets)
-            pts.write_parquet(out_dir + "/data", partition_cols=["series_bucket"])
+    def ingest(out_dirs):
+        exchange_points(pages_ds_factory(), n_buckets, partial(
+            _ingest_bucket, points_dir=out_dirs["points"],
+            tier_dir=out_dirs[f"tier_{first}"], tier_us=TIERS_US[first]))
 
-        def run_dict():
-            build_url_dict(pages_ds_factory(), n_buckets=n_buckets).write_parquet(
-                out_dir + "/dict", partition_cols=["series_bucket"]
-            )
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(run_points), pool.submit(run_dict)]
-            for f in futures:
-                f.result()
-
-    timed({"points": ["pages"]}, write_points)
+    timed({"points": ["pages"], f"tier_{first}": ["points"]}, ingest)
     points_dir = outputs["points"] + "/data"
     outputs["url_dict"] = outputs["points"] + "/dict"
     outputs["points"] = points_dir
-
-    # job 1: rollup of the first tier from points, committed alone
-    first, rest = cfg.tiers[0], cfg.tiers[1:]
-    timed({f"tier_{first}": ["points"]},
-          bucket_job("points/data", partial(_rollup_bucket, src_dir=points_dir, tier=first)))
     first_dir = outputs[f"tier_{first}"]
 
     # job 2: the coarser tiers, each cascaded in memory from the finer one

@@ -14,6 +14,8 @@ dedup so re-crawled pages don't double count).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -21,10 +23,13 @@ import pyarrow.compute as pc
 POINT_COLUMNS = ["url", "host", "ts", "value", "text_hash", "url_hash"]
 
 
+def _host(url) -> pa.Array:
+    return pc.struct_field(pc.extract_regex(url, r"^[a-z]+://(?P<host>[^/]+)"), "host")
+
+
 def extract_points_batch(batch: pa.Table) -> pa.Table:
     url = batch["url"]
-    host = pc.extract_regex(url, r"^[a-z]+://(?P<host>[^/]+)")
-    host = pc.struct_field(host, "host")
+    host = _host(url)
     value = pc.cast(pc.binary_length(pc.cast(batch["text"], pa.binary())), pa.float64())
     # 64-bit vectorized content hashes: text_hash for the byte-identity
     # invariant, url_hash as the cheap integer partition key every later
@@ -79,10 +84,7 @@ def _first_per_key(batch: pa.Table) -> pa.Table:
 
 
 def _restore_host(batch: pa.Table) -> pa.Table:
-    host = pc.struct_field(
-        pc.extract_regex(batch["url"], r"^[a-z]+://(?P<host>[^/]+)"), "host"
-    )
-    return batch.append_column("host", host).select(POINT_COLUMNS)
+    return batch.append_column("host", _host(batch["url"])).select(POINT_COLUMNS)
 
 
 def dedup_points(points_ds):
@@ -122,14 +124,12 @@ def dedup_points(points_ds):
 
 def build_url_dict(pages_ds, n_buckets: int | None = None):
     """(url_hash, url, host, series_bucket) dictionary from the url column
-    alone — the projection pushes down to the parquet read, so this never
-    touches html/text bytes (unlike re-running the full extract).
-
-    series_bucket = url_hash % n_buckets, the SAME bucketing as
-    extract_dedup_exchange, and the dictionary goes through the same hash
-    exchange: each bucket's slice can be written hive-partitioned and
-    joined co-partitioned downstream (pipelines/flagship.py) with no
-    shuffle and no broadcast."""
+    alone, in a hash exchange of its own on the SAME bucketing as the
+    points (series_bucket = url_hash % n_buckets). The flagship builds its
+    dictionary inside the points exchange instead (url_dict_bucket); this
+    standalone pass reads only the url column (projection pushdown, no
+    html/text bytes) and is the reference that dictionary is checked
+    against."""
     from ..common.raytools import default_buckets, hash_exchange
 
     if n_buckets is None:
@@ -145,79 +145,108 @@ def build_url_dict(pages_ds, n_buckets: int | None = None):
 
     def batch_dict(batch: pa.Table) -> pa.Table:
         url = batch["url"]
-        host = pc.struct_field(
-            pc.extract_regex(url, r"^[a-z]+://(?P<host>[^/]+)"), "host"
-        )
         url_hash = _hash_strings(url)
         uh = url_hash.to_numpy(zero_copy_only=False).view(np.uint64)
         bucket = pa.array((uh % np.uint64(n_buckets)).astype(np.int64))
         return first_url(
-            pa.table({"url_hash": url_hash, "url": url, "host": host, "__bucket": bucket})
+            pa.table({"url_hash": url_hash, "url": url, "host": _host(url), "__bucket": bucket})
         )
 
     def reduce_dict(t: pa.Table) -> pa.Table:
         return first_url(t).rename_columns(["url_hash", "url", "host", "series_bucket"])
 
-    partial = pages_ds.select_columns(["url"]).map_batches(
-        batch_dict, batch_format="pyarrow"
+    dicts = pages_ds.select_columns(["url"]).map_batches(batch_dict, batch_format="pyarrow")
+    return hash_exchange(dicts, n_buckets, reduce_dict, partial_fn=first_url)
+
+
+def _compact_bucket_batch(batch: pa.Table, n_buckets: int) -> pa.Table:
+    """The points exchange's map side: a LEAN extract to int64-keyed
+    compact rows (no host regex), the in-batch pre-dedup, and each row's
+    `__bucket`. The url string rides only on the first row of each
+    url_hash in the batch (null elsewhere), so the exchange moves one
+    string per distinct url per batch, enough for each bucket to build its
+    slice of the url dictionary (url_dict_bucket)."""
+    url = batch["url"]
+    url_hash = _hash_strings(url)
+    first = np.zeros(len(url_hash), dtype=bool)
+    first[np.unique(url_hash.to_numpy(zero_copy_only=False), return_index=True)[1]] = True
+    value = pc.cast(pc.binary_length(pc.cast(batch["text"], pa.binary())), pa.float64())
+    t = pa.table(
+        {
+            "url_hash": url_hash,
+            "ts": batch["warc_ts"],
+            "value": value,
+            "text_hash": _hash_strings(batch["text"]),
+            "url": pc.if_else(pa.array(first), url, pa.scalar(None, url.type)),
+        }
     )
-    return hash_exchange(partial, n_buckets, reduce_dict, partial_fn=first_url)
+    # the first row of a url_hash is the first of its (url_hash, ts) key,
+    # so the pre-dedup keeps every url-carrying row
+    t = _first_per_key(t)
+    uh = t["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
+    bucket = (uh % np.uint64(n_buckets)).astype(np.int64)
+    return t.append_column("__bucket", pa.array(bucket))
+
+
+def _fold_points(t: pa.Table) -> pa.Table:
+    """The exchange's schema-preserving combiner: min-of-min per
+    (url_hash, ts) equals one min over the concatenation, the url's min
+    skips nulls (so each url survives on one row of its key), and
+    `__bucket` (constant within a bucket's slices) rides through."""
+    g = t.group_by(["url_hash", "ts", "__bucket"], use_threads=False).aggregate(
+        [("value", "min"), ("text_hash", "min"), ("url", "min")]
+    )
+    g = g.rename_columns(["url_hash", "ts", "__bucket", "value", "text_hash", "url"])
+    return g.select(t.column_names)
+
+
+def dedup_bucket(t: pa.Table) -> pa.Table:
+    """A bucket's exchange rows -> its deduplicated points (url_hash, ts,
+    value, text_hash). Duplicate crawl rows of one (url_hash, ts) carry
+    identical payloads, so `min` over each set reproduces the row."""
+    g = t.group_by(["url_hash", "ts"], use_threads=False).aggregate(
+        [("value", "min"), ("text_hash", "min")]
+    )
+    return g.rename_columns(["url_hash", "ts", "value", "text_hash"])
+
+
+def url_dict_bucket(t: pa.Table) -> pa.Table:
+    """A bucket's exchange rows -> its url dictionary slice (url_hash, url,
+    host): the one url of each url_hash, from the rows that carry it."""
+    g = t.filter(pc.is_valid(t["url"])).group_by("url_hash", use_threads=False).aggregate(
+        [("url", "min")]
+    )
+    g = g.rename_columns(["url_hash", "url"])
+    return g.append_column("host", _host(g["url"]))
+
+
+def exchange_points(pages_ds, n_buckets: int, reduce_fn):
+    """Extract + exact dedup as ONE manual hash exchange (no Ray sort):
+    each page row becomes a compact row in bucket url_hash % n_buckets,
+    and `reduce_fn` gets each bucket's rows (url_hash, ts, value,
+    text_hash, url, __bucket; see _compact_bucket_batch), in part already
+    folded by _fold_points. Returns the exchange's Dataset of reduce
+    outputs."""
+    from ..common.raytools import hash_exchange
+
+    bucketed = pages_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
+        partial(_compact_bucket_batch, n_buckets=n_buckets), batch_format="pyarrow"
+    )
+    return hash_exchange(bucketed, n_buckets, reduce_fn, partial_fn=_fold_points)
+
+
+def _points_with_bucket(t: pa.Table) -> pa.Table:
+    g = dedup_bucket(t)
+    bucket = t["__bucket"][0].as_py() if t.num_rows else 0
+    return g.append_column(
+        "series_bucket", pa.array(np.full(g.num_rows, bucket, dtype=np.int64))
+    )
 
 
 def extract_dedup_exchange(pages_ds, n_buckets: int | None = None):
-    """Extract + exact dedup via the manual hash exchange (single all-to-all,
-    no Ray sort): returns a Dataset of deduplicated compact points carrying
-    `series_bucket` — ready to be written hive-partitioned."""
-    from ..common.raytools import default_buckets, hash_exchange
+    """Extract + exact dedup via the points exchange: a Dataset of
+    deduplicated compact points carrying `series_bucket`, ready to be
+    written hive-partitioned."""
+    from ..common.raytools import default_buckets
 
-    if n_buckets is None:
-        n_buckets = default_buckets()
-
-    def extract_compact_bucket(batch: pa.Table) -> pa.Table:
-        # LEAN extract for the exchange path: no host regex, no url/host
-        # string columns — only the int64-keyed compact row ever exists
-        # (url/host strings live in the separately-built dictionary)
-        value = pc.cast(
-            pc.binary_length(pc.cast(batch["text"], pa.binary())), pa.float64()
-        )
-        t = pa.table(
-            {
-                "url_hash": _hash_strings(batch["url"]),
-                "ts": batch["warc_ts"],
-                "value": value,
-                "text_hash": _hash_strings(batch["text"]),
-            }
-        )
-        t = _first_per_key(t)
-        uh = t["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        bucket = (uh % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(bucket))
-
-    bucketed = pages_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
-        extract_compact_bucket, batch_format="pyarrow"
-    )
-
-    def reduce_dedup(t: pa.Table) -> pa.Table:
-        bucket_val = t["__bucket"][0].as_py() if t.num_rows else 0
-        t = t.drop_columns(["__bucket"])
-        g = t.group_by(["url_hash", "ts"], use_threads=False).aggregate(
-            [("value", "min"), ("text_hash", "min")]
-        )
-        g = g.rename_columns(["url_hash", "ts", "value", "text_hash"])
-        return g.append_column(
-            "series_bucket",
-            pa.array(np.full(g.num_rows, bucket_val, dtype=np.int64)),
-        )
-
-    def partial_dedup(t: pa.Table) -> pa.Table:
-        # associative, schema-preserving combiner for the overlapped
-        # exchange: min-of-min per (url_hash, ts) == one min over the
-        # concatenation, and __bucket (constant within a bucket's slices)
-        # rides through so reduce_dedup's contract is unchanged
-        g = t.group_by(["url_hash", "ts", "__bucket"], use_threads=False).aggregate(
-            [("value", "min"), ("text_hash", "min")]
-        )
-        g = g.rename_columns(["url_hash", "ts", "__bucket", "value", "text_hash"])
-        return g.select(["url_hash", "ts", "value", "text_hash", "__bucket"])
-
-    return hash_exchange(bucketed, n_buckets, reduce_dedup, partial_fn=partial_dedup)
+    return exchange_points(pages_ds, n_buckets or default_buckets(), _points_with_bucket)

@@ -8,7 +8,8 @@ inside the kernel):
   inter-event gap exceeds `timeout`) — the classic lag/cumsum formulation
 - asof_join: for every left row, the latest right row with
   right.ts <= left.ts for the same key — hash-partition BOTH sides on the
-  key (one bucketed exchange via union), pd.merge_asof inside the kernel
+  key (one bucketed exchange of both side-tagged inputs), pd.merge_asof
+  inside the kernel
 
 Partitioning assumptions (documented per the brief): every operator requires
 all rows of a key in one kernel call; the bucketed groupby guarantees it.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import bucketed_map_groups
+from ..common.raytools import bucketed_cogroup, bucketed_map_groups
 
 
 def sliding_window(tier_ds, key_cols: list[str], window: int, value_col: str = "sum"):
@@ -89,33 +90,11 @@ def range_join_count(
     """Range join (count form): for every left row, the number of right
     rows of the same key with right_ts in (left_ts - window, left_ts].
 
-    Same single bucketed exchange as asof_join (tag -> union -> hash by
-    key); the per-key kernel is two vectorized searchsorted passes over
-    the sorted right timestamps — O((nl + nr) log nr) per key, never a
+    Same single bucketed exchange as asof_join (bucketed_cogroup); the
+    per-key kernel is two vectorized searchsorted passes over the sorted
+    right timestamps — O((nl + nr) log nr) per key, never a
     pairwise product. Partitioning assumption: all rows of a key reach one
     kernel call (the bucketed groupby guarantees it)."""
-    import pyarrow as pa
-
-    lschema, rschema = left_ds.schema(), right_ds.schema()
-    types: dict = {}
-    for s in (lschema, rschema):
-        for n, t in zip(s.names, s.types):
-            types.setdefault(n, t)
-    all_names = list(types)
-
-    def tag(side):
-        def fn(t: pa.Table) -> pa.Table:
-            for name in all_names:
-                if name not in t.column_names:
-                    t = t.append_column(name, pa.nulls(t.num_rows, types[name]))
-            t = t.select(all_names)
-            return t.append_column("__side", pa.array([side] * t.num_rows))
-
-        return fn
-
-    both = left_ds.map_batches(tag("l"), batch_format="pyarrow").union(
-        right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    )
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         left = df[df["__side"] == "l"]
@@ -137,7 +116,7 @@ def range_join_count(
         out[count_col] = (hi - lo).astype(np.int64)
         return out
 
-    return bucketed_map_groups(both, [key_col], fn)
+    return bucketed_cogroup(left_ds, right_ds, [key_col], fn)
 
 
 def asof_join(
@@ -151,9 +130,10 @@ def asof_join(
 ):
     """Backward as-of join: latest right row with ts <= left ts per key.
 
-    Both sides travel through ONE bucketed exchange: rows are tagged with a
-    side marker, unioned, hash-grouped by key, and merge_asof'd inside the
-    kernel. Left rows with no prior right row keep nulls.
+    Both sides travel through ONE bucketed exchange (bucketed_cogroup):
+    rows are tagged with a side marker, hash-grouped by key, and
+    merge_asof'd inside the kernel. Left rows with no prior right row keep
+    nulls.
 
     ``right_tiebreak``: columns that break ties among right rows sharing the
     same ``right_ts`` — the row with the MAX tiebreak value wins.  Resolved
@@ -162,31 +142,6 @@ def asof_join(
     dedup upstream would not be (duplicates in different blocks both
     survive a batch-local drop_duplicates).
     """
-
-    # union requires aligned schemas: add each side's missing columns as
-    # TYPED nulls (arrow-level, so datetime/int columns keep their types)
-    import pyarrow as pa
-
-    lschema, rschema = left_ds.schema(), right_ds.schema()
-    types: dict = {}
-    for s in (lschema, rschema):
-        for n, t in zip(s.names, s.types):
-            types.setdefault(n, t)
-    all_names = list(types)
-
-    def tag(side):
-        def fn(t: pa.Table) -> pa.Table:
-            for name in all_names:
-                if name not in t.column_names:
-                    t = t.append_column(name, pa.nulls(t.num_rows, types[name]))
-            t = t.select(all_names)
-            return t.append_column("__side", pa.array([side] * t.num_rows))
-
-        return fn
-
-    left_t = left_ds.map_batches(tag("l"), batch_format="pyarrow")
-    right_t = right_ds.map_batches(tag("r"), batch_format="pyarrow")
-    both = left_t.union(right_t)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         left = df[df["__side"] == "l"].drop(columns=["__side"])
@@ -221,4 +176,5 @@ def asof_join(
         )
         return out
 
-    return bucketed_map_groups(both, [key_col], fn)
+    return bucketed_cogroup(left_ds, right_ds, [key_col], fn)
+

@@ -1,7 +1,8 @@
 """Every block out of a hash exchange carries one schema, empty buckets
 included: Ray Data warns about (and must reconcile) blocks whose schema
 differs from the previous one. Covers the points exchange, the url
-dictionary and the three grouped helpers built on hash_exchange."""
+dictionary, the flagship job whose reduce tasks write their own buckets,
+and the three grouped helpers built on hash_exchange."""
 
 import numpy as np
 import pandas as pd
@@ -43,6 +44,32 @@ def test_one_schema_per_output_with_empty_buckets(build):
     (schema,) = schemas
     assert "series_bucket" in schema.names and "__bucket" not in schema.names
     assert schema.field("series_bucket").type == pa.int64()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_ingest_job_writes_no_empty_bucket_and_one_schema_per_output(tmp_path):
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship_synthetic
+
+    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=N_BUCKETS, tiers=("1m",), encode=False)
+    res = run_flagship_synthetic(SPEC, cfg)
+    bucket_dirs = None
+    for out in ("points/data", "points/dict", "tier_1m"):
+        dirs = sorted(glob.glob(f"{tmp_path}/{out}/series_bucket=*"))
+        files = sorted(glob.glob(f"{tmp_path}/{out}/series_bucket=*/*.parquet"))
+        # no directory or file for an empty bucket; one file per bucket
+        assert 1 <= len(dirs) <= 4 and len(files) == len(dirs), out
+        assert all(pq.read_metadata(f).num_rows for f in files), out
+        names = [d.rsplit("/", 1)[1] for d in dirs]
+        assert bucket_dirs in (None, names), out
+        bucket_dirs = names
+        schemas = [pq.read_schema(f) for f in files]
+        assert all(s.equals(schemas[0], check_metadata=True) for s in schemas), out
+        assert "series_bucket" not in schemas[0].names
+    assert set(res["manifest"]["tier_1m"]["partitions"]) == set(bucket_dirs)
 
 
 # 4 keys over 16 buckets, as pandas blocks (one of them a filtered frame

@@ -1,0 +1,158 @@
+"""The flagship's first job: one points exchange whose reduce tasks write
+each bucket's points/data, points/dict and tier_1m. Checked against the
+separate path it replaced (extract_dedup_exchange and build_url_dict, each
+written by Dataset.write_parquet, then rollup_partition_pandas over the
+written points), and for resume after a fault inside the job."""
+
+import glob
+import os
+
+import pyarrow.dataset as pds
+import pyarrow.parquet as pq
+import pytest
+
+from perfbench.inputs import TINY, write_input
+from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship
+from signalsharp_ray.state.manifest import PipelineManifest
+
+N_BUCKETS = 16
+OUTPUTS = ["points/data", "points/dict", "tier_1m"]
+
+
+def _cfg(root):
+    # tiers=("1m",) and no encode: the first job is the whole run
+    return FlagshipConfig(out_root=str(root), n_buckets=N_BUCKETS, tiers=("1m",), encode=False)
+
+
+def _pages(path):
+    import ray.data as rd
+
+    return lambda: rd.read_parquet(path)
+
+
+def _old_path(input_dir, out):
+    """points, url dictionary and tier_1m as three separate Dataset writes."""
+    import ray.data as rd
+
+    from signalsharp_ray.common.raytools import map_partition_tables
+    from signalsharp_ray.stages.extract import build_url_dict, extract_dedup_exchange
+    from signalsharp_ray.stages.rollup import TIERS_US, rollup_partition_pandas
+
+    for sub, build in (("data", extract_dedup_exchange), ("dict", build_url_dict)):
+        build(rd.read_parquet(input_dir), n_buckets=N_BUCKETS).write_parquet(
+            f"{out}/points/{sub}", partition_cols=["series_bucket"])
+    map_partition_tables(
+        f"{out}/points/data", lambda df: rollup_partition_pandas(df, TIERS_US["1m"])
+    ).write_parquet(f"{out}/tier_1m", partition_cols=["series_bucket"])
+
+
+def _bucket_files(stage_dir):
+    """{series_bucket dir name: [parquet files]}"""
+    out = {}
+    for f in sorted(glob.glob(f"{stage_dir}/series_bucket=*/*.parquet")):
+        out.setdefault(os.path.basename(os.path.dirname(f)), []).append(f)
+    return out
+
+
+def _sorted(t):
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("shape", ["wide", "deep"])
+def test_ingest_job_matches_separate_path_per_bucket(shape, tmp_path):
+    gi = write_input(TINY[shape], 3, str(tmp_path / "in"))
+    res = run_flagship(_pages(gi.path), f"ingest-test:{shape}", _cfg(tmp_path / "new"))
+    _old_path(gi.path, tmp_path / "old")
+    man = res["manifest"]
+    # one job: points and tier_1m commit together
+    assert man["points"]["completed_at"] == man["tier_1m"]["completed_at"]
+    for out in OUTPUTS:
+        new, old = _bucket_files(tmp_path / "new" / out), _bucket_files(tmp_path / "old" / out)
+        assert len(new) >= 4, out
+        assert new.keys() == old.keys(), out
+        for bucket, files in new.items():
+            assert len(files) == len(old[bucket]) == 1, (out, bucket)
+            a, b = pq.read_table(files[0]), pq.read_table(old[bucket][0])
+            # same file schema, pandas metadata included
+            assert a.schema.equals(b.schema, check_metadata=True), (out, bucket)
+            # row order follows the order the input blocks reach the
+            # exchange, which Ray Data does not fix
+            assert _sorted(a).equals(_sorted(b)), (out, bucket)
+    rows = pds.dataset(str(tmp_path / "new" / "points" / "data")).count_rows()
+    assert rows == gi.distinct_url_ts
+    assert pds.dataset(str(tmp_path / "new" / "points" / "dict")).count_rows() == gi.distinct_urls
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fault_in_ingest_job_commits_nothing_and_rerun_matches_clean(tmp_path):
+    import ray.data as rd
+
+    gi = write_input(TINY["wide"], 4, str(tmp_path / "in"))
+    clean = tmp_path / "clean"
+    run_flagship(_pages(gi.path), "ingest-fault", _cfg(clean))
+
+    last = os.path.basename(sorted(glob.glob(f"{gi.path}/*.parquet"))[-1])
+
+    def failing_pages():
+        import pyarrow.compute as pc
+
+        def fail_on_last(batch):
+            if pc.any(pc.ends_with(batch["path"], last)).as_py():
+                raise RuntimeError("injected read fault")
+            return batch.drop_columns(["path"])
+
+        return rd.read_parquet(gi.path, include_paths=True).map_batches(
+            fail_on_last, batch_format="pyarrow")
+
+    root = tmp_path / "faulted"
+    with pytest.raises(Exception, match="injected read fault"):
+        run_flagship(failing_pages, "ingest-fault", _cfg(root))
+    assert PipelineManifest(str(root)).records() == {}
+    assert not os.path.exists(root / "points") and not os.path.exists(root / "tier_1m")
+
+    run_flagship(_pages(gi.path), "ingest-fault", _cfg(root))
+    for out in OUTPUTS:
+        a = pds.dataset(str(root / out), partitioning="hive").to_table()
+        b = pds.dataset(str(clean / out), partitioning="hive").to_table()
+        assert _sorted(a).equals(_sorted(b)), out
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("runner", ["hash_exchange", "run_bucket_groups"])
+def test_failed_job_returns_after_every_writer_task_ended(runner, tmp_path):
+    """The error of one failed task surfaces only once every other task of
+    the call has ended, so no writer task outlives the job and writes into
+    the output of a retry."""
+    import time
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from signalsharp_ray.common import raytools
+
+    n = 4
+
+    def work(bucket):
+        if bucket == 0:
+            raise RuntimeError("injected task fault")
+        time.sleep(1.0)
+        open(f"{tmp_path}/done-{bucket}", "w").close()
+
+    if runner == "hash_exchange":
+        def reduce(t):
+            if t.num_rows:
+                work(t["__bucket"][0].as_py())
+            return t
+
+        ds = rd.from_arrow(pa.table({"__bucket": pa.array(range(n), pa.int64())}))
+        call = lambda: raytools.hash_exchange(ds, n, reduce)  # noqa: E731
+    else:
+        def fn(bucket):
+            work(bucket)
+            return {}
+
+        call = lambda: raytools.run_bucket_groups(fn, {b: 1 for b in range(n)}, {})  # noqa: E731
+    with pytest.raises(Exception, match="injected task fault"):
+        call()
+    assert sorted(os.listdir(tmp_path)) == [f"done-{b}" for b in range(1, n)]

@@ -186,3 +186,34 @@ def test_hot_host_skew_rollup_exact():
     got_hot = out[out["url"] == "https://host0.example.com/p/0"]["count"].sum()
     exp_hot = exp[exp["url"] == "https://host0.example.com/p/0"]["count"].sum()
     assert got_hot == exp_hot == hot.sum()
+
+
+def _cascade_named_aggs(df, tier_us, key="url_hash"):
+    """The cascade kernel as four named aggregations (the earlier form of
+    cascade_partition_pandas), kept as its reference."""
+    ts = df["bucket_ts"].astype("datetime64[us]").astype("int64")
+    bucket = (ts // tier_us) * tier_us
+    g = df.groupby([df[key], bucket], sort=False).agg(
+        count=("count", "sum"), sum=("sum", "sum"), min=("min", "min"), max=("max", "max")
+    )
+    out = g.reset_index()
+    out.columns = [key, "bucket_ts", "count", "sum", "min", "max"]
+    out["bucket_ts"] = pd.to_datetime(out["bucket_ts"], unit="us")
+    out["mean"] = out["sum"] / out["count"]
+    return out
+
+
+def test_cascade_kernel_matches_named_aggregations():
+    from signalsharp_ray.stages.rollup import cascade_partition_pandas, rollup_partition_pandas
+
+    pts = extract_points_batch(_pages_table()).to_pandas()
+    assert pts["url_hash"].nunique() > 100 and pts["value"].notna().all()
+    finer = rollup_partition_pandas(pts.drop_duplicates(["url_hash", "ts"]), TIERS_US["1m"])
+    # rows of one series out of bucket order, as a concatenated bucket has
+    finer = finer.sample(frac=1.0, random_state=0).reset_index(drop=True)
+    for tier in ("1h", "1d"):
+        got = cascade_partition_pandas(finer, TIERS_US[tier])
+        want = _cascade_named_aggs(finer, TIERS_US[tier])
+        assert len(got) < len(finer)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        finer = got

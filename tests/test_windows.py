@@ -219,3 +219,34 @@ def test_asof_join_tiebreak_independent_of_block_layout():
     np.testing.assert_array_equal(
         a["payload"].fillna(-1).to_numpy(), merged["payload"].fillna(-1).to_numpy()
     )
+
+
+def test_joins_never_probe_a_lazy_schema(monkeypatch):
+    """asof_join and range_join_count read each side's schema from its
+    first typed block: Dataset.schema() on a lazy input runs a limit(1)
+    probe whose task cancellations have aborted the calling process under
+    Ray 2.49."""
+    import ray.data as rd
+
+    from signalsharp_ray.stages.windows import asof_join, range_join_count
+
+    left = pd.DataFrame({"k": np.arange(6, dtype=np.int64) % 2,
+                         "ts": pd.to_datetime(np.arange(6) * 10, unit="s")})
+    right = pd.DataFrame({"k": np.array([0, 1, 0], dtype=np.int64),
+                          "ts": pd.to_datetime([5, 15, 35], unit="s"),
+                          "payload": [1.0, 2.0, 3.0]})
+
+    def lazy(df):
+        # a lazy plan over a map, as the exchange's inputs usually are
+        return rd.from_pandas(df).map_batches(lambda b: b, batch_format="pyarrow")
+
+    def no_schema(self, *args, **kwargs):
+        raise AssertionError("Dataset.schema() called on a join input")
+
+    monkeypatch.setattr(rd.Dataset, "schema", no_schema)
+    out = asof_join(lazy(left), lazy(right), "k", right_cols=["payload"]).to_pandas()
+    got = out.sort_values(["k", "ts"])["payload"].fillna(-1).tolist()
+    assert got == [-1.0, 1.0, 3.0, -1.0, 2.0, 2.0]
+    counts = range_join_count(lazy(left), lazy(right), "k", window_us=20_000_000,
+                              count_col="n").to_pandas()
+    assert counts.sort_values(["k", "ts"])["n"].tolist() == [0, 1, 1, 0, 1, 0]
