@@ -1,55 +1,11 @@
-"""Minimal MSB-first bit stream used by the Gorilla / delta-of-delta codecs.
-
-The writer flushes completed bytes into a bytearray as it goes, keeping the
-working accumulator under 8 bits — O(1) per write and O(total_bits/8) memory
-(a single big-int accumulator would cost O(n^2) in total shifts).
-"""
+"""MSB-first bit streams for the Gorilla / delta-of-delta codecs: a reader
+for decoding, and a vectorized token packer that writes many streams at
+once for the segmented encoders."""
 
 from __future__ import annotations
 
-
-class BitWriter:
-    __slots__ = ("_out", "_acc", "_nbits", "_total")
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self._total = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits <= 0:
-            return
-        if value == 0 and nbits >= 64:
-            # bulk path for long zero runs (regular/constant series): byte-
-            # align, then extend with whole zero bytes — O(nbits/8)
-            self._total += nbits
-            if self._nbits:
-                fill = 8 - self._nbits
-                self._out.append((self._acc << fill) & 0xFF)
-                nbits -= fill
-                self._acc = 0
-                self._nbits = 0
-            whole, rem = divmod(nbits, 8)
-            self._out.extend(b"\x00" * whole)
-            self._nbits = rem
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        self._total += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    @property
-    def bit_length(self) -> int:
-        return self._total
-
-    def to_bytes(self) -> bytes:
-        if self._nbits:
-            return bytes(self._out) + bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return bytes(self._out)
+import numpy as np
+import pyarrow as pa
 
 
 class BitReader:
@@ -78,32 +34,59 @@ class BitReader:
         return self._nbits - self._pos
 
 
-def pack_tokens_msb(tok_v, tok_w, tok_s, total_bits: int) -> bytes:
-    """Vectorized variable-width bit packing: OR (value, width<=64, bit
-    start) tokens into an MSB-first bit stream of total_bits (token order
-    free; uncovered bits are zero — zero runs need no tokens). Each token
-    spans at most two adjacent uint64 words; contributions are combined
-    with one argsort + bitwise_or.reduceat, so packing is O(k) numpy work
-    with no per-bit scatter and no Python loop."""
-    import numpy as np
+def pack_segments(tok_v, tok_w, tok_s, seg_bits) -> pa.BinaryArray:
+    """Pack (value, width<=64, bit start) tokens into one MSB-first stream
+    per segment and return the streams as a binary array, each cut to
+    ceil(bits / 8) bytes.
 
+    Token starts are relative to the segment-major layout where segment i
+    begins at bit `segment_bases(seg_bits)[i]`: every segment starts on a
+    64-bit word, so no word holds bits of two segments. Token order is
+    free and uncovered bits are zero, so zero runs need no tokens. Each
+    token spans at most two adjacent words; contributions are combined with
+    one stable sort and bitwise_or.reduceat: O(tokens) numpy work with no
+    per-bit scatter and no Python loop."""
+    seg_bits = np.asarray(seg_bits, dtype=np.int64)
+    seg_words = (seg_bits + 63) >> 6
     tok_v = np.asarray(tok_v, dtype=np.uint64)
     tok_w = np.asarray(tok_w, dtype=np.int64)
     tok_s = np.asarray(tok_s, dtype=np.int64)
     o = (tok_s & 63).astype(np.uint64)
     ov = o + tok_w.astype(np.uint64)
     word = tok_s >> 6
-    lo_shift = np.where(ov <= 64, np.uint64(64) - ov, np.uint64(0))
-    hi_shift = np.where(ov > 64, ov - np.uint64(64), np.uint64(0))
-    part1 = np.where(ov <= 64, tok_v << lo_shift, tok_v >> hi_shift)
-    spill = ov > 64
+    fits = ov <= 64
+    part1 = np.where(fits, tok_v << np.where(fits, np.uint64(64) - ov, np.uint64(0)),
+                     tok_v >> np.where(fits, np.uint64(0), ov - np.uint64(64)))
+    spill = ~fits
     part2 = tok_v[spill] << (np.uint64(128) - ov[spill])  # << is mod 2^64
     widx = np.concatenate([word, word[spill] + 1])
     contrib = np.concatenate([part1, part2])
     order = np.argsort(widx, kind="stable")
     wsorted = widx[order]
-    csorted = contrib[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(wsorted)) + 1])
-    words = np.zeros((total_bits + 63) // 64, dtype=np.uint64)
-    words[wsorted[starts]] = np.bitwise_or.reduceat(csorted, starts)
-    return words.astype(">u8").tobytes()[: (total_bits + 7) // 8]
+    words = np.zeros(int(seg_words.sum()), dtype=np.uint64)
+    if wsorted.size:
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(wsorted)) + 1])
+        words[wsorted[starts]] = np.bitwise_or.reduceat(contrib[order], starts)
+    buf = words.astype(">u8").view(np.uint8)
+    # gather each segment's leading ceil(bits / 8) bytes into one buffer
+    nbytes = (seg_bits + 7) >> 3
+    offsets = np.zeros(seg_bits.size + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=offsets[1:])
+    first_byte = 8 * (np.cumsum(seg_words) - seg_words)
+    data = buf[np.repeat(first_byte - offsets[:-1], nbytes) + np.arange(offsets[-1])]
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), seg_bits.size,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)],
+    )
+
+
+def segment_bases(seg_bits) -> np.ndarray:
+    """First bit of each segment in pack_segments' layout."""
+    seg_words = (np.asarray(seg_bits, dtype=np.int64) + 63) >> 6
+    return 64 * (np.cumsum(seg_words) - seg_words)
+
+
+def header_tokens(n) -> np.ndarray:
+    """Each segment's uint32 point count as the 32-bit MSB-first token
+    whose bytes are struct.pack("<I", n), the scalar stream's header."""
+    return np.asarray(n, dtype="<u4").view(">u4").astype(np.uint64)

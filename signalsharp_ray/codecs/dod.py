@@ -23,12 +23,20 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+import pyarrow as pa
 
-from .bitstream import BitReader, BitWriter, pack_tokens_msb
+from .bitstream import BitReader, header_tokens, pack_segments, segment_bases
 
 
-def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v < 0 else v << 1
+# per size class: '10' + 7 bits, '110' + 9, '1110' + 12, '1111' + 64 zigzag
+_CTRL_V = np.array([2, 6, 14, 15], dtype=np.uint64)
+_CTRL_W = np.array([2, 3, 4, 4], dtype=np.int64)
+_PAY_W = np.array([7, 9, 12, 64], dtype=np.int64)
+_BIAS = np.array([63, 255, 2047, 0], dtype=np.int64)
+
+
+def _zigzag(d: np.ndarray) -> np.ndarray:
+    return ((d << 1) ^ (d >> 63)).view(np.uint64)
 
 
 def _unzigzag(u: int) -> int:
@@ -36,93 +44,55 @@ def _unzigzag(u: int) -> int:
 
 
 def encode_timestamps_dod(timestamps: np.ndarray) -> bytes:
+    """One series: the one-segment case of encode_timestamps_dod_segments."""
     ts = np.asarray(timestamps, dtype=np.int64)
-    n = ts.size
-    header = struct.pack("<I", n)
-    if n == 0:
-        return header
-    w = BitWriter()
-    w.write(int(ts[0]) & ((1 << 64) - 1), 64)
-    if n == 1:
-        return header + w.to_bytes()
-    deltas = np.diff(ts)
-    w.write(_zigzag(int(deltas[0])) & ((1 << 64) - 1), 64)
-    dods_arr = np.diff(deltas)
-    nonzero_idx = np.flatnonzero(dods_arr)
-    k = nonzero_idx.size
-    if k < _SCALAR_MAX:
-        return _encode_dods_scalar(
-            header + w.to_bytes(), dods_arr, nonzero_idx, int(dods_arr.size)
-        )
-
-    # fully vectorized (no sequential state, unlike Gorilla values): bucket
-    # each nonzero dod into its size class, then pack ctrl + payload tokens
-    # with the shared word-level packer. Zero runs need no tokens.
-    d = dods_arr[nonzero_idx]
-    runs = np.diff(np.concatenate([[-1], nonzero_idx])) - 1
-    tail_zeros = int(dods_arr.size) - (int(nonzero_idx[-1]) + 1)
-
-    c1 = (d >= -63) & (d <= 64)
-    c2 = ~c1 & (d >= -255) & (d <= 256)
-    c3 = ~c1 & ~c2 & (d >= -2047) & (d <= 2048)
-    c4 = ~(c1 | c2 | c3)
-    ctrl_v = np.select([c1, c2, c3], [2, 6, 14], default=15).astype(np.uint64)
-    ctrl_w = np.select([c1, c2, c3], [2, 3, 4], default=4).astype(np.int64)
-    zz = ((d << 1) ^ (d >> 63)).astype(np.uint64)  # vectorized zigzag
-    pay_v = np.select(
-        [c1, c2, c3], [d + 63, d + 255, d + 2047], default=0
-    ).astype(np.uint64)
-    pay_v[c4] = zz[c4]
-    pay_w = np.select([c1, c2, c3], [7, 9, 12], default=64).astype(np.int64)
-
-    width = ctrl_w + pay_w
-    ends = np.cumsum(runs + width)
-    elem_start = 128 + ends - width
-    total = 128 + int(ends[-1]) + tail_zeros
-
-    tok_v = np.concatenate(
-        [
-            np.array([int(ts[0]) & ((1 << 64) - 1)], dtype=np.uint64),
-            np.array([_zigzag(int(deltas[0])) & ((1 << 64) - 1)], dtype=np.uint64),
-            ctrl_v,
-            pay_v,
-        ]
-    )
-    tok_w = np.concatenate([[64, 64], ctrl_w, pay_w])
-    tok_s = np.concatenate([[0, 64], elem_start, elem_start + ctrl_w])
-    return header + pack_tokens_msb(tok_v, tok_w, tok_s, total)
+    return encode_timestamps_dod_segments(ts, np.array([0, ts.size]))[0].as_py()
 
 
-_SCALAR_MAX = 192  # below this the per-point loop beats numpy setup
+def encode_timestamps_dod_segments(timestamps: np.ndarray, offsets: np.ndarray) -> pa.BinaryArray:
+    """Encode every series timestamps[offsets[i]:offsets[i+1]] at once; the
+    i-th value is the i-th series' stream. Fully vectorized: no state
+    crosses points (unlike Gorilla values), so each nonzero dod is bucketed
+    into its size class and packed as ctrl + payload tokens; zero dods are
+    one '0' bit and need no token."""
+    ts = np.asarray(timestamps, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = np.diff(offsets)
+    first = offsets[:-1]
+    local = np.arange(ts.size) - np.repeat(first, n)
+    deltas = np.diff(ts)  # wraps like the per-series np.diff
+    # a dod belongs to point i >= 2 of its series
+    dods = np.diff(deltas)[local[2:] >= 2]
+    nz = np.flatnonzero(dods)
+    d = dods[nz]
+    # size class 0-3 of each nonzero dod; the biased value is its payload
+    # (a wrapped sum is huge as uint64, so it lands in class 3)
+    cls = 3 - sum(((d + bias).view(np.uint64) < (1 << w)).astype(np.int64)
+                  for bias, w in ((63, 7), (255, 9), (2047, 12)))
+    ctrl_v, ctrl_w = _CTRL_V[cls], _CTRL_W[cls]
+    pay_w = _PAY_W[cls]
+    pay_v = np.where(cls == 3, _zigzag(d), (d + _BIAS[cls]).view(np.uint64))
 
+    # bits per dod (zeros take one), then each series' total
+    width = np.ones(dods.size, dtype=np.int64)
+    width[nz] = ctrl_w + pay_w
+    n_dods = np.maximum(n - 2, 0)
+    dod_first = np.cumsum(n_dods) - n_dods
+    cum = np.concatenate([[0], np.cumsum(width)])
+    seg_bits = 32 + 64 * np.minimum(n, 2) + cum[dod_first + n_dods] - cum[dod_first]
+    base = segment_bases(seg_bits)
+    # a dod starts after its series' header, ts0, delta0 and earlier dods
+    dod_seg = np.repeat(np.arange(n.size), n_dods)[nz]
+    elem_start = (base + 160 - cum[dod_first])[dod_seg] + cum[nz]
 
-def _encode_dods_scalar(prefix: bytes, dods_arr, nonzero_idx, n_dods: int) -> bytes:
-    """Short-stream path: prefix already holds header + ts0 + delta0."""
-    w = BitWriter()
-    dods = dods_arr.tolist()
-    pos = 0
-    for nz in nonzero_idx.tolist():
-        run = nz - pos
-        if run:
-            w.write(0, run)
-        pos = nz + 1
-        d = dods[nz]
-        if -63 <= d <= 64:
-            w.write(2, 2)
-            w.write(d + 63, 7)
-        elif -255 <= d <= 256:
-            w.write(6, 3)
-            w.write(d + 255, 9)
-        elif -2047 <= d <= 2048:
-            w.write(14, 4)
-            w.write(d + 2047, 12)
-        else:
-            w.write(15, 4)
-            w.write(_zigzag(int(d)) & ((1 << 64) - 1), 64)
-    tail = n_dods - pos
-    if tail:
-        w.write(0, tail)
-    return prefix + w.to_bytes()
+    has1, has2 = n >= 1, n >= 2
+    tok_v = np.concatenate([header_tokens(n), ts[first[has1]].view(np.uint64),
+                            _zigzag(deltas[first[has2]]), ctrl_v, pay_v])
+    tok_w = np.concatenate([np.full(n.size, 32), np.full(has1.sum(), 64),
+                            np.full(has2.sum(), 64), ctrl_w, pay_w])
+    tok_s = np.concatenate([base, base[has1] + 32, base[has2] + 96,
+                            elem_start, elem_start + ctrl_w])
+    return pack_segments(tok_v, tok_w, tok_s, seg_bits)
 
 
 def decode_timestamps_dod(data: bytes) -> np.ndarray:

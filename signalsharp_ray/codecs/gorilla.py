@@ -21,8 +21,9 @@ import struct
 import sys
 
 import numpy as np
+import pyarrow as pa
 
-from .bitstream import BitReader, BitWriter, pack_tokens_msb
+from .bitstream import BitReader, header_tokens, pack_segments, segment_bases
 
 
 # 256-entry leading/trailing-zero LUTs for the byte-sliced vectorized
@@ -31,7 +32,6 @@ _CLZ8 = np.array([8] + [7 - int(i).bit_length() + 1 for i in range(1, 256)], np.
 _CTZ8 = np.array(
     [8] + [((i & -i).bit_length() - 1) for i in range(1, 256)], np.int64
 )
-_BIT_SHIFTS = np.arange(63, -1, -1, dtype=np.uint64)
 
 
 def _clz_ctz_vec(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,134 +50,108 @@ def _clz_ctz_vec(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return clz, ctz
 
 
-def _find_resets(lead: np.ndarray, trail: np.ndarray) -> np.ndarray:
-    """Indices where the encoder must open a NEW window ('11' branch):
-    element i resets iff its meaningful window does not fit inside the
-    window of the last reset. The sticky window widens monotonically in
-    practice, so resets are rare (measured ~0.1% even on random data) —
-    each segment boundary is found with chunked vectorized compares
-    instead of a per-element Python loop."""
-    k = lead.size
-    resets = [0]
-    r = 0
-    CH = 1024
+def _find_resets(lead: np.ndarray, trail: np.ndarray, seg_first: np.ndarray,
+                 seg_end: np.ndarray) -> np.ndarray:
+    """Sorted indices where the encoder opens a NEW window ('11' branch),
+    over the nonzero xors of many series at once (series i owns
+    [seg_first[i], seg_end[i]), each non-empty). An element resets iff its
+    meaningful window does not fit inside the window of the last reset, so
+    from a reset r the next one is the first later element with a smaller
+    lead or a smaller trail.
+
+    All series advance together, one numpy step per round: each scans the
+    next `w` elements of its own for the first that does not fit. Its `w`
+    doubles after a window with none (resets are rare: none in a constant
+    series, ~0.1% of random floats) and halves, to no less than 16, after
+    a hit. A window either advances the scan by `w` or ends at a reset, so
+    the work stays linear in each series' length."""
+    found = [seg_first]
+    r, q, e = seg_first, seg_first + 1, seg_end
+    w = np.full(r.size, 16)
     while True:
-        wl, wt = lead[r], trail[r]
-        j = r + 1
-        nxt = -1
-        while j < k:
-            end = min(j + CH, k)
-            bad = (lead[j:end] < wl) | (trail[j:end] < wt)
-            w = int(np.argmax(bad))
-            if bad[w]:
-                nxt = j + w
-                break
-            j = end
-        if nxt < 0:
-            break
-        resets.append(nxt)
-        r = nxt
-    return np.asarray(resets, dtype=np.int64)
-
-
-_SCALAR_MAX = 192  # below this many changed values the loop beats numpy setup
-
-
-def _encode_scalar(header: bytes, bits0: int, xors: list, nz: list, n: int) -> bytes:
-    """Per-point loop for SHORT streams, where the vectorized path's fixed
-    numpy overhead (~130us) dominates. Emits the identical bit stream."""
-    w = BitWriter()
-    w.write(bits0, 64)
-    prev_lead, prev_trail, prev_mean = 65, -1, 0
-    pos = 0
-    for idx in nz:
-        if idx > pos:
-            w.write(0, idx - pos)
-        pos = idx + 1
-        xi = xors[idx]
-        lead = 64 - xi.bit_length()
-        if lead > 31:
-            lead = 31
-        trail = (xi & -xi).bit_length() - 1
-        mean = 64 - lead - trail
-        if lead >= prev_lead and trail >= prev_trail:
-            w.write(2, 2)
-            w.write(xi >> prev_trail, prev_mean)
-        else:
-            w.write(3, 2)
-            w.write(lead, 5)
-            w.write(mean & 0x3F, 6)
-            w.write(xi >> trail, mean)
-            prev_lead, prev_mean, prev_trail = lead, mean, trail
-    if n - 1 > pos:
-        w.write(0, n - 1 - pos)
-    return header + w.to_bytes()
+        live = q < e
+        if not live.all():
+            r, q, e, w = r[live], q[live], e[live], w[live]
+        if not r.size:
+            return np.sort(np.concatenate(found))
+        steps = np.arange(w.max())
+        idx = q[:, None] + steps
+        ok = (steps < w[:, None]) & (idx < e[:, None])
+        idx[~ok] = 0
+        bad = ok & ((lead[idx] < lead[r][:, None]) | (trail[idx] < trail[r][:, None]))
+        hit = bad.any(axis=1)
+        nxt = q + bad.argmax(axis=1)
+        found.append(nxt[hit])
+        r = np.where(hit, nxt, r)
+        q = np.where(hit, nxt + 1, q + w)
+        w = np.where(hit, np.maximum(w // 2, 16), np.minimum(w * 2, 1 << 14))
 
 
 def encode_values_gorilla(values: np.ndarray) -> bytes:
+    """One series: the one-segment case of encode_values_gorilla_segments."""
+    v = np.asarray(values, dtype=np.float64)
+    return encode_values_gorilla_segments(v, np.array([0, v.size]))[0].as_py()
+
+
+def encode_values_gorilla_segments(values: np.ndarray, offsets: np.ndarray) -> pa.BinaryArray:
+    """Encode every series values[offsets[i]:offsets[i+1]] at once; the
+    i-th value is the i-th series' stream, byte for byte what the scalar
+    encoder writes. The stream depends only on the series' own values, so
+    the streams of all series are laid out side by side and written with
+    one token pack. Inside a window segment every element reuses the
+    segment's window, so all bit emission vectorizes."""
     bits = np.ascontiguousarray(np.asarray(values, dtype=np.float64)).view(np.uint64)
-    n = bits.size
-    header = struct.pack("<I", n)
-    if n == 0:
-        return header
-    xors_arr = bits[1:] ^ bits[:-1]
-    nz = np.flatnonzero(xors_arr)
-    k = nz.size
-    if k == 0:
-        w = BitWriter()
-        w.write(int(bits[0]), 64)
-        if n > 1:
-            w.write(0, n - 1)
-        return header + w.to_bytes()
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = np.diff(offsets)
+    first = offsets[:-1]
+    # xor slots: every point but each series' first
+    later = np.ones(bits.size, dtype=bool)
+    later[first[n > 0]] = False
+    slot = np.flatnonzero(later)
+    xors = bits[slot] ^ bits[slot - 1]
+    nz = np.flatnonzero(xors)
+    x = xors[nz]
+    slot_seg = np.repeat(np.arange(n.size), np.maximum(n - 1, 0))
+    nz_seg = slot_seg[nz]
+    k_per = np.bincount(nz_seg, minlength=n.size)
+    k_first = np.cumsum(k_per) - k_per
 
-    if k < _SCALAR_MAX:
-        return _encode_scalar(
-            header, int(bits[0]), xors_arr.tolist(), nz.tolist(), n
-        )
-
-    x = xors_arr[nz]
     lead, trail = _clz_ctz_vec(x)
     np.minimum(lead, 31, out=lead)  # 5-bit field; claiming fewer is lossless
     mean = 64 - lead - trail
-    # zero-run length BEFORE each nonzero xor, and after the last one
-    runs = np.diff(np.concatenate([[-1], nz])) - 1
-    tail_zeros = (n - 1) - (int(nz[-1]) + 1)
-
-    # segment the stream at window resets; inside a segment every element
-    # reuses the segment's window, so ALL bit emission vectorizes
-    resets = _find_resets(lead, trail)
-    seg_lens = np.diff(np.append(resets, k))
-    is_reset = np.zeros(k, dtype=bool)
+    has = k_per > 0
+    resets = _find_resets(lead, trail, k_first[has], (k_first + k_per)[has])
+    is_reset = np.zeros(x.size, dtype=bool)
     is_reset[resets] = True
-    w_trail = np.repeat(trail[resets], seg_lens).astype(np.uint64)
-    w_mean = np.repeat(mean[resets], seg_lens)
+    # every element uses the window of the last reset at or before it
+    win = resets[np.searchsorted(resets, np.arange(x.size), side="right") - 1]
+    w_trail = trail[win].astype(np.uint64)
+    w_mean = mean[win]
 
-    width = 2 + 11 * is_reset + w_mean
-    ends = np.cumsum(runs + width)
-    elem_start = 64 + ends - width
-    total = 64 + int(ends[-1]) + tail_zeros
+    # bits per xor slot (zeros take one), then each series' total
+    width = np.ones(xors.size, dtype=np.int64)
+    width[nz] = 2 + 11 * is_reset + w_mean
+    slot_first = np.cumsum(np.maximum(n - 1, 0)) - np.maximum(n - 1, 0)
+    cum = np.concatenate([[0], np.cumsum(width)])
+    seg_bits = 32 + 64 * (n > 0) + cum[slot_first + np.maximum(n - 1, 0)] - cum[slot_first]
+    base = segment_bases(seg_bits)
+    elem_start = (base + 96 - cum[slot_first])[nz_seg] + cum[nz]
 
-    # token streams (value, width<=64, bit start) — order-free; zero-run
-    # and padding bits need no tokens (the word buffer is zero-initialized)
-    rs = elem_start[resets]
-    tok_v = np.concatenate(
-        [
-            bits[:1],
-            (2 + is_reset).astype(np.uint64),  # ctrl '10' / '11'
-            lead[resets].astype(np.uint64),
-            (mean[resets] & 0x3F).astype(np.uint64),  # 64 wraps to 0
-            x >> w_trail,  # meaningful payload bits
-        ]
-    )
-    nr = resets.size
-    tok_w = np.concatenate(
-        [[64], np.full(k, 2), np.full(nr, 5), np.full(nr, 6), w_mean]
-    ).astype(np.int64)
-    tok_s = np.concatenate(
-        [[0], elem_start, rs + 2, rs + 7, elem_start + 2 + 11 * is_reset]
-    ).astype(np.int64)
-
-    return header + pack_tokens_msb(tok_v, tok_w, tok_s, total)
+    nonempty = n > 0
+    tok_v = np.concatenate([
+        header_tokens(n),
+        bits[first[nonempty]],
+        # ctrl '10', or '11' + 5-bit lead + 6-bit meaningful count (64 -> 0)
+        np.where(is_reset, (3 << 11) | (lead[win] << 6) | (mean[win] & 0x3F), 2).astype(np.uint64),
+        x >> w_trail,  # meaningful payload bits
+    ])
+    tok_w = np.concatenate([
+        np.full(n.size, 32), np.full(nonempty.sum(), 64), 2 + 11 * is_reset, w_mean,
+    ])
+    tok_s = np.concatenate([
+        base, base[nonempty] + 32, elem_start, elem_start + 2 + 11 * is_reset,
+    ])
+    return pack_segments(tok_v, tok_w, tok_s, seg_bits)
 
 
 def decode_values_gorilla(data: bytes) -> np.ndarray:
@@ -206,11 +180,3 @@ def decode_values_gorilla(data: bytes) -> np.ndarray:
         prev ^= x
         out[i] = prev
     return out.view(np.float64)
-
-
-def _clz64(x: int) -> int:
-    return 64 - x.bit_length()
-
-
-def _ctz64(x: int) -> int:
-    return (x & -x).bit_length() - 1

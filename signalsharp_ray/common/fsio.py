@@ -16,6 +16,7 @@ per task for object stores).
 
 from __future__ import annotations
 
+import functools
 import posixpath
 
 import pyarrow as pa
@@ -94,6 +95,29 @@ def read_parquet_dir(path_or_uri: str):
 
     fs, path = resolve_fs(path_or_uri)
     return pq.read_table(path, filesystem=fs).to_pandas()
+
+
+def read_bucket(stage_dir: str, bucket: int) -> pa.Table:
+    """One hive bucket of a stage as an Arrow table (the partition column
+    lives in the directory name, not in the files)."""
+    import pyarrow.parquet as pq
+
+    fs, path = resolve_fs(join(stage_dir, f"series_bucket={bucket}"))
+    return pq.read_table(path, filesystem=fs)
+
+
+@functools.lru_cache(maxsize=64)  # one entry per output schema
+def _pandas_metadata(schema: pa.Schema) -> dict:
+    frame_schema = schema.append(pa.field("series_bucket", pa.int64()))
+    frame = frame_schema.empty_table().to_pandas()
+    return pa.Table.from_pandas(frame, schema=frame_schema, preserve_index=False).schema.metadata
+
+
+def with_pandas_metadata(table: pa.Table) -> pa.Table:
+    """`table` with the pandas schema metadata write_bucket records for a
+    DataFrame of the same columns (which carries series_bucket): built
+    Arrow tables and frames then write byte-identical file schemas."""
+    return table.replace_schema_metadata(_pandas_metadata(table.schema.remove_metadata()))
 
 
 def write_bucket(data, out_dir: str, bucket: int) -> None:

@@ -540,32 +540,89 @@ def bucket_groups(bucket_rows: dict[int, int], n_groups: int) -> list[list[int]]
     return groups
 
 
-def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str]) -> None:
-    """Run `fn(bucket) -> {stage: DataFrame}` over every bucket of a
-    hive-partitioned input as one Ray task per contiguous bucket group,
-    each task writing its own buckets' outputs into `out_dirs[stage]`
-    (fsio.write_bucket; empty outputs write nothing).
+def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str],
+                      on_phase=None) -> None:
+    """Run `fn(bucket)` over every bucket of a hive-partitioned input as one
+    Ray task per contiguous bucket group, each task writing its own
+    buckets' outputs into `out_dirs[stage]` (fsio.write_bucket; empty
+    outputs, and stages not in out_dirs, write nothing).
+
+    `fn(bucket)` returns {stage: DataFrame or Table}, or is a generator
+    that yields one such dict per phase. A task runs phase i of all its
+    buckets, writes them, then reports, so later phases can reuse what a
+    bucket's generator computed. Float entries of a dict are step
+    seconds, summed per task with the write seconds (`write_s`).
+    `on_phase(i, steps)` is called once every task has finished phase i,
+    with the steps summed over tasks: the caller can commit that phase's
+    outputs while later phases run.
 
     One task per group instead of one Dataset job per stage: a task reads
     its input buckets once, runs every stage's kernel in memory and writes
     every stage, so the per-stage job, block and write costs are paid once
-    per group. Groups are sized by `bucket_rows` (bucket -> input rows) at
-    about 4 per cluster CPU. Out dirs may be URIs; tasks re-resolve the
-    filesystem from the string."""
+    per group. There is one group per cluster CPU, sized by `bucket_rows`
+    (bucket -> input rows), so every task runs at once and each phase ends
+    together. Out dirs may be URIs; tasks re-resolve the filesystem from
+    the string."""
+    n_cpus = int(ray.cluster_resources().get("CPU", 1))
+    gens = [_run_group.remote(fn, g, out_dirs) for g in bucket_groups(bucket_rows, max(1, n_cpus))]
+    phase = 0
+    try:
+        while gens:
+            refs, live = [], []
+            for gen in gens:
+                try:
+                    refs.append(next(gen))
+                    live.append(gen)
+                except StopIteration:
+                    pass
+            gens = live
+            steps: dict[str, float] = {}
+            for d in ray.get(refs):
+                for k, v in d.items():
+                    steps[k] = steps.get(k, 0.0) + v
+            if refs and on_phase is not None:
+                on_phase(phase, steps)
+            phase += 1
+    except Exception:
+        # a failed task or commit surfaces only once every task has ended,
+        # so no writer outlives the call
+        for gen in gens:
+            for ref in gen:
+                try:
+                    ray.get(ref)
+                except Exception:
+                    pass
+        raise
+
+
+@ray.remote(num_returns="streaming")
+def _run_group(fn, buckets, out_dirs):
+    import time
+
     from . import fsio
 
-    n_cpus = int(ray.cluster_resources().get("CPU", 1))
-    groups = bucket_groups(bucket_rows, 4 * max(1, n_cpus))
-
-    @ray.remote
-    def run_group(buckets):
-        for b in buckets:
-            for stage, df in fn(b).items():
-                fsio.write_bucket(df, out_dirs[stage], b)
-
-    refs = [run_group.remote(g) for g in groups]
-    _wait_all(refs)
-    ray.get(refs)
+    runs = []
+    for b in buckets:
+        out = fn(b)
+        runs.append(out if hasattr(out, "__next__") else iter([out]))
+    while True:
+        steps: dict[str, float] = {}
+        done = False
+        for b, run in zip(buckets, runs):
+            out = next(run, None)
+            if out is None:
+                done = True
+                continue
+            for stage, data in out.items():
+                if isinstance(data, float):
+                    steps[stage] = steps.get(stage, 0.0) + data
+                elif stage in out_dirs:
+                    t0 = time.perf_counter()
+                    fsio.write_bucket(data, out_dirs[stage], b)
+                    steps["write_s"] = steps.get("write_s", 0.0) + time.perf_counter() - t0
+        if done:
+            return
+        yield steps
 
 
 def _wait_all(refs: list) -> None:

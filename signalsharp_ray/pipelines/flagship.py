@@ -1,25 +1,29 @@
 """Flagship pipeline: web pages -> extract -> rollup tiers -> gap-fill ->
 Gorilla/DoD encode -> changepoint analysis, with per-stage checkpointing.
 
-Stage graph (three jobs; every output is hive-partitioned by
+Stage graph (two jobs; every output is hive-partitioned by
 series_bucket = url_hash % n_buckets and recorded in the manifest, so a
-killed run resumes at the first incomplete job):
+killed run resumes at the first incomplete commit):
 
     job 1: [pages] -> extract + dedup exchange -> points/data, points/dict
                       (url dictionary), rollup 1m -> tier_1m
-    job 2: tier_1m      -> cascade 1h -> 1d    -> tier_1h, tier_1d
-    job 3: tier_1m/1h/1d -> gap-fill + encode   -> blocks_1m, blocks_1h, blocks_1d
-           tier_1d      -> PELT / EMA / forecast -> changepoints_1d,
-                                                   smoothed_1d, forecast_1d
+    job 2: tier_1m -> cascade 1h -> 1d           -> tier_1h, tier_1d
+                   -> gap-fill + encode per tier -> blocks_1m, blocks_1h, blocks_1d
+           tier_1d -> PELT / EMA / forecast      -> changepoints_1d,
+                                                    smoothed_1d, forecast_1d
 
 The exchange is the only shuffle, and job 1 ends in it: each reduce task
 dedups its bucket's points and writes them, the bucket's dictionary slice
 and its 1m tier, so points and tier_1m commit together (the freshness
-point readers wait for). Jobs 2-3 are partition-aligned: each is one Ray
-task per contiguous bucket group (run_bucket_groups) that reads its input
-buckets once, runs the whole-partition kernels in memory and writes its
-own buckets of every output stage. The tiers commit before any derived
-output.
+point readers wait for). Job 2 is partition-aligned: one Ray task per
+contiguous bucket group (run_bucket_groups) reads each bucket's tier_1m
+once as an Arrow table and sorts it once by (url_hash, bucket_ts); every
+later kernel runs on those sorted arrays in memory: the cascade, one
+gap-fill grid and one DoD/Gorilla pass over all series of a tier, and the
+three analyses of the analysis tier. The job commits in two phases: the
+coarser tiers once every task has written them, then the six derived
+outputs. A rerun after a fault in the second phase recomputes the tiers
+in memory and writes only the derived outputs.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from ..stages.analysis import (
     ChangepointConfig,
     ForecastConfig,
     SmoothingConfig,
-    changepoints_partition_pandas,
-    forecast_partition_pandas,
-    smooth_partition_pandas,
+    changepoints_tier,
+    forecast_tier,
+    smooth_tier,
 )
-from ..stages.encode import encode_partition_pandas
+from ..stages.encode import encode_tier
 from ..stages.extract import dedup_bucket, exchange_points, url_dict_bucket
-from ..stages.rollup import TIERS_US, cascade_partition_pandas, rollup_partition_pandas
+from ..stages.rollup import TIERS_US, SortedTier, cascade_sorted, rollup_partition_pandas
 from ..state.manifest import PipelineManifest
 
 
@@ -77,11 +81,6 @@ class FlagshipConfig:
     encode: bool = True
 
 
-def _read_bucket(stage_dir: str, bucket: int):
-    # the partition column lives in the directory name, not in the files
-    return fsio.read_parquet_dir(fsio.join(stage_dir, f"series_bucket={bucket}"))
-
-
 def _ingest_bucket(t, points_dir, tier_dir, tier_us):
     """The points exchange's reducer: a bucket's deduplicated points, its
     url dictionary slice and its first tier, each written to the bucket's
@@ -95,39 +94,36 @@ def _ingest_bucket(t, points_dir, tier_dir, tier_us):
     return points.slice(0, 0)
 
 
-def _cascade_bucket(bucket, src_dir, tiers):
-    df = _read_bucket(src_dir, bucket)
-    out = {}
-    for tier in tiers:
-        df = out[f"tier_{tier}"] = cascade_partition_pandas(df, TIERS_US[tier])
-    return out
+def _post_1m_bucket(bucket, cfg, src_dir, dict_dir, stages):
+    """Everything after tier_1m for one bucket, as a two-phase generator
+    for run_bucket_groups: first the coarser tiers, then the blocks of
+    every tier and the analyses of the analysis tier, all from one sort of
+    the bucket's tier_1m; only `stages` are built (a rerun skips committed
+    ones). Each phase's dict also carries its step seconds (the writes are
+    timed by run_bucket_groups)."""
+    t0 = time.perf_counter()
+    tiers = {cfg.tiers[0]: SortedTier.from_table(fsio.read_bucket(src_dir, bucket))}
+    for finer, tier in zip(cfg.tiers, cfg.tiers[1:]):
+        tiers[tier], _ = cascade_sorted(tiers[finer], TIERS_US[tier])
+    out = {f"tier_{t}": tiers[t].table() for t in cfg.tiers[1:] if f"tier_{t}" in stages}
+    yield {**out, "cascade_s": time.perf_counter() - t0}
 
-
-def _derived_bucket(bucket, cfg, stages, tier_dirs, dict_dir):
-    """Blocks per tier and the three analyses of the analysis tier, for one
-    bucket; url/host strings attach to changepoints from the co-partitioned
-    dictionary slice of the same bucket."""
-    frames = {tier: _read_bucket(d, bucket) for tier, d in tier_dirs.items()}
-    out = {}
-    for tier, df in frames.items():
-        if f"blocks_{tier}" in stages:
-            out[f"blocks_{tier}"] = encode_partition_pandas(
-                df, tier, TIERS_US[tier], cfg.gapfill_method, cfg.max_gap_buckets
-            )
+    t0 = time.perf_counter()
+    out = {
+        f"blocks_{tier}": encode_tier(rows, tier, TIERS_US[tier], cfg.gapfill_method,
+                                      cfg.max_gap_buckets)
+        for tier, rows in tiers.items() if f"blocks_{tier}" in stages
+    }
+    t1 = time.perf_counter()
     at, col = cfg.analysis_tier, cfg.analysis_value_col
-    df = frames.get(at)
     if f"changepoints_{at}" in stages:
-        cps = changepoints_partition_pandas(df, cfg.changepoints, col, "url_hash")
-        if len(cps):
-            cps = cps.merge(_read_bucket(dict_dir, bucket), on="url_hash", how="left")
-        out[f"changepoints_{at}"] = cps
+        out[f"changepoints_{at}"] = changepoints_tier(
+            tiers[at], cfg.changepoints, col, url_dict=fsio.read_bucket(dict_dir, bucket))
     if f"smoothed_{at}" in stages:
-        out[f"smoothed_{at}"] = smooth_partition_pandas(df, cfg.smoothing, col, "url_hash")
+        out[f"smoothed_{at}"] = smooth_tier(tiers[at], cfg.smoothing, col)
     if f"forecast_{at}" in stages:
-        out[f"forecast_{at}"] = forecast_partition_pandas(
-            df, cfg.forecast, TIERS_US[at], col, "url_hash"
-        )
-    return out
+        out[f"forecast_{at}"] = forecast_tier(tiers[at], cfg.forecast, TIERS_US[at], col)
+    yield {**out, "encode_s": t1 - t0, "analyses_s": time.perf_counter() - t1}
 
 
 def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | None = None):
@@ -136,23 +132,19 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
     pages_ds_factory: () -> Dataset with the input_hint schema. A factory,
     not a Dataset, so skipped stages never even build the upstream graph.
     fingerprint: identifies the input (e.g. spec params or source path+mtime).
-    Returns {stage_name: parquet_dir} plus timing metrics.
+    Returns {stage_name: parquet_dir} plus per-stage seconds from its job's
+    start to its commit (0 for a stage the manifest skipped).
     """
     cfg = config or FlagshipConfig()
     manifest = PipelineManifest(cfg.out_root)
     outputs: dict[str, str] = {}
     metrics: dict[str, float] = {}
 
-    def timed(stages: dict[str, list[str]], write_fn):
-        t0 = time.time()
-        dirs, _ = manifest.run_stages(stages, fingerprint, write_fn)
-        for stage in stages:
-            metrics[stage] = time.time() - t0
-        outputs.update(dirs)
-
-    def bucket_job(rows_of: str, fn):
-        """write_fn running fn(bucket) over the buckets of `rows_of`."""
-        return lambda out_dirs: run_bucket_groups(fn, manifest.bucket_rows(rows_of), out_dirs)
+    def job(phases: list[dict[str, list[str]]], write_fn):
+        _, walls = manifest.run_job(phases, fingerprint, write_fn)
+        for stage in (stage for phase in phases for stage in phase):
+            metrics[stage] = walls.get(stage, 0.0)
+            outputs[stage] = manifest.stage_dir(stage)
 
     import ray as _ray
 
@@ -163,41 +155,33 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
     # job 1: the pipeline's only all-to-all (a manual hash exchange, no Ray
     # sort), ending in tasks that write each bucket's points, url
     # dictionary slice (co-partitioned with every later stage) and first
-    # tier; every later job is partition-aligned and shuffle-free
-    first, rest = cfg.tiers[0], cfg.tiers[1:]
+    # tier; job 2 is partition-aligned and shuffle-free
+    first = cfg.tiers[0]
 
-    def ingest(out_dirs):
+    def ingest(out_dirs, commit):
         exchange_points(pages_ds_factory(), n_buckets, partial(
             _ingest_bucket, points_dir=out_dirs["points"],
             tier_dir=out_dirs[f"tier_{first}"], tier_us=TIERS_US[first]))
 
-    timed({"points": ["pages"], f"tier_{first}": ["points"]}, ingest)
-    points_dir = outputs["points"] + "/data"
+    job([{"points": ["pages"], f"tier_{first}": ["points"]}], ingest)
     outputs["url_dict"] = outputs["points"] + "/dict"
-    outputs["points"] = points_dir
-    first_dir = outputs[f"tier_{first}"]
+    outputs["points"] += "/data"
 
-    # job 2: the coarser tiers, each cascaded in memory from the finer one
-    if rest:
-        lineage = dict(zip(rest, cfg.tiers))
-        timed({f"tier_{t}": [f"tier_{lineage[t]}"] for t in rest},
-              bucket_job(f"tier_{first}", partial(_cascade_bucket, src_dir=first_dir, tiers=rest)))
-
-    # job 3: everything derived from the tiers
+    # job 2: the coarser tiers commit first, then everything derived
+    tiers = {f"tier_{t}": [f"tier_{finer}"] for finer, t in zip(cfg.tiers, cfg.tiers[1:])}
     at = cfg.analysis_tier
-    analyses = [stage for stage, on in ((f"changepoints_{at}", cfg.analyze),
-                                        (f"smoothed_{at}", cfg.smooth),
-                                        (f"forecast_{at}", cfg.do_forecast))
-                if on and at in cfg.tiers]
     derived = {f"blocks_{t}": [f"tier_{t}"] for t in cfg.tiers if cfg.encode}
-    derived.update({stage: [f"tier_{at}"] for stage in analyses})
-    if derived:
-        read = [t for t in cfg.tiers if cfg.encode or t == at]
-        fn = partial(_derived_bucket, cfg=cfg, stages=set(derived),
-                     tier_dirs={t: outputs[f"tier_{t}"] for t in read},
-                     dict_dir=outputs["url_dict"])
-        timed(derived, bucket_job(f"tier_{first}", fn))
+    derived.update({stage: [f"tier_{at}"] for stage, on in (
+        (f"changepoints_{at}", cfg.analyze), (f"smoothed_{at}", cfg.smooth),
+        (f"forecast_{at}", cfg.do_forecast)) if on and at in cfg.tiers})
 
+    def post_1m(out_dirs, commit):
+        fn = partial(_post_1m_bucket, cfg=cfg, src_dir=outputs[f"tier_{first}"],
+                     dict_dir=outputs["url_dict"], stages=set(out_dirs))
+        run_bucket_groups(fn, manifest.bucket_rows(f"tier_{first}"), out_dirs,
+                          lambda i, steps: commit(tiers if i == 0 else derived, steps))
+
+    job([tiers, derived], post_1m)
     return {"outputs": outputs, "metrics": metrics, "manifest": manifest.records()}
 
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
+from ..common.fsio import with_pandas_metadata
 from ..kernels.cusum import CUSUMOptions, cusum_changepoints
 from ..kernels.extrapolation import HoltOptions, holt_forecast, linear_forecast, ses_forecast
 from ..kernels.kalman import KalmanOptions, kalman_filter
@@ -31,6 +33,7 @@ from ..kernels.smoothing import (
     weighted_moving_average,
 )
 from ..kernels.stats import zscore
+from .rollup import series_offsets, us_to_ns
 
 QUADRATIC_COSTS = {"rbf", "l1"}
 DEFAULT_MAX_SERIES_LEN = 20_000
@@ -222,19 +225,73 @@ def forecast_kernel(
 
 
 # -- fused whole-partition kernels ----------------------------------------
-# One sort + numpy key slicing per partition; per-series work is the pure
-# numpy kernel only — no per-series DataFrame construction (measured
-# ~10ms/series of fixed frame+sort overhead across 25k short series, which
-# dominated the analysis stages at sf0.1).
+# Each runs over a partition sorted once by (key, bucket_ts): series i is
+# rows offsets[i]:offsets[i+1] of plain numpy arrays, and per-series work is
+# the numpy kernel only, with no per-series frame or sort. The
+# *_partition_pandas functions are thin pandas adapters over them; the
+# *_tier functions build the flagship's Arrow tables from a SortedTier.
 
 
 def _partition_slices(df: pd.DataFrame, key_col: str):
     df = df.sort_values([key_col, "bucket_ts"])
     keys = df[key_col].to_numpy()
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts = np.concatenate([[0], change]) if keys.size else np.array([], dtype=np.int64)
-    ends = np.concatenate([change, [keys.size]]) if keys.size else np.array([], dtype=np.int64)
-    return df, keys, starts, ends
+    return df, keys, series_offsets(keys)
+
+
+def changepoints_sorted(keys, values, offsets, config: ChangepointConfig, key_col: str = "url_hash"):
+    """(row, penalty, breakpoint_index) of every breakpoint, `row` being
+    the sorted partition row the breakpoint falls on."""
+    cap = config.effective_cap()
+    rows, pens, bks = [], [], []
+    for s, e in zip(offsets[:-1], offsets[1:]):
+        if e - s > cap:
+            raise ValueError(
+                f"Series {key_col}={keys[s]} has {e - s} points > cap {cap}; "
+                "analyze a coarser tier."
+            )
+        bkps, penalty = _detect_values(values[s:e], config)
+        if len(bkps):
+            bk = np.asarray(bkps, dtype=np.int64)
+            rows.append(s + bk)
+            bks.append(bk)
+            pens.append(np.full(bk.size, penalty))
+    if not rows:
+        return np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int32)
+    return np.concatenate(rows), np.concatenate(pens), np.concatenate(bks).astype(np.int32)
+
+
+def smooth_sorted(values, offsets, config: SmoothingConfig) -> np.ndarray:
+    out = np.empty_like(values)
+    for s, e in zip(offsets[:-1], offsets[1:]):
+        out[s:e] = _smooth_values(values[s:e], config)
+    return out
+
+
+def forecast_sorted(keys, values, ts_us, offsets, config: ForecastConfig, tier_us: int):
+    """(key, h, forecast_ts in us, forecast) rows; a series too short or
+    invalid for the model gets none."""
+    h = config.horizon
+    hs = np.arange(1, h + 1)
+    out_key, out_fts, out_fc = [], [], []
+    for s, e in zip(offsets[:-1], offsets[1:]):
+        try:
+            if config.method == "linear":
+                fc = linear_forecast(values[s:e], h, config.window_size)
+            elif config.method == "ses":
+                fc = ses_forecast(values[s:e], h, config.alpha, config.initial_level)
+            elif config.method == "holt":
+                fc = holt_forecast(values[s:e], h, config.holt)
+            else:
+                raise RuntimeError(f"Unknown forecast method {config.method!r}")
+        except ValueError:
+            continue  # series too short / invalid for the model
+        out_key.append(np.repeat(keys[s], h))
+        out_fts.append(ts_us[e - 1] + hs * tier_us)
+        out_fc.append(fc)
+    if not out_key:
+        return keys[:0], np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0)
+    return (np.concatenate(out_key), np.tile(hs.astype(np.int32), len(out_key)),
+            np.concatenate(out_fts), np.concatenate(out_fc))
 
 
 def changepoints_partition_pandas(
@@ -243,28 +300,11 @@ def changepoints_partition_pandas(
     value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, keys, starts, ends = _partition_slices(df, key_col)
-    vals_all = df[value_col].to_numpy(dtype=np.float64)
+    df, keys, offsets = _partition_slices(df, key_col)
     ts_all = df["bucket_ts"].to_numpy()
-    cap = config.effective_cap()
-    out_key, out_bk, out_ts, out_pen = [], [], [], []
-    for s, e in zip(starts, ends):
-        n = e - s
-        if n > cap:
-            raise ValueError(
-                f"Series {key_col}={keys[s]} has {n} points > cap {cap}; "
-                "analyze a coarser tier."
-            )
-        bkps, penalty = _detect_values(vals_all[s:e], config)
-        k = len(bkps)
-        if not k:
-            continue
-        bk = np.asarray(bkps, dtype=np.int64)
-        out_key.append(np.repeat(keys[s], k))
-        out_bk.append(bk)
-        out_ts.append(ts_all[s + bk])
-        out_pen.append(np.full(k, penalty))
-    if not out_key:
+    rows, pen, bk = changepoints_sorted(
+        keys, df[value_col].to_numpy(dtype=np.float64), offsets, config, key_col)
+    if not rows.size:
         return pd.DataFrame(
             {
                 key_col: keys[:0],
@@ -276,11 +316,11 @@ def changepoints_partition_pandas(
         )
     return pd.DataFrame(
         {
-            key_col: np.concatenate(out_key),
+            key_col: keys[rows],
             "method": config.method,
-            "penalty": np.concatenate(out_pen),
-            "breakpoint_index": np.concatenate(out_bk).astype(np.int32),
-            "breakpoint_ts": np.concatenate(out_ts),
+            "penalty": pen,
+            "breakpoint_index": bk,
+            "breakpoint_ts": ts_all[rows],
         }
     )
 
@@ -289,13 +329,9 @@ def smooth_partition_pandas(
     df: pd.DataFrame, config: SmoothingConfig, value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, keys, starts, ends = _partition_slices(df, key_col)
-    vals_all = df[value_col].to_numpy(dtype=np.float64)
-    sm = np.empty_like(vals_all)
-    for s, e in zip(starts, ends):
-        sm[s:e] = _smooth_values(vals_all[s:e], config)
+    df, _, offsets = _partition_slices(df, key_col)
     out = df.copy()
-    out["smoothed"] = sm
+    out["smoothed"] = smooth_sorted(df[value_col].to_numpy(dtype=np.float64), offsets, config)
     out["op"] = config.op
     return out
 
@@ -307,28 +343,12 @@ def forecast_partition_pandas(
     value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, keys, starts, ends = _partition_slices(df, key_col)
-    vals_all = df[value_col].to_numpy(dtype=np.float64)
-    ts_all = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
-    h = config.horizon
-    hs = np.arange(1, h + 1)
-    out_key, out_fts, out_fc = [], [], []
-    for s, e in zip(starts, ends):
-        try:
-            if config.method == "linear":
-                fc = linear_forecast(vals_all[s:e], h, config.window_size)
-            elif config.method == "ses":
-                fc = ses_forecast(vals_all[s:e], h, config.alpha, config.initial_level)
-            elif config.method == "holt":
-                fc = holt_forecast(vals_all[s:e], h, config.holt)
-            else:
-                raise RuntimeError(f"Unknown forecast method {config.method!r}")
-        except ValueError:
-            continue  # series too short / invalid for the model
-        out_key.append(np.repeat(keys[s], h))
-        out_fts.append(ts_all[e - 1] + hs * tier_us)
-        out_fc.append(fc)
-    if not out_key:
+    df, keys, offsets = _partition_slices(df, key_col)
+    key, h, fts, fc = forecast_sorted(
+        keys, df[value_col].to_numpy(dtype=np.float64),
+        df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy(),
+        offsets, config, tier_us)
+    if not key.size:
         return pd.DataFrame(
             {
                 key_col: keys[:0],
@@ -338,13 +358,60 @@ def forecast_partition_pandas(
                 "forecast": pd.Series(dtype="float64"),
             }
         )
-    n_series = len(out_key)
     return pd.DataFrame(
         {
-            key_col: np.concatenate(out_key),
+            key_col: key,
             "method": config.method,
-            "h": np.tile(hs.astype(np.int32), n_series),
-            "forecast_ts": pd.to_datetime(np.concatenate(out_fts), unit="us"),
-            "forecast": np.concatenate(out_fc),
+            "h": h,
+            "forecast_ts": pd.to_datetime(fts, unit="us"),
+            "forecast": fc,
         }
     )
+
+
+def _const(value: str, n: int) -> pa.Array:
+    return pa.array([value] * n, pa.string())
+
+
+def changepoints_tier(tier, config: ChangepointConfig, value_col: str = "mean",
+                      key_col: str = "url_hash", url_dict: pa.Table | None = None) -> pa.Table:
+    """The changepoints file's table for a SortedTier; `url_dict` (url_hash,
+    url, host) attaches the strings by a search on its sorted keys (a left
+    join: an absent key gets nulls)."""
+    values = tier.cols[value_col].astype(np.float64)
+    rows, pen, bk = changepoints_sorted(tier.key, values, tier.offsets, config, key_col)
+    keys = tier.key[rows]
+    cols = {
+        key_col: keys,
+        "method": _const(config.method, rows.size),
+        "penalty": pen,
+        "breakpoint_index": bk,
+        "breakpoint_ts": us_to_ns(tier.ts[rows]),
+    }
+    if url_dict is not None:
+        dkeys = url_dict[key_col].to_numpy()
+        order = np.argsort(dkeys, kind="stable")
+        at = order[np.minimum(np.searchsorted(dkeys, keys, sorter=order), dkeys.size - 1)]
+        take = pa.array(at, mask=dkeys[at] != keys)
+        for c in url_dict.column_names:
+            if c != key_col:
+                cols[c] = url_dict[c].take(take)
+    return with_pandas_metadata(pa.table(cols))
+
+
+def smooth_tier(tier, config: SmoothingConfig, value_col: str = "mean",
+                key_col: str = "url_hash") -> pa.Table:
+    t = tier.table(key_col)
+    return with_pandas_metadata(t.append_column(
+        "smoothed", pa.array(smooth_sorted(tier.cols[value_col].astype(np.float64), tier.offsets, config))
+    ).append_column("op", _const(config.op, t.num_rows)))
+
+
+def forecast_tier(tier, config: ForecastConfig, tier_us: int, value_col: str = "mean",
+                  key_col: str = "url_hash") -> pa.Table:
+    key, h, fts, fc = forecast_sorted(tier.key, tier.cols[value_col].astype(np.float64), tier.ts,
+                                      tier.offsets, config, tier_us)
+    return with_pandas_metadata(pa.table({
+        key_col: key, "method": _const(config.method, key.size), "h": h,
+        "forecast_ts": us_to_ns(fts), "forecast": fc,
+    }))

@@ -1,9 +1,10 @@
 """Encode stage: per-series Gorilla + delta-of-delta compressed blocks.
 
-encode_partition_pandas gap-fills and encodes every series of a whole
-partition frame in one pass, emitting one block row per series:
+encode_sorted gap-fills and encodes every series of a sorted partition in
+one pass (one grid, one DoD and one Gorilla pass for all series), emitting
+one block row per series:
 
-    <key>, tier, n_points:int32, first_ts:timestamp[us],
+    <key>, tier, n_points:int32, first_ts:timestamp[ns],
     first_value:float64, ts_dod:binary, values_gorilla:binary
 
 Round-trip is exact (bit-identical float64, exact int64 timestamps) — see
@@ -16,12 +17,58 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..codecs import (
-    decode_timestamps_dod,
-    decode_values_gorilla,
-    encode_timestamps_dod,
-    encode_values_gorilla,
-)
+from ..codecs import decode_timestamps_dod, decode_values_gorilla
+from ..codecs.dod import encode_timestamps_dod_segments
+from ..codecs.gorilla import encode_values_gorilla_segments
+from ..common.fsio import with_pandas_metadata
+from .gapfill import gapfill_segments
+from .rollup import series_offsets, us_to_ns
+
+
+def encode_sorted(
+    key: np.ndarray,
+    ts: np.ndarray,
+    values: np.ndarray,
+    offsets: np.ndarray,
+    tier_us: int,
+    method: str = "locf",
+    max_gap_buckets: int | None = None,
+) -> dict:
+    """Gap-fill and encode every series of a sorted partition at once:
+    series i is rows offsets[i]:offsets[i+1] (ts in int64 microseconds).
+    One gap-fill grid for all series, then one DoD and one Gorilla pass
+    over all of them; no per-series Python. Returns one block per series:
+    key, n_points, first_ts (us), first_value and the two binary arrays."""
+    grid, value, goff = gapfill_segments(ts, values, offsets, tier_us, method, max_gap_buckets)
+    start = goff[:-1]
+    return {
+        "key": key[offsets[:-1]],
+        "n_points": np.diff(goff).astype(np.int32),
+        "first_ts": grid[start],
+        "first_value": value[start],
+        "ts_dod": encode_timestamps_dod_segments(grid, goff),
+        "values_gorilla": encode_values_gorilla_segments(value, goff),
+    }
+
+
+def encode_tier(tier, tier_name: str, tier_us: int, method: str = "locf",
+                max_gap_buckets: int | None = None, key_col: str = "url_hash",
+                value_col: str = "mean") -> pa.Table:
+    """A SortedTier's block rows as the blocks file's table:
+    <key>, tier, n_points:int32, first_ts:timestamp[ns], first_value,
+    ts_dod, values_gorilla."""
+    b = encode_sorted(tier.key, tier.ts, tier.cols[value_col].astype(np.float64),
+                      tier.offsets, tier_us, method, max_gap_buckets)
+    return with_pandas_metadata(pa.table({
+        key_col: b["key"],
+        "tier": pa.array([tier_name] * b["key"].size, pa.string()),
+        "n_points": b["n_points"],
+        "first_ts": us_to_ns(b["first_ts"]),
+        "first_value": b["first_value"],
+        "ts_dod": b["ts_dod"],
+        "values_gorilla": b["values_gorilla"],
+    }))
+
 
 def encode_partition_pandas(
     df: pd.DataFrame,
@@ -32,14 +79,8 @@ def encode_partition_pandas(
     key_col: str = "url_hash",
     value_col: str = "mean",
 ) -> pd.DataFrame:
-    """Fused gap-fill + encode over a WHOLE partition frame: one sort,
-    numpy group slicing, per-series work is pure numpy + the codecs —
-    zero per-series DataFrame/Table construction (the per-series pandas
-    path cost ~3ms/series in fixed frame overhead, which dominated the
-    blocks_* stages at 75k series-tiers). Output: one block row per
-    series."""
-    from .gapfill import gapfill_arrays
-
+    """Fused gap-fill + encode over a WHOLE partition frame, one block row
+    per series: the pandas adapter of encode_sorted."""
     if len(df) == 0:
         return pd.DataFrame(
             {
@@ -54,35 +95,22 @@ def encode_partition_pandas(
         )
     df = df.sort_values([key_col, "bucket_ts"])
     keys = df[key_col].to_numpy()
-    ts_all = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
-    val_all = df[value_col].to_numpy(dtype=np.float64)
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [keys.size]])
-    out_key = keys[starts]
-    n_pts = np.empty(starts.size, dtype=np.int32)
-    first_ts = np.empty(starts.size, dtype=np.int64)
-    first_val = np.empty(starts.size, dtype=np.float64)
-    ts_blobs: list = [None] * starts.size
-    val_blobs: list = [None] * starts.size
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        grid, value, _, _ = gapfill_arrays(
-            ts_all[s:e], val_all[s:e], tier_us, method, max_gap_buckets
-        )
-        n_pts[i] = grid.size
-        first_ts[i] = grid[0]
-        first_val[i] = value[0]
-        ts_blobs[i] = encode_timestamps_dod(grid)
-        val_blobs[i] = encode_values_gorilla(value)
+    b = encode_sorted(
+        keys,
+        df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy(),
+        df[value_col].to_numpy(dtype=np.float64),
+        series_offsets(keys),
+        tier_us, method, max_gap_buckets,
+    )
     return pd.DataFrame(
         {
-            key_col: out_key,
+            key_col: b["key"],
             "tier": tier,
-            "n_points": n_pts,
-            "first_ts": pd.to_datetime(first_ts, unit="us"),
-            "first_value": first_val,
-            "ts_dod": ts_blobs,
-            "values_gorilla": val_blobs,
+            "n_points": b["n_points"],
+            "first_ts": pd.to_datetime(b["first_ts"], unit="us"),
+            "first_value": b["first_value"],
+            "ts_dod": b["ts_dod"].to_numpy(zero_copy_only=False),
+            "values_gorilla": b["values_gorilla"].to_numpy(zero_copy_only=False),
         }
     )
 

@@ -75,6 +75,73 @@ def gapfill_arrays(
     return grid, value, observed, pos
 
 
+def gapfill_segments(
+    ts: np.ndarray,
+    mean_obs: np.ndarray,
+    offsets: np.ndarray,
+    tier_us: int,
+    method: str = "locf",
+    max_gap_buckets: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gapfill_arrays for many series in one pass: series i is
+    ts[offsets[i]:offsets[i+1]] (sorted, non-empty). Returns (grid, value,
+    grid_offsets), series i's filled grid being grid[grid_offsets[i]:
+    grid_offsets[i+1]], element for element what gapfill_arrays returns
+    for that series alone (same integer grid, same float operations)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = np.diff(offsets)
+    first, last = offsets[:-1], offsets[1:] - 1
+    idx = np.arange(ts.size)
+    is_last = idx == np.repeat(last, n)
+    if max_gap_buckets is None:
+        # grid = np.arange(ts[0], ts[-1] + tier, tier) per series; point j
+        # is the last observed one for every slot from ceil((ts[j] -
+        # ts[0]) / tier) on, so the last observed index is a running count
+        rel = ts - np.repeat(ts[first], n)
+        slot = -((-rel) // tier_us)  # ceil
+        glen = slot[last] + 1
+        start = np.cumsum(glen) - glen
+        local = np.arange(glen.sum()) - np.repeat(start, glen)
+        grid = np.repeat(ts[first], glen) + local * tier_us
+        last_idx = np.cumsum(np.bincount(slot + np.repeat(start, n), minlength=grid.size)) - 1
+    else:
+        # the observed buckets plus every slot of a gap of at most
+        # max_gap_buckets missing buckets, placed after the point that
+        # opens the gap (its slots lie strictly between its two points)
+        gaps = np.diff(ts) // tier_us - 1  # missing buckets between points
+        fill = np.flatnonzero(~is_last[:-1] & (gaps > 0) & (gaps <= max_gap_buckets))
+        cnt = -((tier_us - (ts[fill + 1] - ts[fill])) // tier_us)  # len(np.arange)
+        after = np.zeros(ts.size, dtype=np.int64)
+        after[fill] = cnt
+        pos = idx + np.cumsum(after) - after
+        k = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        slots = np.repeat(pos[fill], cnt) + k + 1
+        grid = np.empty(ts.size + slots.size, dtype=np.int64)
+        grid[pos] = ts
+        grid[slots] = np.repeat(ts[fill], cnt) + (k + 1) * tier_us
+        # a slot's last observed point opened its gap; a point's is the
+        # last of its run of equal timestamps (searchsorted side="right")
+        run_end = np.flatnonzero(np.append(ts[1:] != ts[:-1], True) | is_last)
+        last_idx = np.empty(grid.size, dtype=np.int64)
+        last_idx[pos] = run_end[np.searchsorted(run_end, idx)]
+        last_idx[slots] = np.repeat(fill, cnt)
+        start = pos[first]
+    goff = np.append(start, grid.size)
+    if method == "locf":
+        value = mean_obs[last_idx]
+    else:  # linear, the same separate ops as gapfill_arrays
+        i0 = last_idx  # never before its series' first point
+        i1 = np.minimum(i0 + 1, np.repeat(last, np.diff(goff)))
+        t0 = ts[i0].astype(np.float64)
+        t1 = ts[i1].astype(np.float64)
+        v0 = mean_obs[i0]
+        v1 = mean_obs[i1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(t1 > t0, (v1 - v0) / (t1 - t0), 0.0)
+        value = slope * (grid.astype(np.float64) - t0) + v0
+    return grid, value, goff
+
+
 def gapfill_series(
     df: pd.DataFrame,
     tier_us: int,

@@ -5,27 +5,33 @@ statistics (/root/reference/SignalSharp/Resampling/Resampling.cs:101-216):
 tumbling windows on the timestamp instead of the index, with identical
 ragged-tail semantics (a bucket aggregates whatever points fall in it).
 
-Scale design:
-- PARTIAL+FINAL aggregation: every batch is pre-aggregated on
-  (host, url, bucket_ts) with pyarrow's hash groupby BEFORE the cluster-wide
-  shuffle, so the all-to-all exchange moves one row per (key, bucket) per
-  batch instead of one row per point. count/sum/min/max are commutative and
-  associative, so partial merging is exact.
-- TIER CASCADE: 1h is re-aggregated from 1m partials and 1d from 1h
-  (sum of sums, sum of counts, min of mins, max of maxes) — exact, and the
-  coarser tiers never touch the raw points again.
-- mean = sum/count is computed AFTER the final merge (it is not mergeable).
+Two forms:
+- PARTITION KERNELS (the flagship): the input is already hash-partitioned
+  by `url_hash`, so no shuffle. rollup_partition_pandas rolls a bucket's
+  points into the 1m tier; cascade_sorted re-aggregates a SortedTier (the
+  bucket's rows sorted once by url_hash, bucket_ts) into a coarser one in
+  one reduceat pass — sum of sums, sum of counts, min of mins, max of
+  maxes, exact, so the coarser tiers never touch the raw points again.
+  Tier files hold:
+      url_hash:int64, bucket_ts:timestamp[ns],
+      count:int64, sum:float64, min:float64, max:float64, mean:float64
+- DATASET FORM (rollup_tier / cascade_tier): PARTIAL+FINAL aggregation
+  over a Ray Dataset keyed by the caller's key columns (host, url by
+  default). Every batch is pre-aggregated with pyarrow's hash groupby
+  before the one shuffle, so the exchange moves one row per (key, bucket)
+  per batch instead of one per point; count/sum/min/max merge exactly.
+  Its rows carry the key columns and bucket_ts:timestamp[us].
 
-Output schema per tier:
-    host:string, url:string, bucket_ts:timestamp[us],
-    count:int64, sum:float64, min:float64, max:float64, mean:float64
+mean = sum/count is computed AFTER the final merge (it is not mergeable).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..common.fsio import with_pandas_metadata
 from ..common.raytools import hash_bucket_aggregate
 
 TIERS_US = {
@@ -40,9 +46,6 @@ TIERS_US = {
 
 ROLLUP_KEY = ["host", "url", "bucket_ts"]
 DEFAULT_SERIES_KEY = ["host", "url"]
-
-
-import numpy as np
 
 
 def bucket_timestamps(ts: pa.ChunkedArray, tier_us: int) -> pa.Array:
@@ -188,21 +191,96 @@ def rollup_partition_pandas(df, tier_us: int, key: str = "url_hash"):
     return out
 
 
+TIER_COLUMNS = ("count", "sum", "min", "max", "mean")
+
+
+def series_offsets(keys: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal keys in a sorted key array: run i is
+    rows offsets[i]:offsets[i+1]."""
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.concatenate([[0], starts, [keys.size]]) if keys.size else np.zeros(1, np.int64)
+
+
+class SortedTier:
+    """One bucket's tier rows sorted by (key, bucket_ts), as numpy arrays:
+    `key`, `ts` (bucket_ts in int64 microseconds) and `cols` (count, sum,
+    min, max, mean); series i is rows offsets[i]:offsets[i+1]. Every
+    kernel after the 1m rollup (cascade, gap-fill + encode, the analyses)
+    reads this one sort."""
+
+    __slots__ = ("key", "ts", "cols", "offsets")
+
+    def __init__(self, key: np.ndarray, ts: np.ndarray, cols: dict):
+        self.key, self.ts, self.cols = key, ts, cols
+        self.offsets = series_offsets(key)
+
+    @classmethod
+    def from_table(cls, t: pa.Table, key: str = "url_hash") -> "SortedTier":
+        k = t[key].to_numpy()
+        # a safe cast: tier buckets are whole minutes, so it never truncates
+        ts = t["bucket_ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+        order = np.lexsort((ts, k))
+        return cls(k[order], ts[order], {c: t[c].to_numpy()[order] for c in TIER_COLUMNS})
+
+    def table(self, key: str = "url_hash") -> pa.Table:
+        """The tier file's table: key, bucket_ts:timestamp[ns], count:int64,
+        sum/min/max/mean:float64, with the pandas metadata a DataFrame
+        write records."""
+        return with_pandas_metadata(pa.table(
+            {key: self.key, "bucket_ts": us_to_ns(self.ts), **self.cols}))
+
+
+
+def us_to_ns(us: np.ndarray) -> pa.Array:
+    """int64 microseconds as timestamp[ns] (what pd.to_datetime(unit="us")
+    gives); the cast raises on overflow past 2262 as pandas does."""
+    return pa.array(us, pa.timestamp("us")).cast(pa.timestamp("ns"))
+
+
+def cascade_sorted(tier: SortedTier, tier_us: int) -> tuple[SortedTier, np.ndarray]:
+    """Re-aggregate a sorted finer tier into coarser buckets in one pass:
+    the coarse bucket is monotone within a series, so each output row is a
+    run of input rows and every aggregate is one reduceat. count sums as
+    int64. sum is np.add.reduceat in float64 (numpy's summation order,
+    pairwise within long runs) with NaN counted as 0, as pandas' skipna
+    sum; that is exact for the engine's integer-valued sums (byte lengths)
+    below 2^53, while pandas' groupby sums with Kahan compensation, so a
+    non-integer sum may differ from it in the last bit. min/max skip NaN
+    (np.fmin/np.fmax), NaN only for an all-NaN run, as pandas. Returns the
+    coarser tier and the first input row of each output row."""
+    bucket = (tier.ts // tier_us) * tier_us
+    key = tier.key
+    if key.size:
+        brk = np.flatnonzero((key[1:] != key[:-1]) | (bucket[1:] != bucket[:-1])) + 1
+        starts = np.concatenate([[0], brk])
+    else:
+        starts = np.zeros(0, dtype=np.int64)
+    c = tier.cols
+
+    def agg(ufunc, v):
+        return ufunc.reduceat(v, starts) if starts.size else v[:0]
+
+    s = np.where(np.isnan(c["sum"]), 0.0, c["sum"])
+    out = {"count": agg(np.add, c["count"]), "sum": agg(np.add, s),
+           "min": agg(np.fmin, c["min"]), "max": agg(np.fmax, c["max"])}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out["mean"] = out["sum"] / out["count"]
+    return SortedTier(key[starts], bucket[starts], out), starts
+
+
 def cascade_partition_pandas(df, tier_us: int, key: str = "url_hash"):
-    """Whole-partition tier cascade in pandas — exact re-aggregation of
-    count/sum/min/max into coarser buckets."""
+    """Whole-partition tier cascade: the pandas adapter of cascade_sorted.
+    Rows come in the order groupby(sort=False) gives (first appearance)."""
     import pandas as pd
 
-    ts = df["bucket_ts"].astype("datetime64[us]").astype("int64")
-    bucket = (ts // tier_us) * tier_us
-    # one dict aggregation over the four columns: the same frame as four
-    # named aggregations in ~0.6x the time (fixed per-call cost dominates
-    # on small buckets)
-    g = df.groupby([df[key], bucket], sort=False)[["count", "sum", "min", "max"]].agg(
-        {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
-    )
-    out = g.reset_index()
-    out.columns = [key, "bucket_ts", "count", "sum", "min", "max"]
-    out["bucket_ts"] = pd.to_datetime(out["bucket_ts"], unit="us")
-    out["mean"] = out["sum"] / out["count"]
-    return out
+    ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
+    keys = df[key].to_numpy()
+    order = np.lexsort((ts, keys))
+    finer = SortedTier(keys[order], ts[order],
+                       {c: df[c].to_numpy()[order] for c in ("count", "sum", "min", "max")})
+    out, starts = cascade_sorted(finer, tier_us)
+    first_seen = np.argsort(np.minimum.reduceat(order, starts) if starts.size else starts)
+    frame = pd.DataFrame({key: out.key, "bucket_ts": out.ts, **out.cols}).iloc[first_seen]
+    frame = frame.reset_index(drop=True)
+    frame["bucket_ts"] = pd.to_datetime(frame["bucket_ts"], unit="us")
+    return frame

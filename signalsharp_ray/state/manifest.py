@@ -9,9 +9,9 @@ current fingerprint is skipped and its parquet output is reused.
 The root may be a plain local path or a URI (s3://, file://, any fsspec
 scheme): all filesystem access goes through pyarrow.fs via common.fsio.
 
-One job may write several stages (run_stages): the job reruns whole unless
-every one of its stages is complete, and its stages' entries commit in one
-manifest write.
+One job may write several stages (run_job), committing them in phases:
+each phase's entries commit in one manifest write, and a rerun skips the
+phases whose stages are all complete and rewrites every other phase whole.
 
 Commit protocol by filesystem:
 - LOCAL: output goes to `<stage>.tmp-<pid>` and is renamed into place
@@ -52,6 +52,9 @@ class StageRecord:
     # downstream consumer skip finished partitions by name (north rule:
     # per-partition lineage + row-count/byte metrics)
     partitions: dict = field(default_factory=dict)
+    # seconds per step of the job's tasks, summed over tasks, for the work
+    # since the job's previous commit (e.g. cascade_s, encode_s, write_s)
+    steps: dict = field(default_factory=dict)
 
 
 class PipelineManifest:
@@ -119,63 +122,89 @@ class PipelineManifest:
 
         Returns (stage_dir, skipped: bool).
         """
-        dirs, skipped = self.run_stages(
-            {stage: lineage}, fingerprint, lambda out_dirs: write_fn(out_dirs[stage])
+        dirs, walls = self.run_job(
+            [{stage: lineage}], fingerprint, lambda out_dirs, commit: write_fn(out_dirs[stage])
         )
-        return dirs[stage], skipped
+        return dirs[stage], not walls
 
-    def run_stages(self, stages: dict[str, list[str]], fingerprint: str, write_fn):
-        """Execute one job that writes several stages: `write_fn({stage:
-        out_dir})` must write every stage's parquet into its out_dir. The
-        job is skipped only if EVERY stage is complete for this fingerprint;
-        otherwise all of them are rewritten. `stages` maps stage -> lineage.
-        One record per stage, all committed together, each carrying the
-        job's wall time.
+    def run_job(self, phases: list[dict[str, list[str]]], fingerprint: str, write_fn):
+        """Execute one job whose stages commit in phases: `phases` is a
+        list of {stage: lineage} in commit order. A phase whose stages are
+        all complete for this fingerprint is skipped (its stages get no
+        out_dir); every other phase is rewritten whole.
+        `write_fn(out_dirs, commit)` writes each listed stage's parquet into
+        out_dirs[stage] and may call `commit(stages, steps)` once a group of
+        them is fully written: their records then commit in one manifest
+        write, carrying `steps` (step seconds) plus any steps passed with
+        an earlier commit of no stages. Stages left uncommitted when
+        write_fn returns commit then.
 
-        Returns ({stage: stage_dir}, skipped: bool).
+        Returns ({stage: stage_dir}, {stage: seconds from the job's start
+        to its commit} for the stages written).
         """
-        dirs = {stage: self.stage_dir(stage) for stage in stages}
-        if all(self.is_complete(stage, fingerprint) for stage in stages):
-            return dirs, True
+        dirs = {stage: self.stage_dir(stage) for phase in phases for stage in phase}
+        lineage = {stage: lin for phase in phases for stage, lin in phase.items()}
+        todo = [stage for phase in phases
+                if not all(self.is_complete(stage, fingerprint) for stage in phase)
+                for stage in phase]
+        if not todo:
+            return dirs, {}
         t0 = time.time()
         if self._local:
             # clear stale tmp dirs, ours or a KILLED prior run's
             sel = pafs.FileSelector(self._root_path, allow_not_found=True)
-            prefixes = tuple(f"{stage}.tmp-" for stage in stages)
+            prefixes = tuple(f"{stage}.tmp-" for stage in todo)
             for info in self._fs.get_file_info(sel):
                 if info.type == pafs.FileType.Directory and info.base_name.startswith(prefixes):
                     fsio.rmtree(self._fs, info.path)
-            tmp = {stage: f"{stage}.tmp-{os.getpid()}" for stage in stages}
+            tmp = {stage: f"{stage}.tmp-{os.getpid()}" for stage in todo}
             for name in tmp.values():
                 fsio.makedirs(self._fs, self._stage_path(name))
-            write_fn({stage: fsio.join(self.root, name) for stage, name in tmp.items()})
-            for stage, name in tmp.items():
-                out_path = self._stage_path(stage)
-                fsio.rmtree(self._fs, out_path)
-                os.replace(self._stage_path(name), out_path)
+            out_dirs = {stage: fsio.join(self.root, name) for stage, name in tmp.items()}
         else:
             # no atomic dir rename on object stores: write in place, commit
             # via the manifest entries below (see module docstring)
-            for stage in stages:
+            for stage in todo:
                 fsio.rmtree(self._fs, self._stage_path(stage))
                 fsio.makedirs(self._fs, self._stage_path(stage))
-            write_fn(dirs)
-        # one footer walk per stage
-        parts = {stage: _partition_stats(self._fs, self._stage_path(stage)) for stage in stages}
-        wall_s = time.time() - t0
-        self.record(*(
-            StageRecord(
-                stage=stage,
-                fingerprint=fingerprint,
-                rows=sum(p["rows"] for p in parts[stage].values()),
-                bytes=sum(p["bytes"] for p in parts[stage].values()),
-                wall_s=wall_s,
-                lineage=lineage,
-                partitions=parts[stage],
-            )
-            for stage, lineage in stages.items()
-        ))
-        return dirs, False
+            tmp = {}
+            out_dirs = {stage: dirs[stage] for stage in todo}
+        walls: dict[str, float] = {}
+        pending_steps: dict[str, float] = {}
+
+        def commit(stages, steps=None) -> None:
+            for k, v in (steps or {}).items():
+                pending_steps[k] = pending_steps.get(k, 0.0) + v
+            stages = [stage for stage in stages if stage in out_dirs and stage not in walls]
+            if not stages:
+                return
+            if self._local:
+                for stage in stages:
+                    out_path = self._stage_path(stage)
+                    fsio.rmtree(self._fs, out_path)
+                    os.replace(self._stage_path(tmp[stage]), out_path)
+            # one footer walk per stage
+            parts = {stage: _partition_stats(self._fs, self._stage_path(stage)) for stage in stages}
+            wall_s = time.time() - t0
+            self.record(*(
+                StageRecord(
+                    stage=stage,
+                    fingerprint=fingerprint,
+                    rows=sum(p["rows"] for p in parts[stage].values()),
+                    bytes=sum(p["bytes"] for p in parts[stage].values()),
+                    wall_s=wall_s,
+                    lineage=lineage[stage],
+                    partitions=parts[stage],
+                    steps=dict(pending_steps),
+                )
+                for stage in stages
+            ))
+            pending_steps.clear()
+            walls.update(dict.fromkeys(stages, wall_s))
+
+        write_fn(out_dirs, commit)
+        commit(todo)
+        return dirs, walls
 
 
 def _partition_stats(fs: pafs.FileSystem, directory: str) -> dict:

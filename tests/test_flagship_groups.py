@@ -1,8 +1,12 @@
-"""The flagship's bucket-group jobs (raytools.run_bucket_groups +
-PipelineManifest.run_stages) against the per-stage Dataset path they
-replaced, and resume after a fault inside the derived job."""
+"""The flagship's post-1m job (raytools.run_bucket_groups +
+PipelineManifest.run_job) against the per-stage Dataset path it replaced,
+and resume after a fault or a killed run inside it."""
 
 import glob
+import os
+import signal
+import subprocess
+import sys
 
 import pyarrow.compute as pc
 import pyarrow.dataset as pds
@@ -100,13 +104,18 @@ def test_group_jobs_match_per_stage_dataset_path(clean, tmp_path):
         old_schema = pq.read_schema(glob.glob(f"{tmp_path}/{stage}/*/*.parquet")[0])
         for f in glob.glob(f"{root}/{stage}/*/*.parquet"):
             assert pq.read_schema(f).equals(old_schema, check_metadata=True), (stage, f)
-    # three jobs after the exchange: tier_1m alone, then the coarser tiers
-    # together, then every derived output together
+    # one job after the exchange, committing in two phases: tier_1m commits
+    # alone (with points), then the coarser tiers together, then every
+    # derived output together; each commit records its step seconds
     man = res["manifest"]
     assert man["tier_1m"]["completed_at"] < man["tier_1h"]["completed_at"]
     assert man["tier_1h"]["completed_at"] == man["tier_1d"]["completed_at"]
     assert man["tier_1d"]["completed_at"] < man["blocks_1m"]["completed_at"]
     assert len({man[s]["completed_at"] for s in DERIVED_STAGES}) == 1
+    assert set(man["tier_1h"]["steps"]) == {"cascade_s", "write_s"}
+    assert set(man["blocks_1m"]["steps"]) == {"encode_s", "analyses_s", "write_s"}
+    assert all(v > 0 for s in ("tier_1d", "forecast_1d") for v in man[s]["steps"].values())
+    assert man["tier_1m"]["steps"] == {}
     # counts are conserved through the in-memory cascade
     counts = [pc.sum(_stage_table(root / s)["count"]).as_py() for s in TIER_STAGES]
     assert counts[0] == counts[1] == counts[2] == man["points"]["partitions"]["data"]["rows"]
@@ -124,8 +133,66 @@ def test_fault_in_derived_job_resumes_after_tiers(clean, tmp_path):
     res_fail = PipelineManifest(str(root)).records()
     assert set(res_fail) == {"points", *TIER_STAGES}
 
+    # the rerun skips the committed tiers (recomputed in memory, not
+    # written) and writes only the derived outputs
     res = run_flagship_synthetic(SPEC, _cfg(root))
     for stage in ["points", *TIER_STAGES]:
         assert res["manifest"][stage]["completed_at"] == res_fail[stage]["completed_at"], stage
+        assert res["metrics"][stage] == 0.0, stage
     for stage in TIER_STAGES + DERIVED_STAGES:
         assert _stage_table(root / stage).equals(_stage_table(clean_root / stage)), stage
+
+
+# Runs the flagship in a fresh Ray session (its main process, raylet and
+# workers share one process group) whose forecast method name SIGKILLs
+# that whole group the first time a task compares it: in the derived
+# phase of the post-1m job, with its outputs half written, and no process
+# of the killed run left to write after it.
+KILLED_RUN = """
+import os, signal, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship_synthetic
+from signalsharp_ray.sources.synth import WebPagesSpec
+from signalsharp_ray.stages.analysis import ForecastConfig
+
+GROUP = os.getpgid(0)
+
+
+class KillOnCompare(str):
+    def __eq__(self, other):
+        os.killpg(GROUP, signal.SIGKILL)
+
+    __hash__ = str.__hash__
+
+
+spec = WebPagesSpec(n_rows={n_rows}, n_hosts={n_hosts}, urls_per_host={urls_per_host},
+                    rows_per_shard={rows_per_shard})
+run_flagship_synthetic(spec, FlagshipConfig(out_root=sys.argv[1], n_buckets={n_buckets},
+                                            forecast=ForecastConfig(method=KillOnCompare("linear"))))
+"""
+
+
+def test_run_killed_mid_post_1m_job_resumes_to_clean_outputs(clean, tmp_path):
+    res_clean, clean_root = clean
+    root = tmp_path / "killed"
+    code = KILLED_RUN.format(n_rows=SPEC.n_rows, n_hosts=SPEC.n_hosts, n_buckets=N_BUCKETS,
+                             urls_per_host=SPEC.urls_per_host, rows_per_shard=SPEC.rows_per_shard)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, str(root)], cwd=repo, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=repo), capture_output=True,
+                          start_new_session=True)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
+    killed = PipelineManifest(str(root)).records()
+    # the kill lands in the derived phase: the tiers may have committed
+    # before it or not, no derived output has, and its tmp dirs are left
+    assert {"points", "tier_1m"} <= set(killed) <= {"points", *TIER_STAGES}
+    assert glob.glob(f"{root}/forecast_1d.tmp-*")
+
+    res = run_flagship_synthetic(SPEC, _cfg(root))
+    for stage, rec in killed.items():
+        assert res["manifest"][stage]["completed_at"] == rec["completed_at"], stage
+        assert res["metrics"][stage] == 0.0, stage
+    for stage in TIER_STAGES + DERIVED_STAGES:
+        assert _stage_table(root / stage).equals(_stage_table(clean_root / stage)), stage
+    assert not glob.glob(f"{root}/*.tmp-*")
