@@ -57,15 +57,32 @@ def _events_as_pages(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship pipeline on sf0.001: pages -> extract+dedup -> 1m -> 1h."""
-    from signalsharp_ray.stages.extract import extract_points
-    from signalsharp_ray.stages.rollup import cascade_tier, rollup_tier
+    """Flagship pipeline on sf0.001: pages -> extract+dedup -> 1m -> 1h,
+    on the flagship's kernels: one points exchange whose reducer dedups a
+    bucket, rolls it to 1m, cascades 1m to 1h and attaches url and host
+    from the bucket's url dictionary."""
+    import pyarrow as pa
 
-    pages = _events_as_pages(SF0001)
-    points = extract_points(pages, drop_duplicates=True)
-    t1m = rollup_tier(points, "1m")
-    t1h = cascade_tier(t1m, "1h")
-    return t1h
+    from signalsharp_ray.common.raytools import default_buckets
+    from signalsharp_ray.stages.extract import (
+        dedup_bucket,
+        dict_lookup,
+        exchange_points,
+        url_dict_bucket,
+    )
+    from signalsharp_ray.stages.rollup import TIER_COLUMNS, TIERS_US, cascade_sorted, rollup_points
+
+    def tier_1h(t: pa.Table) -> pa.Table:
+        t1m, _ = rollup_points(dedup_bucket(t), TIERS_US["1m"])
+        t1h, _ = cascade_sorted(t1m, TIERS_US["1h"])
+        names = dict_lookup(url_dict_bucket(t), t1h.key)
+        return pa.table({
+            "host": names["host"], "url": names["url"],
+            "bucket_ts": pa.array(t1h.ts, pa.timestamp("us")),
+            **{c: t1h.cols[c] for c in TIER_COLUMNS},
+        })
+
+    return exchange_points(_events_as_pages(SF0001), default_buckets(), tier_1h)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

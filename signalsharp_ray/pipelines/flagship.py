@@ -13,17 +13,21 @@ killed run resumes at the first incomplete commit):
                                                     smoothed_1d, forecast_1d
 
 The exchange is the only shuffle, and job 1 ends in it: each reduce task
-dedups its bucket's points and writes them, the bucket's dictionary slice
-and its 1m tier, so points and tier_1m commit together (the freshness
-point readers wait for). Job 2 is partition-aligned: one Ray task per
-contiguous bucket group (run_bucket_groups) reads each bucket's tier_1m
-once as an Arrow table and sorts it once by (url_hash, bucket_ts); every
-later kernel runs on those sorted arrays in memory: the cascade, one
-gap-fill grid and one DoD/Gorilla pass over all series of a tier, and the
-three analyses of the analysis tier. The job commits in two phases: the
-coarser tiers once every task has written them, then the six derived
-outputs. A rerun after a fault in the second phase recomputes the tiers
-in memory and writes only the derived outputs.
+dedups its bucket's points with one Arrow group_by, sorts them once by
+(url_hash, ts) and writes them, the bucket's dictionary slice and its 1m
+tier, rolled from the sorted points by the cascade kernel
+(rollup_points; a point without a timestamp stays in points and forms no
+tier row). So points and tier_1m commit together (the freshness point
+readers wait for), and the reduce converts nothing to pandas. Job 2 is
+partition-aligned: one Ray task per contiguous bucket group
+(run_bucket_groups) reads each bucket's tier_1m once as an Arrow table
+and sorts it once by (url_hash, bucket_ts); every later kernel runs on
+those sorted arrays in memory: the cascade, one gap-fill grid and one
+DoD/Gorilla pass over all series of a tier, and the three analyses of
+the analysis tier. The job commits in two phases: the coarser tiers once
+every task has written them, then the six derived outputs. A rerun after
+a fault in the second phase recomputes the tiers in memory and writes
+only the derived outputs.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from ..stages.analysis import (
 )
 from ..stages.encode import encode_tier
 from ..stages.extract import dedup_bucket, exchange_points, url_dict_bucket
-from ..stages.rollup import TIERS_US, SortedTier, cascade_sorted, rollup_partition_pandas
+from ..stages.rollup import TIERS_US, SortedTier, cascade_sorted, rollup_points
 from ..state.manifest import PipelineManifest
 
 
@@ -82,15 +86,16 @@ class FlagshipConfig:
 
 
 def _ingest_bucket(t, points_dir, tier_dir, tier_us):
-    """The points exchange's reducer: a bucket's deduplicated points, its
-    url dictionary slice and its first tier, each written to the bucket's
-    file. Returns no rows."""
+    """The points exchange's reducer: a bucket's deduplicated points
+    (sorted by url_hash, ts), its url dictionary slice and its first tier,
+    each written to the bucket's file. Returns no rows."""
     points = dedup_bucket(t)
     if points.num_rows:
         b = t["__bucket"][0].as_py()
+        tier = rollup_points(points, tier_us)[0].table()
         fsio.write_bucket(points, fsio.join(points_dir, "data"), b)
         fsio.write_bucket(url_dict_bucket(t), fsio.join(points_dir, "dict"), b)
-        fsio.write_bucket(rollup_partition_pandas(points.to_pandas(), tier_us), tier_dir, b)
+        fsio.write_bucket(tier, tier_dir, b)
     return points.slice(0, 0)
 
 

@@ -33,6 +33,7 @@ from ..kernels.smoothing import (
     weighted_moving_average,
 )
 from ..kernels.stats import zscore
+from .extract import dict_lookup
 from .rollup import series_offsets, us_to_ns
 
 QUADRATIC_COSTS = {"rbf", "l1"}
@@ -376,8 +377,7 @@ def _const(value: str, n: int) -> pa.Array:
 def changepoints_tier(tier, config: ChangepointConfig, value_col: str = "mean",
                       key_col: str = "url_hash", url_dict: pa.Table | None = None) -> pa.Table:
     """The changepoints file's table for a SortedTier; `url_dict` (url_hash,
-    url, host) attaches the strings by a search on its sorted keys (a left
-    join: an absent key gets nulls)."""
+    url, host) attaches the strings (dict_lookup)."""
     values = tier.cols[value_col].astype(np.float64)
     rows, pen, bk = changepoints_sorted(tier.key, values, tier.offsets, config, key_col)
     keys = tier.key[rows]
@@ -389,13 +389,7 @@ def changepoints_tier(tier, config: ChangepointConfig, value_col: str = "mean",
         "breakpoint_ts": us_to_ns(tier.ts[rows]),
     }
     if url_dict is not None:
-        dkeys = url_dict[key_col].to_numpy()
-        order = np.argsort(dkeys, kind="stable")
-        at = order[np.minimum(np.searchsorted(dkeys, keys, sorter=order), dkeys.size - 1)]
-        take = pa.array(at, mask=dkeys[at] != keys)
-        for c in url_dict.column_names:
-            if c != key_col:
-                cols[c] = url_dict[c].take(take)
+        cols.update(dict_lookup(url_dict, keys, key_col))
     return with_pandas_metadata(pa.table(cols))
 
 

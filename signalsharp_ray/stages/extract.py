@@ -1,15 +1,19 @@
-"""Extract stage: raw web-page rows -> (url, host, ts, value) points.
+"""Extract stage: raw web-page rows -> (url_hash, ts, value, text_hash)
+points and a url dictionary (url_hash, url, host).
 
-Vectorized Arrow kernel (zero-copy batches):
-- host parsed from the url with a pyarrow regex extract
+Vectorized Arrow kernels (zero-copy batches):
 - value = extracted-text length in UTF-8 bytes (deterministic per-row metric;
   combined with text_hash it makes the "byte-identical extracted text per
   url" invariant checkable downstream)
 - html is dropped immediately (wide binary never travels past this stage)
+- host is parsed from the url with a pyarrow regex extract, once per url
+  in the dictionary
 
-Dedup: duplicate (url, warc_ts) crawl rows collapse to one point via
-hash-partitioned groupby + first (exact dedup; aggregates are computed after
-dedup so re-crawled pages don't double count).
+Dedup: duplicate (url, warc_ts) crawl rows collapse to one point in ONE
+hash exchange keyed by url_hash (exchange_points): the map side pre-dedups
+each batch, and each bucket's reducer keeps one row per (url_hash, ts)
+with pyarrow's hash group_by (dedup_bucket), so aggregates are computed
+after dedup and re-crawled pages don't double count.
 """
 
 from __future__ import annotations
@@ -20,32 +24,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-POINT_COLUMNS = ["url", "host", "ts", "value", "text_hash", "url_hash"]
+# a null ts in the pre-dedup key: that key already folds (url_hash, ts)
+# into one int64, so it keeps rows exact only up to collisions, and a
+# real ts equal to this constant is as unlikely as any other collision
+_NULL_TS = -0x61C8864680B583EB
 
 
 def _host(url) -> pa.Array:
     return pc.struct_field(pc.extract_regex(url, r"^[a-z]+://(?P<host>[^/]+)"), "host")
-
-
-def extract_points_batch(batch: pa.Table) -> pa.Table:
-    url = batch["url"]
-    host = _host(url)
-    value = pc.cast(pc.binary_length(pc.cast(batch["text"], pa.binary())), pa.float64())
-    # 64-bit vectorized content hashes: text_hash for the byte-identity
-    # invariant, url_hash as the cheap integer partition key every later
-    # shuffle buckets on (strings never get re-hashed downstream)
-    text_hash = _hash_strings(batch["text"])
-    url_hash = _hash_strings(url)
-    return pa.table(
-        {
-            "url": url,
-            "host": host,
-            "ts": batch["warc_ts"],
-            "value": value,
-            "text_hash": text_hash,
-            "url_hash": url_hash,
-        }
-    )
 
 
 def _hash_strings(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -58,68 +44,17 @@ def _hash_strings(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pa.array(hashed.view(np.int64), pa.int64())
 
 
-def extract_points(pages_ds, drop_duplicates: bool = True):
-    """pages Dataset (input_hint schema) -> points Dataset.
-
-    The html column is pruned before the first batch function runs; dedup is
-    an exact hash-partitioned first-row-per-(url, warc_ts).
-    """
-    ds = pages_ds.select_columns(["url", "warc_ts", "text"])
-    pts = ds.map_batches(extract_points_batch, batch_format="pyarrow")
-    if drop_duplicates:
-        pts = dedup_points(pts)
-    return pts
-
-
 def _first_per_key(batch: pa.Table) -> pa.Table:
     """Keep the first row of each (url, ts) key inside a batch (pure-numpy
     in-batch pre-dedup on the integer (url_hash, ts) pair)."""
     uh = batch["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-    ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False).view(np.uint64)
+    ts = pc.fill_null(batch["ts"].cast(pa.int64()), _NULL_TS)
+    ts = ts.to_numpy(zero_copy_only=False).view(np.uint64)
     key = uh * np.uint64(1000003) ^ ts
     _, first_idx = np.unique(key, return_index=True)
     if first_idx.size == len(batch):
         return batch
     return batch.take(pa.array(np.sort(first_idx)))
-
-
-def _restore_host(batch: pa.Table) -> pa.Table:
-    return batch.append_column("host", _host(batch["url"])).select(POINT_COLUMNS)
-
-
-def dedup_points(points_ds):
-    """Exact dedup on (url, ts) as a pure hash-AGGREGATION, never a
-    per-group python call (one pandas group per row is pathological at
-    scale): duplicate crawl rows carry identical payloads (same url =>
-    byte-identical text => same value/hash; host is a function of url), so
-    `min` over each duplicate set reproduces the row exactly. In-batch
-    pre-dedup first, so the shuffle moves mostly-unique rows. The final
-    merge is a bucketed C++ aggregation (see hash_bucket_aggregate) because
-    (url, ts) is per-row cardinality."""
-    from ..common.raytools import hash_bucket_aggregate
-
-    pre = points_ds.map_batches(_first_per_key, batch_format="pyarrow")
-    agg = hash_bucket_aggregate(
-        pre,
-        ["url", "ts"],
-        [("value", "min"), ("text_hash", "min"), ("url_hash", "min")],
-        bucket_cols=["url_hash"],
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "url": batch["url"],
-                "ts": batch["ts"],
-                "value": batch["value_min"],
-                "text_hash": batch["text_hash_min"],
-                "url_hash": batch["url_hash_min"],
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow").map_batches(
-        _restore_host, batch_format="pyarrow"
-    )
 
 
 def build_url_dict(pages_ds, n_buckets: int | None = None):
@@ -177,7 +112,9 @@ def _compact_bucket_batch(batch: pa.Table, n_buckets: int) -> pa.Table:
             "ts": batch["warc_ts"],
             "value": value,
             "text_hash": _hash_strings(batch["text"]),
-            "url": pc.if_else(pa.array(first), url, pa.scalar(None, url.type)),
+            # replace_with_mask, not if_else: if_else writes invalid
+            # offsets for a sliced string array
+            "url": pc.replace_with_mask(url, pa.array(~first), pa.scalar(None, url.type)),
         }
     )
     # the first row of a url_hash is the first of its (url_hash, ts) key,
@@ -202,12 +139,14 @@ def _fold_points(t: pa.Table) -> pa.Table:
 
 def dedup_bucket(t: pa.Table) -> pa.Table:
     """A bucket's exchange rows -> its deduplicated points (url_hash, ts,
-    value, text_hash). Duplicate crawl rows of one (url_hash, ts) carry
-    identical payloads, so `min` over each set reproduces the row."""
+    value, text_hash), sorted by (url_hash, ts) with null ts last.
+    Duplicate crawl rows of one (url_hash, ts) carry identical payloads, so
+    `min` over each set reproduces the row."""
     g = t.group_by(["url_hash", "ts"], use_threads=False).aggregate(
         [("value", "min"), ("text_hash", "min")]
     )
-    return g.rename_columns(["url_hash", "ts", "value", "text_hash"])
+    g = g.rename_columns(["url_hash", "ts", "value", "text_hash"])
+    return g.sort_by([("url_hash", "ascending"), ("ts", "ascending")])
 
 
 def url_dict_bucket(t: pa.Table) -> pa.Table:
@@ -218,6 +157,16 @@ def url_dict_bucket(t: pa.Table) -> pa.Table:
     )
     g = g.rename_columns(["url_hash", "url"])
     return g.append_column("host", _host(g["url"]))
+
+
+def dict_lookup(url_dict: pa.Table, keys: np.ndarray, key_col: str = "url_hash") -> dict:
+    """The columns of `url_dict` other than `key_col` for each of `keys`, by
+    a search on its sorted keys (a left join: an absent key gets nulls)."""
+    dkeys = url_dict[key_col].to_numpy()
+    order = np.argsort(dkeys, kind="stable")
+    at = order[np.minimum(np.searchsorted(dkeys, keys, sorter=order), dkeys.size - 1)]
+    take = pa.array(at, mask=dkeys[at] != keys)
+    return {c: url_dict[c].take(take) for c in url_dict.column_names if c != key_col}
 
 
 def exchange_points(pages_ds, n_buckets: int, reduce_fn):

@@ -8,7 +8,7 @@ exist); required by BASELINE.json north_rule. Semantics:
 - locf: value = last observed mean (forward fill)
 - linear: slope*(t-t0)+v0 between neighboring observed means (explicit
   separate numpy ops — bitwise np.interp-equivalent without FMA-contraction
-  build dependence)
+  build dependence); every NaN it gives is the one canonical NaN
 - synthesized buckets get gap_filled=True, count=0, sum/min/max=NaN
 - ordering: the group is sorted by bucket_ts inside the kernel (groupby does
   not guarantee intra-group order)
@@ -71,7 +71,10 @@ def gapfill_arrays(
         v1 = mean_obs[nxt]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(t1 > t0, (v1 - v0) / (t1 - t0), 0.0)
-        value = slope * (grid.astype(np.float64) - t0) + v0
+            value = slope * (grid.astype(np.float64) - t0) + v0
+        # one NaN bit pattern: the payload of a NaN made from NaN operands
+        # depends on which numpy loop ran
+        value[np.isnan(value)] = np.nan
     return grid, value, observed, pos
 
 
@@ -138,7 +141,10 @@ def gapfill_segments(
         v1 = mean_obs[i1]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(t1 > t0, (v1 - v0) / (t1 - t0), 0.0)
-        value = slope * (grid.astype(np.float64) - t0) + v0
+            value = slope * (grid.astype(np.float64) - t0) + v0
+        # one NaN bit pattern: the payload of a NaN made from NaN operands
+        # depends on which numpy loop ran
+        value[np.isnan(value)] = np.nan
     return grid, value, goff
 
 

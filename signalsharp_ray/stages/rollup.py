@@ -6,13 +6,15 @@ tumbling windows on the timestamp instead of the index, with identical
 ragged-tail semantics (a bucket aggregates whatever points fall in it).
 
 Two forms:
-- PARTITION KERNELS (the flagship): the input is already hash-partitioned
-  by `url_hash`, so no shuffle. rollup_partition_pandas rolls a bucket's
-  points into the 1m tier; cascade_sorted re-aggregates a SortedTier (the
-  bucket's rows sorted once by url_hash, bucket_ts) into a coarser one in
-  one reduceat pass — sum of sums, sum of counts, min of mins, max of
-  maxes, exact, so the coarser tiers never touch the raw points again.
-  Tier files hold:
+- SORTED KERNELS (the flagship): the input is already hash-partitioned
+  by `url_hash`, so no shuffle. A SortedTier holds a bucket's rows sorted
+  once by (url_hash, bucket_ts); cascade_sorted re-aggregates it into a
+  coarser tier in one reduceat pass — sum of sums, sum of counts, min of
+  mins, max of maxes, exact, so the coarser tiers never touch the raw
+  points again. rollup_points rolls points sorted by (url_hash, ts) with
+  the same kernel, seeing them as a tier of one row per point.
+  rollup_partition_pandas and cascade_partition_pandas are their pandas
+  adapters. Tier files hold:
       url_hash:int64, bucket_ts:timestamp[ns],
       count:int64, sum:float64, min:float64, max:float64, mean:float64
 - DATASET FORM (rollup_tier / cascade_tier): PARTIAL+FINAL aggregation
@@ -172,25 +174,6 @@ def cascade_tier(finer_ds, coarser_tier: str, key_cols: list | None = None):
     return _merge_partials(partial, keys)
 
 
-def rollup_partition_pandas(df, tier_us: int, key: str = "url_hash"):
-    """Whole-partition rollup in pandas (C-level groupby): used by the
-    partition-aligned path where the points parquet is already hash-
-    partitioned by the series key, so no cluster shuffle is needed.
-    Identical bucket semantics to partial_rollup_batch."""
-    import pandas as pd
-
-    ts = df["ts"].astype("datetime64[us]").astype("int64")
-    bucket = (ts // tier_us) * tier_us
-    g = df.groupby([df[key], bucket], sort=False)["value"].agg(
-        ["count", "sum", "min", "max"]
-    )
-    out = g.reset_index()
-    out.columns = [key, "bucket_ts", "count", "sum", "min", "max"]
-    out["bucket_ts"] = pd.to_datetime(out["bucket_ts"], unit="us")
-    out["mean"] = out["sum"] / out["count"]
-    return out
-
-
 TIER_COLUMNS = ("count", "sum", "min", "max", "mean")
 
 
@@ -204,9 +187,9 @@ def series_offsets(keys: np.ndarray) -> np.ndarray:
 class SortedTier:
     """One bucket's tier rows sorted by (key, bucket_ts), as numpy arrays:
     `key`, `ts` (bucket_ts in int64 microseconds) and `cols` (count, sum,
-    min, max, mean); series i is rows offsets[i]:offsets[i+1]. Every
-    kernel after the 1m rollup (cascade, gap-fill + encode, the analyses)
-    reads this one sort."""
+    min, max, mean); series i is rows offsets[i]:offsets[i+1]. Every tier
+    kernel (the 1m rollup over a points view, the cascade, gap-fill +
+    encode, the analyses) reads this one form."""
 
     __slots__ = ("key", "ts", "cols", "offsets")
 
@@ -268,19 +251,59 @@ def cascade_sorted(tier: SortedTier, tier_us: int) -> tuple[SortedTier, np.ndarr
     return SortedTier(key[starts], bucket[starts], out), starts
 
 
-def cascade_partition_pandas(df, tier_us: int, key: str = "url_hash"):
-    """Whole-partition tier cascade: the pandas adapter of cascade_sorted.
-    Rows come in the order groupby(sort=False) gives (first appearance)."""
+def rollup_points(points: pa.Table, tier_us: int, key: str = "url_hash"):
+    """Roll a bucket's points (key, ts, value), sorted by (key, ts), into a
+    tier: cascade_sorted over the points seen as a tier of one row per
+    point (count = value is not NaN; sum, min, max and mean = value), so
+    NaN and null values count as pandas' groupby counts them. A point
+    without a timestamp forms no tier row. Returns cascade_sorted's pair."""
+    if points["ts"].null_count:
+        points = points.filter(pc.is_valid(points["ts"]))
+    ts = points["ts"]
+    if ts.type.unit == "ns":  # floored to microseconds, as a datetime64 cast does
+        ts = ts.cast(pa.int64()).to_numpy() // 1000
+    else:
+        ts = ts.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+    return _rollup_sorted(points[key].to_numpy(), ts, points["value"].to_numpy(), tier_us)
+
+
+def _rollup_sorted(key: np.ndarray, ts: np.ndarray, value: np.ndarray, tier_us: int):
+    v = value.astype(np.float64, copy=False)
+    cols = {"count": (~np.isnan(v)).astype(np.int64), "sum": v, "min": v, "max": v, "mean": v}
+    return cascade_sorted(SortedTier(key, ts, cols), tier_us)
+
+
+def _first_seen_frame(tier: SortedTier, order: np.ndarray, starts: np.ndarray, key: str):
+    """`tier` (rolled from input rows `order[starts[i]:starts[i+1]]`) as the
+    frame groupby(sort=False) gives: rows in the order of their first input
+    row, bucket_ts as datetime64[ns]."""
     import pandas as pd
 
+    first_seen = np.argsort(np.minimum.reduceat(order, starts) if starts.size else starts)
+    frame = pd.DataFrame({key: tier.key, "bucket_ts": tier.ts, **tier.cols}).iloc[first_seen]
+    frame = frame.reset_index(drop=True)
+    frame["bucket_ts"] = pd.to_datetime(frame["bucket_ts"], unit="us")
+    return frame
+
+
+def rollup_partition_pandas(df, tier_us: int, key: str = "url_hash"):
+    """Whole-partition rollup of a points frame: the pandas adapter of
+    rollup_points, rows in first-appearance order."""
+    df = df[df["ts"].notna()]
+    ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
+    keys = df[key].to_numpy()
+    order = np.lexsort((ts, keys))
+    out, starts = _rollup_sorted(keys[order], ts[order], df["value"].to_numpy()[order], tier_us)
+    return _first_seen_frame(out, order, starts, key)
+
+
+def cascade_partition_pandas(df, tier_us: int, key: str = "url_hash"):
+    """Whole-partition tier cascade: the pandas adapter of cascade_sorted,
+    rows in first-appearance order."""
     ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
     keys = df[key].to_numpy()
     order = np.lexsort((ts, keys))
     finer = SortedTier(keys[order], ts[order],
                        {c: df[c].to_numpy()[order] for c in ("count", "sum", "min", "max")})
     out, starts = cascade_sorted(finer, tier_us)
-    first_seen = np.argsort(np.minimum.reduceat(order, starts) if starts.size else starts)
-    frame = pd.DataFrame({key: out.key, "bucket_ts": out.ts, **out.cols}).iloc[first_seen]
-    frame = frame.reset_index(drop=True)
-    frame["bucket_ts"] = pd.to_datetime(frame["bucket_ts"], unit="us")
-    return frame
+    return _first_seen_frame(out, order, starts, key)

@@ -126,27 +126,23 @@ floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.integers(0, 5000).map(float),
 )
-# IEEE 754 leaves the payload of a NaN computed from two NaNs to the
-# implementation, and numpy's vector and scalar loops pick different
-# operands, so linear interpolation over NaN means has no byte-stable
-# result even per series: without NaN inputs every NaN it makes is the
-# default one
-non_nan_floats = floats.filter(lambda v: not np.isnan(v))
+
+
+CANONICAL_NAN = np.float64(np.nan).view(np.uint64)
 
 
 @st.composite
-def value_series(draw, n, nan=True):
-    values = floats if nan else non_nan_floats
+def value_series(draw, n):
     kind = draw(st.sampled_from(["mixed", "constant", "changing"]))
     if kind == "constant":
-        return np.full(n, draw(values))
+        return np.full(n, draw(floats))
     if kind == "changing":  # distinct values: every xor is nonzero
         return np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=n) * 1e3
-    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    return np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
 
 
 @st.composite
-def buckets(draw, tier_us, max_gap, nan):
+def buckets(draw, tier_us, max_gap):
     """A bucket of sorted, unique per-series timestamps and their means:
     one-point series, gaps inside and beyond max_gap_buckets, long series
     (more than 192 changed values), and series at both int64 edges."""
@@ -166,7 +162,7 @@ def buckets(draw, tier_us, max_gap, nan):
             base = ((INT64_MAX - span) // tier_us) * tier_us
         else:
             base = draw(st.integers(-10**6, 10**6)) * tier_us
-        series.append((base + rel, draw(value_series(n, nan))))
+        series.append((base + rel, draw(value_series(n))))
     return series
 
 
@@ -185,13 +181,15 @@ def test_segmented_gapfill_encode_is_per_series_bytes(method, max_gap, tier):
     tier_us = TIERS_US[tier]
 
     @SETTINGS
-    @given(buckets(tier_us, max_gap, nan=method == "locf"))
+    @given(buckets(tier_us, max_gap))
     def check(series):
         got = _segmented(series, tier_us, method, max_gap)
         ts_dod = got["ts_dod"].to_pylist()
         vals = got["values_gorilla"].to_pylist()
         for i, (ts, mean) in enumerate(series):
             grid, value, _, _ = gapfill_arrays(ts, mean, tier_us, method, max_gap)
+            if method == "linear":  # one NaN bit pattern, whatever the bucket-mates
+                assert np.all(value[np.isnan(value)].view(np.uint64) == CANONICAL_NAN)
             assert got["n_points"][i] == grid.size
             assert got["first_ts"][i] == grid[0]
             assert got["first_value"][i].tobytes() == value[0].tobytes()

@@ -7,6 +7,9 @@ written points), and for resume after a fault inside the job."""
 import glob
 import os
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 import pytest
@@ -156,3 +159,46 @@ def test_failed_job_returns_after_every_writer_task_ended(runner, tmp_path):
     with pytest.raises(Exception, match="injected task fault"):
         call()
     assert sorted(os.listdir(tmp_path)) == [f"done-{b}" for b in range(1, n)]
+
+
+def _edge_pages(warc_ts: list) -> pa.Table:
+    """Eight urls crawled every 90 s, the rows at the end of the table
+    replaced by `warc_ts`."""
+    n = 400
+    ts = (1_704_067_200_000_000 + np.arange(n) * 90_000_000).tolist()
+    ts[n - len(warc_ts):] = warc_ts
+    urls = [f"https://host{i % 3}.example.com/p/{i % 8}" for i in range(n)]
+    text = [f"text-{i % 8}" * (1 + i % 8) for i in range(n)]
+    return pa.table({"url": urls, "warc_ts": pa.array(ts, pa.timestamp("us")),
+                     "html": pa.array([t.encode() for t in text]), "text": text,
+                     "lang": ["en"] * n})
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_null_warc_ts_stays_in_points_and_forms_no_tier_row(tmp_path):
+    import ray.data as rd
+
+    pages = _edge_pages([None] * 5)
+    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=4)
+    res = run_flagship(lambda: rd.from_arrow(pages), "null-ts", cfg)
+    points = pds.dataset(res["outputs"]["points"], partitioning="hive").to_table()
+    assert points.num_rows == pages.num_rows
+    assert points["ts"].null_count == 5
+    for tier in cfg.tiers:
+        t = pds.dataset(res["outputs"][f"tier_{tier}"], partitioning="hive").to_table()
+        assert t["bucket_ts"].null_count == 0, tier
+        assert pc.sum(t["count"]).as_py() == pages.num_rows - 5, tier
+    assert set(res["manifest"]) == set(res["outputs"]) - {"url_dict"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_warc_ts_past_ns_range_fails_job_1_and_commits_nothing(tmp_path):
+    """A tier's bucket_ts is timestamp[ns], which ends on 2262-04-11."""
+    import ray.data as rd
+
+    pages = _edge_pages([9_300_000_000_000_000])  # in 2264
+    with pytest.raises(Exception, match="out of bounds"):
+        run_flagship(lambda: rd.from_arrow(pages), "late-ts",
+                     FlagshipConfig(out_root=str(tmp_path), n_buckets=4))
+    assert PipelineManifest(str(tmp_path)).records() == {}
+    assert not os.path.exists(tmp_path / "points") and not os.path.exists(tmp_path / "tier_1m")

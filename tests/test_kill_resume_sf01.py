@@ -50,6 +50,8 @@ def _spawn(input_dir: str, out_root: str) -> subprocess.Popen:
         stderr=subprocess.DEVNULL,
         text=True,
         cwd=REPO,
+        # its own session, so the kill reaches the run's raylet and workers
+        start_new_session=True,
     )
 
 
@@ -101,7 +103,7 @@ def test_kill_mid_encode_then_resume_matches_clean_run(tmp_path):
     assert tiers_done, "tier cascade never committed before the deadline"
     time.sleep(1.0)  # let encode stages get genuinely mid-flight
     assert proc.poll() is None, "pipeline finished before the kill landed"
-    proc.send_signal(signal.SIGKILL)
+    os.killpg(proc.pid, signal.SIGKILL)
     proc.wait(timeout=60)
 
     killed_recs = json.loads(open(manifest_path).read())

@@ -4,10 +4,11 @@ oracle (FIXTURES.md §3)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from signalsharp_ray.sources.synth import WebPagesSpec, generate_webpages_shard
-from signalsharp_ray.stages.extract import extract_points_batch
+from signalsharp_ray.stages.extract import _compact_bucket_batch, _hash_strings, _host, url_dict_bucket
 from signalsharp_ray.stages.rollup import TIERS_US, partial_rollup_batch
 
 SPEC = WebPagesSpec(n_rows=5_000, n_hosts=50, urls_per_host=5, rows_per_shard=2_500)
@@ -17,6 +18,15 @@ def _pages_table():
     return pa.concat_tables(
         [generate_webpages_shard(s, SPEC) for s in range(SPEC.n_shards)]
     )
+
+
+def _points(pages: pa.Table) -> pa.Table:
+    """Every page row as a (url, host, ts, value, text_hash, url_hash)
+    point, without dedup: the input of the Dataset-form rollup."""
+    url = pages["url"]
+    value = pc.cast(pc.binary_length(pc.cast(pages["text"], pa.binary())), pa.float64())
+    return pa.table({"url": url, "host": _host(url), "ts": pages["warc_ts"], "value": value,
+                     "text_hash": _hash_strings(pages["text"]), "url_hash": _hash_strings(url)})
 
 
 def test_synth_deterministic_and_schema():
@@ -43,19 +53,27 @@ def test_synth_host_skew():
 
 
 def test_extract_batch():
+    """The extract kernels: the points exchange's map side and a bucket's
+    dictionary slice."""
     pages = _pages_table()
-    pts = extract_points_batch(pages)
-    assert pts.column_names == ["url", "host", "ts", "value", "text_hash", "url_hash"]
-    df = pts.to_pandas()
-    pdf = pages.to_pandas()
+    t = _compact_bucket_batch(pages, 16)
+    assert t.column_names == ["url_hash", "ts", "value", "text_hash", "url", "__bucket"]
+    # the synth rows have unique (url, warc_ts) keys: the pre-dedup keeps all
+    assert t.num_rows == pages.num_rows
+    df = t.to_pandas()
     np.testing.assert_array_equal(
         df["value"].to_numpy(),
-        pdf["text"].str.encode("utf-8").str.len().to_numpy().astype(float),
+        pages.to_pandas()["text"].str.encode("utf-8").str.len().to_numpy().astype(float),
     )
-    assert df["host"].str.match(r"host\d+\.example\.com").all()
+    assert (df["__bucket"] == df["url_hash"].to_numpy().view(np.uint64) % 16).all()
     # same url -> same hash; and hash collisions across urls are absent here
-    per_url = df.groupby("url")["text_hash"].nunique()
-    assert (per_url == 1).all()
+    assert (df.groupby("url_hash")["text_hash"].nunique() == 1).all()
+    # the url rides on one row per url_hash
+    assert df["url"].notna().sum() == df["url_hash"].nunique() == len(pc.unique(pages["url"]))
+    d = url_dict_bucket(t).to_pandas()
+    assert sorted(d["url"]) == sorted(pc.unique(pages["url"]).to_pylist())
+    assert d["host"].str.match(r"host\d+\.example\.com").all()
+    assert (d["url"].map(lambda u: _hash_strings(pa.array([u]))[0].as_py()) == d["url_hash"]).all()
 
 
 def _pandas_rollup(points: pd.DataFrame, tier_us: int) -> pd.DataFrame:
@@ -71,7 +89,7 @@ def _pandas_rollup(points: pd.DataFrame, tier_us: int) -> pd.DataFrame:
 
 
 def test_partial_rollup_batch_matches_pandas():
-    pts = extract_points_batch(_pages_table())
+    pts = _points(_pages_table())
     tier_us = TIERS_US["1h"]
     got = (
         partial_rollup_batch(pts, tier_us)
@@ -92,17 +110,15 @@ def test_partial_rollup_batch_matches_pandas():
 def test_ray_rollup_tiers_match_oracle():
     import ray.data as rd
 
-    from signalsharp_ray.stages.extract import extract_points
     from signalsharp_ray.stages.rollup import cascade_tier, rollup_tier
 
-    pages = _pages_table()
-    ds = rd.from_arrow(pages).repartition(8)
-    pts = extract_points(ds, drop_duplicates=False)
+    points = _points(_pages_table())
+    pts = rd.from_arrow(points).repartition(8)
     tiers = {"1m": rollup_tier(pts, "1m")}
     tiers["1h"] = cascade_tier(tiers["1m"], "1h")
     tiers["1d"] = cascade_tier(tiers["1h"], "1d")
 
-    oracle_pts = extract_points_batch(pages).to_pandas()
+    oracle_pts = points.to_pandas()
     for tier in ("1m", "1h", "1d"):
         got = (
             tiers[tier]
@@ -125,12 +141,12 @@ def test_ray_rollup_tiers_match_oracle():
 def test_dedup_collapses_duplicate_crawls():
     import ray.data as rd
 
-    from signalsharp_ray.stages.extract import extract_points
+    from signalsharp_ray.stages.extract import extract_dedup_exchange
 
     pages = _pages_table()
     doubled = pa.concat_tables([pages, pages])  # every (url, warc_ts) twice
     ds = rd.from_arrow(doubled).repartition(4)
-    pts = extract_points(ds, drop_duplicates=True)
+    pts = extract_dedup_exchange(ds, n_buckets=8)
     n_unique = (
         pages.to_pandas().drop_duplicates(["url", "warc_ts"]).shape[0]
     )
@@ -144,7 +160,6 @@ def test_hot_host_skew_rollup_exact():
     so the rollup stays exact and no single reduce group sees raw rows."""
     import ray.data as rd
 
-    from signalsharp_ray.stages.extract import extract_points
     from signalsharp_ray.stages.rollup import TIERS_US, rollup_tier
 
     rng = np.random.default_rng(9)
@@ -165,8 +180,7 @@ def test_hot_host_skew_rollup_exact():
             "lang": pa.array(["en"] * n),
         }
     )
-    ds = rd.from_arrow(pages).repartition(8)
-    pts = extract_points(ds, drop_duplicates=False)
+    pts = rd.from_arrow(_points(pages)).repartition(8)
     out = rollup_tier(pts, "1h").to_pandas()
 
     oracle = pd.DataFrame(
@@ -206,7 +220,7 @@ def _cascade_named_aggs(df, tier_us, key="url_hash"):
 def test_cascade_kernel_matches_named_aggregations():
     from signalsharp_ray.stages.rollup import cascade_partition_pandas, rollup_partition_pandas
 
-    pts = extract_points_batch(_pages_table()).to_pandas()
+    pts = _points(_pages_table()).to_pandas()
     assert pts["url_hash"].nunique() > 100 and pts["value"].notna().all()
     finer = rollup_partition_pandas(pts.drop_duplicates(["url_hash", "ts"]), TIERS_US["1m"])
     # rows of one series out of bucket order, as a concatenated bucket has
