@@ -389,7 +389,7 @@ def changepoints_tier(tier, config: ChangepointConfig, value_col: str = "mean",
         "breakpoint_ts": us_to_ns(tier.ts[rows]),
     }
     if url_dict is not None:
-        cols.update(dict_lookup(url_dict, keys, key_col))
+        cols.update(dict_lookup(url_dict, keys))
     return with_pandas_metadata(pa.table(cols))
 
 

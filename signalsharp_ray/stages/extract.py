@@ -159,14 +159,14 @@ def url_dict_bucket(t: pa.Table) -> pa.Table:
     return g.append_column("host", _host(g["url"]))
 
 
-def dict_lookup(url_dict: pa.Table, keys: np.ndarray, key_col: str = "url_hash") -> dict:
-    """The columns of `url_dict` other than `key_col` for each of `keys`, by
+def dict_lookup(url_dict: pa.Table, keys: np.ndarray) -> dict:
+    """The columns of `url_dict` other than `url_hash` for each of `keys`, by
     a search on its sorted keys (a left join: an absent key gets nulls)."""
-    dkeys = url_dict[key_col].to_numpy()
+    dkeys = url_dict["url_hash"].to_numpy()
     order = np.argsort(dkeys, kind="stable")
     at = order[np.minimum(np.searchsorted(dkeys, keys, sorter=order), dkeys.size - 1)]
     take = pa.array(at, mask=dkeys[at] != keys)
-    return {c: url_dict[c].take(take) for c in url_dict.column_names if c != key_col}
+    return {c: url_dict[c].take(take) for c in url_dict.column_names if c != "url_hash"}
 
 
 def exchange_points(pages_ds, n_buckets: int, reduce_fn):

@@ -251,11 +251,11 @@ def cascade_sorted(tier: SortedTier, tier_us: int) -> tuple[SortedTier, np.ndarr
     return SortedTier(key[starts], bucket[starts], out), starts
 
 
-def rollup_points(points: pa.Table, tier_us: int, key: str = "url_hash"):
-    """Roll a bucket's points (key, ts, value), sorted by (key, ts), into a
-    tier: cascade_sorted over the points seen as a tier of one row per
-    point (count = value is not NaN; sum, min, max and mean = value), so
-    NaN and null values count as pandas' groupby counts them. A point
+def rollup_points(points: pa.Table, tier_us: int):
+    """Roll a bucket's points (url_hash, ts, value), sorted by (url_hash,
+    ts), into a tier: cascade_sorted over the points seen as a tier of one
+    row per point (count = value is not NaN; sum, min, max, mean = value),
+    so NaN and null values count as pandas' groupby counts them. A point
     without a timestamp forms no tier row. Returns cascade_sorted's pair."""
     if points["ts"].null_count:
         points = points.filter(pc.is_valid(points["ts"]))
@@ -264,7 +264,7 @@ def rollup_points(points: pa.Table, tier_us: int, key: str = "url_hash"):
         ts = ts.cast(pa.int64()).to_numpy() // 1000
     else:
         ts = ts.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
-    return _rollup_sorted(points[key].to_numpy(), ts, points["value"].to_numpy(), tier_us)
+    return _rollup_sorted(points["url_hash"].to_numpy(), ts, points["value"].to_numpy(), tier_us)
 
 
 def _rollup_sorted(key: np.ndarray, ts: np.ndarray, value: np.ndarray, tier_us: int):
