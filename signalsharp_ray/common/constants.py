@@ -14,10 +14,3 @@ VARIANCE_EPSILON = 1e-10
 def is_effectively_zero(x: float, eps: float = DEFAULT_EPSILON) -> bool:
     return abs(x) < eps
 
-
-def approximately_equal(a: float, b: float, eps: float = DEFAULT_EPSILON) -> bool:
-    return abs(a - b) < eps
-
-
-def is_effectively_integer(x: float, eps: float = DEFAULT_EPSILON) -> bool:
-    return abs(x - round(x)) < eps

@@ -2,7 +2,8 @@
 
 The library has one hash shuffle, `hash_exchange`: every grouped
 operator (hash_bucket_aggregate, bucketed_map_groups, bucketed_cogroup,
-bucketed_join, the incremental stores' apply) puts its rows in a
+bucketed_join, the Dataset-form rollup tiers, the incremental stores'
+apply) puts its rows in a
 `__bucket` by its own hash and hands a per-bucket reducer to it. The
 grouped helpers compute the bucket inside the exchange's split tasks,
 with no Ray Data map of their own. The exchange runs the reducer on EVERY
@@ -118,28 +119,6 @@ def hash_bucket_aggregate(
     if n_buckets is None:
         n_buckets = default_buckets()
     bcols = bucket_cols or keys
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for k in bcols:
-            col = batch[k].to_numpy(zero_copy_only=False)
-            if np.issubdtype(col.dtype, np.integer):
-                h = h * np.uint64(1000003) ^ col.view(np.uint64)
-            else:
-                h = h * np.uint64(1000003) + pd.util.hash_array(
-                    np.asarray(col, dtype=object)
-                    if col.dtype == object
-                    else col,
-                    categorize=False,
-                )
-        b = (h % np.uint64(n_buckets)).astype(np.int64)
-        if batch.schema.metadata:
-            # parquet/pandas-origin schema metadata is an unhashable dict:
-            # Ray's schema dedup then warns 'Failed to hash the schemas' —
-            # drop it at the exchange edge
-            batch = batch.replace_schema_metadata(None)
-        return batch.append_column("__bucket", pa.array(b))
-
     agg_specs = [(c, op) for c, op in aggs]
     if count_alias is not None:
         agg_specs = agg_specs + [(keys[0], "count")]
@@ -155,7 +134,30 @@ def hash_bucket_aggregate(
             cols[count_alias] = g[f"{keys[0]}_count"]
         return pa.table(cols)
 
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        return with_key_bucket(batch, bcols, n_buckets)
+
     return _exchange([(ds, add_bucket)], n_buckets, agg_bucket, empty_like=ds, drop_empty=True)
+
+
+def with_key_bucket(batch: pa.Table, cols: list[str], n_buckets: int) -> pa.Table:
+    """`batch` with `__bucket` appended: a hash of the `cols` values mod
+    n_buckets (integer columns mix their int64 bits, others a pandas hash),
+    so every row of one key lands in one bucket. Parquet/pandas-origin
+    schema metadata is an unhashable dict: Ray's schema dedup then warns
+    'Failed to hash the schemas', so it is dropped at the exchange edge."""
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    for k in cols:
+        col = batch[k].to_numpy(zero_copy_only=False)
+        if np.issubdtype(col.dtype, np.integer):
+            h = h * np.uint64(1000003) ^ col.view(np.uint64)
+        else:
+            h = h * np.uint64(1000003) + pd.util.hash_array(
+                np.asarray(col, dtype=object) if col.dtype == object else col,
+                categorize=False,
+            )
+    b = (h % np.uint64(n_buckets)).astype(np.int64)
+    return batch.replace_schema_metadata(None).append_column("__bucket", pa.array(b))
 
 
 def pool_size(requested: int, num_cpus_per_actor: float = 1.0) -> tuple[int, int]:
@@ -633,12 +635,14 @@ def _wait_all(refs: list) -> None:
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
 
 
+# input bytes per split task: bounds a map task's memory at any input size
+_MAP_BYTES = 256 << 20
+
+
 def hash_exchange(
     ds,
     n_buckets: int,
     reduce_fn,
-    bucket_col: str = "__bucket",
-    target_map_bytes: int = 256 << 20,
     max_blocks_per_map: int = 32,
     partial_fn=None,
     partial_every: int = 8,
@@ -663,10 +667,10 @@ def hash_exchange(
     (failed ones too, so a reducer that writes files never outlives a
     failed call).
 
-    Map tasks are sized by BYTES (target_map_bytes per split group, capped
+    Map tasks are sized by BYTES (_MAP_BYTES per split group, capped
     at max_blocks_per_map tiny blocks), keeping per-task memory bounded at
     100-TB inputs while bounding the shuffle object count at
-    ceil(total/target) x n_buckets. Driver refs to consumed input blocks
+    ceil(total/_MAP_BYTES) x n_buckets. Driver refs to consumed input blocks
     are dropped as each group is submitted, so upstream blocks become
     reclaimable the moment their split task completes.
 
@@ -680,7 +684,7 @@ def hash_exchange(
     its split slices land — while later maps are still producing), and
     the final reduce sees pre-shrunk partials instead of every raw
     slice. Contract: partial_fn must be SCHEMA-PRESERVING (same columns,
-    same order, bucket_col retained) and associative with reduce_fn —
+    same order, `__bucket` retained) and associative with reduce_fn —
     reduce_fn(concat(partial_fn(A), partial_fn(B), C)) ==
     reduce_fn(concat(A, B, C)) — which holds for dedup/min/max/sum-style
     combiners (the flagship's first-per-key dedup). Reduce-side compute
@@ -689,8 +693,8 @@ def hash_exchange(
     their partial folds them instead of living until the final reduce.
     """
     return _exchange(
-        [(ds, None)], n_buckets, reduce_fn, bucket_col, target_map_bytes,
-        max_blocks_per_map, partial_fn, partial_every, empty_like=ds,
+        [(ds, None)], n_buckets, reduce_fn, max_blocks_per_map, partial_fn,
+        partial_every, empty_like=ds,
     )
 
 
@@ -698,8 +702,6 @@ def _exchange(
     sources,
     n_buckets: int,
     reduce_fn,
-    bucket_col: str = "__bucket",
-    target_map_bytes: int = 256 << 20,
     max_blocks_per_map: int = 32,
     partial_fn=None,
     partial_every: int = 8,
@@ -708,11 +710,11 @@ def _exchange(
 ):
     """hash_exchange over `sources`, a list of (Dataset or iterator of its
     ref bundles, bucket_fn): bucket_fn (None: the blocks already carry
-    bucket_col) maps each typed input table to the table to split, inside
+    `__bucket`) maps each typed input table to the table to split, inside
     the split task. Returns a Dataset over the reduced buckets; with
     drop_empty only the non-empty ones (the first one when all are empty).
     When no source yields a block, the result is `empty_like`'s columns
-    (minus bucket_col) with no rows."""
+    (minus `__bucket`) with no rows."""
     import ray.data as rd
 
     def put(fn):
@@ -729,7 +731,7 @@ def _exchange(
     def flush(bucket_ref):
         nonlocal group, group_bytes
         refs = _split_blocks.options(num_returns=n_buckets).remote(
-            n_buckets, bucket_col, bucket_ref, *group
+            n_buckets, bucket_ref, *group
         )
         refs = [refs] if n_buckets == 1 else list(refs)
         if partial_fn is None:
@@ -756,7 +758,7 @@ def _exchange(
             for block_ref, meta in bundle.blocks:
                 group.append(block_ref)
                 group_bytes += meta.size_bytes or 0
-                if group_bytes >= target_map_bytes or len(group) >= max_blocks_per_map:
+                if group_bytes >= _MAP_BYTES or len(group) >= max_blocks_per_map:
                     flush(bucket_ref)
         if group:
             # a group never mixes sources: each has its own bucket_fn
@@ -765,8 +767,8 @@ def _exchange(
     if not per_block and not any(partials) and not any(pending):
         schema = empty_like.schema()
         empty = pa.table({n: pa.nulls(0, t) for n, t in zip(schema.names, schema.types)})
-        if bucket_col in empty.column_names:
-            empty = empty.drop_columns([bucket_col])
+        if "__bucket" in empty.column_names:
+            empty = empty.drop_columns(["__bucket"])
         return rd.from_arrow(empty)
 
     # tree fan-in: a 100-TB input yields ~4e5 map tasks, and a single
@@ -831,7 +833,7 @@ def _bucket_table(slices) -> pa.Table | None:
 
 
 @ray.remote
-def _split_blocks(n_buckets: int, bucket_col: str, bucket_fn, *blocks):
+def _split_blocks(n_buckets: int, bucket_fn, *blocks):
     from ray.data.block import BlockAccessor
 
     # Ray's own pandas conversion: no index column, all-None columns null
@@ -843,7 +845,7 @@ def _split_blocks(n_buckets: int, bucket_col: str, bucket_fn, *blocks):
     if not nonempty:
         return tuple(tables[0] for _ in range(n_buckets)) if n_buckets > 1 else tables[0]
     table = nonempty[0] if len(nonempty) == 1 else _concat(nonempty)
-    buckets = table[bucket_col].to_numpy(zero_copy_only=False)
+    buckets = table["__bucket"].to_numpy(zero_copy_only=False)
     order = np.argsort(buckets, kind="stable")
     table = table.take(pa.array(order))
     sorted_buckets = buckets[order]

@@ -14,6 +14,8 @@ Series convention for the events table: series key = event_type; point order
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pandas as pd
 
@@ -1241,345 +1243,23 @@ def _reorder(d: dict) -> dict:
     return {**head, **mid, **tail}
 
 
-def build_queries() -> dict:
-    from .queries2 import QUERIES2
-    from .queries3 import QUERIES3
-    from .queries4 import QUERIES4
-    from .queries5 import QUERIES5
-    from .queries6 import QUERIES6
-    from .queries7 import QUERIES7
-    from .queries8 import QUERIES8
-    from .queries9 import QUERIES9
-    from .queries10 import QUERIES10
-    from .queries11 import QUERIES11
-    from .queries12 import QUERIES12
-    from .queries13 import QUERIES13
-    from .queries14 import QUERIES14
-    from .queries15 import QUERIES15
-    from .queries16 import QUERIES16
-    from .queries17 import QUERIES17
-    from .queries18 import QUERIES18
-    from .queries19 import QUERIES19
-    from .queries20 import QUERIES20
-    from .queries21 import QUERIES21
-    from .queries22 import QUERIES22
-    from .queries23 import QUERIES23
-    from .queries24 import QUERIES24
-    from .queries25 import QUERIES25
-    from .queries26 import QUERIES26
-    from .queries27 import QUERIES27
-    from .queries28 import QUERIES28
-    from .queries29 import QUERIES29
-    from .queries30 import QUERIES30
-    from .queries31 import QUERIES31
-    from .queries32 import QUERIES32
-    from .queries33 import QUERIES33
-    from .queries34 import QUERIES34
-    from .queries35 import QUERIES35
-    from .queries36 import QUERIES36
-    from .queries37 import QUERIES37
-    from .queries38 import QUERIES38
-    from .queries39 import QUERIES39
-    from .queries40 import QUERIES40
-    from .queries41 import QUERIES41
-    from .queries42 import QUERIES42
-    from .queries43 import QUERIES43
-    from .queries44 import QUERIES44
-    from .queries45 import QUERIES45
-    from .queries46 import QUERIES46
-    from .queries47 import QUERIES47
-    from .queries48 import QUERIES48
-    from .queries49 import QUERIES49
-    from .queries50 import QUERIES50
-    from .queries51 import QUERIES51
-    from .queries52 import QUERIES52
-    from .queries53 import QUERIES53
-    from .queries54 import QUERIES54
-    from .queries55 import QUERIES55
-    from .queries56 import QUERIES56
-    from .queries57 import QUERIES57
-    from .queries58 import QUERIES58
-    from .queries59 import QUERIES59
-    from .queries60 import QUERIES60
-    from .queries61 import QUERIES61
-    from .queries62 import QUERIES62
-    from .queries63 import QUERIES63
-    from .queries64 import QUERIES64
-    from .queries65 import QUERIES65
-    from .queries66 import QUERIES66
-    from .queries67 import QUERIES67
-    from .queries68 import QUERIES68
-    from .queries69 import QUERIES69
-    from .queries70 import QUERIES70
-    from .queries71 import QUERIES71
-    from .queries72 import QUERIES72
-    from .queries73 import QUERIES73
-    from .queries74 import QUERIES74
-    from .queries75 import QUERIES75
-    from .queries76 import QUERIES76
-    from .queries77 import QUERIES77
-    from .queries78 import QUERIES78
-    from .queries79 import QUERIES79
-    from .queries80 import QUERIES80
-    from .queries81 import QUERIES81
-    from .queries82 import QUERIES82
-    from .queries83 import QUERIES83
-    from .queries84 import QUERIES84
-    from .queries85 import QUERIES85
-    from .queries86 import QUERIES86
-    from .queries87 import QUERIES87
-    from .queries88 import QUERIES88
-    from .queries89 import QUERIES89
-    from .queries90 import QUERIES90
-    from .queries91 import QUERIES91
-    from .queries92 import QUERIES92
-    from .queries93 import QUERIES93
-    from .queries94 import QUERIES94
-    from .queries95 import QUERIES95
-    from .queries96 import QUERIES96
-    from .queries97 import QUERIES97
-    from .queries98 import QUERIES98
-    from .queries99 import QUERIES99
-    from .queries100 import QUERIES100
-    from .queries101 import QUERIES101
-    from .queries102 import QUERIES102
-    from .queries103 import QUERIES103
-    from .queries104 import QUERIES104
-    from .queries105 import QUERIES105
-    from .queries106 import QUERIES106
-    from .queries107 import QUERIES107
-    from .queries108 import QUERIES108
-    from .queries109 import QUERIES109
-    from .queries110 import QUERIES110
-    from .queries111 import QUERIES111
-    from .queries112 import QUERIES112
-    from .queries113 import QUERIES113
-    from .queries116 import QUERIES116
-    from .queries117 import QUERIES117
-    from .queries118 import QUERIES118
-    from .queries119 import QUERIES119
-    from .queries120 import QUERIES120
-    from .queries121 import QUERIES121
-    from .queries122 import QUERIES122
-    from .queries123 import QUERIES123
-    from .queries124 import QUERIES124
-    from .queries125 import QUERIES125
-    from .queries126 import QUERIES126
-    from .queries127 import QUERIES127
-    from .queries128 import QUERIES128
-    from .queries129 import QUERIES129
-    from .queries130 import QUERIES130
-    from .queries131 import QUERIES131
-    from .queries132 import QUERIES132
-    from .queries133 import QUERIES133
-    from .queries134 import QUERIES134
-    from .queries135 import QUERIES135
-    from .queries136 import QUERIES136
-    from .queries137 import QUERIES137
-    from .queries138 import QUERIES138
-    from .queries139 import QUERIES139
-    from .queries140 import QUERIES140
-    from .queries141 import QUERIES141
-    from .queries142 import QUERIES142
-    from .queries143 import QUERIES143
-    from .queries144 import QUERIES144
-    from .queries145 import QUERIES145
-    from .queries146 import QUERIES146
-    from .queries147 import QUERIES147
-    from .queries148 import QUERIES148
-    from .queries149 import QUERIES149
-    from .queries150 import QUERIES150
-    from .queries151 import QUERIES151
-    from .queries152 import QUERIES152
-    from .queries153 import QUERIES153
-    from .queries154 import QUERIES154
-    from .queries155 import QUERIES155
-    from .queries156 import QUERIES156
-    from .queries157 import QUERIES157
-    from .queries158 import QUERIES158
-    from .queries159 import QUERIES159
-    from .queries160 import QUERIES160
-    from .queries161 import QUERIES161
-    from .queries162 import QUERIES162
-    from .queries163 import QUERIES163
-    from .queries164 import QUERIES164
-    from .queries165 import QUERIES165
-    from .queries166 import QUERIES166
-    from .queries167 import QUERIES167
-    from .queries168 import QUERIES168
-    from .queries169 import QUERIES169
-    from .queries170 import QUERIES170
-    from .queries171 import QUERIES171
+# the queriesN.py batches, in the order their entries merge into the
+# registry (test_registry_no_collisions keeps every name in one batch)
+BATCHES = (*range(11, 114), *range(116, 172), *range(6, 11), *range(2, 6))
 
+
+def _batch_entries(prefix: str) -> dict:
+    """Every batch's QUERIESn (prefix "QUERIES") or ORACLESn dict, merged
+    in BATCHES order."""
+    out: dict = {}
+    for n in BATCHES:
+        out.update(getattr(importlib.import_module(f"{__package__}.queries{n}"), f"{prefix}{n}"))
+    return out
+
+
+def build_queries() -> dict:
     return _reorder({
-        **QUERIES11,
-        **QUERIES12,
-        **QUERIES13,
-        **QUERIES14,
-        **QUERIES15,
-        **QUERIES16,
-        **QUERIES17,
-        **QUERIES18,
-        **QUERIES19,
-        **QUERIES20,
-        **QUERIES21,
-        **QUERIES22,
-        **QUERIES23,
-        **QUERIES24,
-        **QUERIES25,
-        **QUERIES26,
-        **QUERIES27,
-        **QUERIES28,
-        **QUERIES29,
-        **QUERIES30,
-        **QUERIES31,
-        **QUERIES32,
-        **QUERIES33,
-        **QUERIES34,
-        **QUERIES35,
-        **QUERIES36,
-        **QUERIES37,
-        **QUERIES38,
-        **QUERIES39,
-        **QUERIES40,
-        **QUERIES41,
-        **QUERIES42,
-        **QUERIES43,
-        **QUERIES44,
-        **QUERIES45,
-        **QUERIES46,
-        **QUERIES47,
-        **QUERIES48,
-        **QUERIES49,
-        **QUERIES50,
-        **QUERIES51,
-        **QUERIES52,
-        **QUERIES53,
-        **QUERIES54,
-        **QUERIES55,
-        **QUERIES56,
-        **QUERIES57,
-        **QUERIES58,
-        **QUERIES59,
-        **QUERIES60,
-        **QUERIES61,
-        **QUERIES62,
-        **QUERIES63,
-        **QUERIES64,
-        **QUERIES65,
-        **QUERIES66,
-        **QUERIES67,
-        **QUERIES68,
-        **QUERIES69,
-        **QUERIES70,
-        **QUERIES71,
-        **QUERIES72,
-        **QUERIES73,
-        **QUERIES74,
-        **QUERIES75,
-        **QUERIES76,
-        **QUERIES77,
-        **QUERIES78,
-        **QUERIES79,
-        **QUERIES80,
-        **QUERIES81,
-        **QUERIES82,
-        **QUERIES83,
-        **QUERIES84,
-        **QUERIES85,
-        **QUERIES86,
-        **QUERIES87,
-        **QUERIES88,
-        **QUERIES89,
-        **QUERIES90,
-        **QUERIES91,
-        **QUERIES92,
-        **QUERIES93,
-        **QUERIES94,
-        **QUERIES95,
-        **QUERIES96,
-        **QUERIES97,
-        **QUERIES98,
-        **QUERIES99,
-        **QUERIES100,
-        **QUERIES101,
-        **QUERIES102,
-        **QUERIES103,
-        **QUERIES104,
-        **QUERIES105,
-        **QUERIES106,
-        **QUERIES107,
-        **QUERIES108,
-        **QUERIES109,
-        **QUERIES110,
-        **QUERIES111,
-        **QUERIES112,
-        **QUERIES113,
-        **QUERIES116,
-        **QUERIES117,
-        **QUERIES118,
-        **QUERIES119,
-        **QUERIES120,
-        **QUERIES121,
-        **QUERIES122,
-        **QUERIES123,
-        **QUERIES124,
-        **QUERIES125,
-        **QUERIES126,
-        **QUERIES127,
-        **QUERIES128,
-        **QUERIES129,
-        **QUERIES130,
-        **QUERIES131,
-        **QUERIES132,
-        **QUERIES133,
-        **QUERIES134,
-        **QUERIES135,
-        **QUERIES136,
-        **QUERIES137,
-        **QUERIES138,
-        **QUERIES139,
-        **QUERIES140,
-        **QUERIES141,
-        **QUERIES142,
-        **QUERIES143,
-        **QUERIES144,
-        **QUERIES145,
-        **QUERIES146,
-        **QUERIES147,
-        **QUERIES148,
-        **QUERIES149,
-        **QUERIES150,
-        **QUERIES151,
-        **QUERIES152,
-        **QUERIES153,
-        **QUERIES154,
-        **QUERIES155,
-        **QUERIES156,
-        **QUERIES157,
-        **QUERIES158,
-        **QUERIES159,
-        **QUERIES160,
-        **QUERIES161,
-        **QUERIES162,
-        **QUERIES163,
-        **QUERIES164,
-        **QUERIES165,
-        **QUERIES166,
-        **QUERIES167,
-        **QUERIES168,
-        **QUERIES169,
-        **QUERIES170,
-        **QUERIES171,
-        **QUERIES6,
-        **QUERIES7,
-        **QUERIES8,
-        **QUERIES9,
-        **QUERIES10,
-        **QUERIES2,
-        **QUERIES3,
-        **QUERIES4,
-        **QUERIES5,
+        **_batch_entries("QUERIES"),
         "rollup_1m": q_rollup_1m,
         "rollup_1h_cascade": q_rollup_1h_cascade,
         "rollup_1d_cascade": q_rollup_1d_cascade,
@@ -1654,346 +1334,12 @@ WHERE ROUND(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
 
 
 def build_oracle_sql() -> dict:
-    from .queries2 import ORACLES2, _MD5_SIGNED
-    from .queries3 import CORPUS_FILTER_SQL_TEMPLATE, ORACLES3
-    from .queries4 import ORACLES4
-    from .queries5 import ORACLES5
-
-    from .queries6 import ORACLES6
-    from .queries7 import ORACLES7
-    from .queries8 import ORACLES8
-    from .queries9 import ORACLES9
-    from .queries10 import ORACLES10
-    from .queries11 import ORACLES11
-    from .queries12 import ORACLES12
-    from .queries13 import ORACLES13
-    from .queries14 import ORACLES14
-    from .queries15 import ORACLES15
-    from .queries16 import ORACLES16
-    from .queries17 import ORACLES17
-    from .queries18 import ORACLES18
-    from .queries19 import ORACLES19
-    from .queries20 import ORACLES20
-    from .queries21 import ORACLES21
-    from .queries22 import ORACLES22
-    from .queries23 import ORACLES23
-    from .queries24 import ORACLES24
-    from .queries25 import ORACLES25
-    from .queries26 import ORACLES26
-    from .queries27 import ORACLES27
-    from .queries28 import ORACLES28
-    from .queries29 import ORACLES29
-    from .queries30 import ORACLES30
-    from .queries31 import ORACLES31
-    from .queries32 import ORACLES32
-    from .queries33 import ORACLES33
-    from .queries34 import ORACLES34
-    from .queries35 import ORACLES35
-    from .queries36 import ORACLES36
-    from .queries37 import ORACLES37
-    from .queries38 import ORACLES38
-    from .queries39 import ORACLES39
-    from .queries40 import ORACLES40
-    from .queries41 import ORACLES41
-    from .queries42 import ORACLES42
-    from .queries43 import ORACLES43
-    from .queries44 import ORACLES44
-    from .queries45 import ORACLES45
-    from .queries46 import ORACLES46
-    from .queries47 import ORACLES47
-    from .queries48 import ORACLES48
-    from .queries49 import ORACLES49
-    from .queries50 import ORACLES50
-    from .queries51 import ORACLES51
-    from .queries52 import ORACLES52
-    from .queries53 import ORACLES53
-    from .queries54 import ORACLES54
-    from .queries55 import ORACLES55
-    from .queries56 import ORACLES56
-    from .queries57 import ORACLES57
-    from .queries58 import ORACLES58
-    from .queries59 import ORACLES59
-    from .queries60 import ORACLES60
-    from .queries61 import ORACLES61
-    from .queries62 import ORACLES62
-    from .queries63 import ORACLES63
-    from .queries64 import ORACLES64
-    from .queries65 import ORACLES65
-    from .queries66 import ORACLES66
-    from .queries67 import ORACLES67
-    from .queries68 import ORACLES68
-    from .queries69 import ORACLES69
-    from .queries70 import ORACLES70
-    from .queries71 import ORACLES71
-    from .queries72 import ORACLES72
-    from .queries73 import ORACLES73
-    from .queries74 import ORACLES74
-    from .queries75 import ORACLES75
-    from .queries76 import ORACLES76
-    from .queries77 import ORACLES77
-    from .queries78 import ORACLES78
-    from .queries79 import ORACLES79
-    from .queries80 import ORACLES80
-    from .queries81 import ORACLES81
-    from .queries82 import ORACLES82
-    from .queries83 import ORACLES83
-    from .queries84 import ORACLES84
-    from .queries85 import ORACLES85
-    from .queries86 import ORACLES86
-    from .queries87 import ORACLES87
-    from .queries88 import ORACLES88
-    from .queries89 import ORACLES89
-    from .queries90 import ORACLES90
-    from .queries91 import ORACLES91
-    from .queries92 import ORACLES92
-    from .queries93 import ORACLES93
-    from .queries94 import ORACLES94
-    from .queries95 import ORACLES95
-    from .queries96 import ORACLES96
-    from .queries97 import ORACLES97
-    from .queries98 import ORACLES98
-    from .queries99 import ORACLES99
-    from .queries100 import ORACLES100
-    from .queries101 import ORACLES101
-    from .queries102 import ORACLES102
-    from .queries103 import ORACLES103
-    from .queries104 import ORACLES104
-    from .queries105 import ORACLES105
-    from .queries106 import ORACLES106
-    from .queries107 import ORACLES107
-    from .queries108 import ORACLES108
-    from .queries109 import ORACLES109
-    from .queries110 import ORACLES110
-    from .queries111 import ORACLES111
-    from .queries112 import ORACLES112
-    from .queries113 import ORACLES113
-    from .queries116 import ORACLES116
-    from .queries117 import ORACLES117
-    from .queries118 import ORACLES118
-    from .queries119 import ORACLES119
-    from .queries120 import ORACLES120
-    from .queries121 import ORACLES121
-    from .queries122 import ORACLES122
-    from .queries123 import ORACLES123
-    from .queries124 import ORACLES124
-    from .queries125 import ORACLES125
-    from .queries126 import ORACLES126
-    from .queries127 import ORACLES127
-    from .queries128 import ORACLES128
-    from .queries129 import ORACLES129
-    from .queries130 import ORACLES130
-    from .queries131 import ORACLES131
-    from .queries132 import ORACLES132
-    from .queries133 import ORACLES133
-    from .queries134 import ORACLES134
-    from .queries135 import ORACLES135
-    from .queries136 import ORACLES136
-    from .queries137 import ORACLES137
-    from .queries138 import ORACLES138
-    from .queries139 import ORACLES139
-    from .queries140 import ORACLES140
-    from .queries141 import ORACLES141
-    from .queries142 import ORACLES142
-    from .queries143 import ORACLES143
-    from .queries144 import ORACLES144
-    from .queries145 import ORACLES145
-    from .queries146 import ORACLES146
-    from .queries147 import ORACLES147
-    from .queries148 import ORACLES148
-    from .queries149 import ORACLES149
-    from .queries150 import ORACLES150
-    from .queries151 import ORACLES151
-    from .queries152 import ORACLES152
-    from .queries153 import ORACLES153
-    from .queries154 import ORACLES154
-    from .queries155 import ORACLES155
-    from .queries156 import ORACLES156
-    from .queries157 import ORACLES157
-    from .queries158 import ORACLES158
-    from .queries159 import ORACLES159
-    from .queries160 import ORACLES160
-    from .queries161 import ORACLES161
-    from .queries162 import ORACLES162
-    from .queries163 import ORACLES163
-    from .queries164 import ORACLES164
-    from .queries165 import ORACLES165
-    from .queries166 import ORACLES166
-    from .queries167 import ORACLES167
-    from .queries168 import ORACLES168
-    from .queries169 import ORACLES169
-    from .queries170 import ORACLES170
-    from .queries171 import ORACLES171
+    from .queries2 import _MD5_SIGNED
+    from .queries3 import CORPUS_FILTER_SQL_TEMPLATE
 
     seg = lambda op, agg: _SEGMENT_SQL.format(op=op, agg=agg, factor=10)
     out = {
-        **ORACLES11,
-        **ORACLES12,
-        **ORACLES13,
-        **ORACLES14,
-        **ORACLES15,
-        **ORACLES16,
-        **ORACLES17,
-        **ORACLES18,
-        **ORACLES19,
-        **ORACLES20,
-        **ORACLES21,
-        **ORACLES22,
-        **ORACLES23,
-        **ORACLES24,
-        **ORACLES25,
-        **ORACLES26,
-        **ORACLES27,
-        **ORACLES28,
-        **ORACLES29,
-        **ORACLES30,
-        **ORACLES31,
-        **ORACLES32,
-        **ORACLES33,
-        **ORACLES34,
-        **ORACLES35,
-        **ORACLES36,
-        **ORACLES37,
-        **ORACLES38,
-        **ORACLES39,
-        **ORACLES40,
-        **ORACLES41,
-        **ORACLES42,
-        **ORACLES43,
-        **ORACLES44,
-        **ORACLES45,
-        **ORACLES46,
-        **ORACLES47,
-        **ORACLES48,
-        **ORACLES49,
-        **ORACLES50,
-        **ORACLES51,
-        **ORACLES52,
-        **ORACLES53,
-        **ORACLES54,
-        **ORACLES55,
-        **ORACLES56,
-        **ORACLES57,
-        **ORACLES58,
-        **ORACLES59,
-        **ORACLES60,
-        **ORACLES61,
-        **ORACLES62,
-        **ORACLES63,
-        **ORACLES64,
-        **ORACLES65,
-        **ORACLES66,
-        **ORACLES67,
-        **ORACLES68,
-        **ORACLES69,
-        **ORACLES70,
-        **ORACLES71,
-        **ORACLES72,
-        **ORACLES73,
-        **ORACLES74,
-        **ORACLES75,
-        **ORACLES76,
-        **ORACLES77,
-        **ORACLES78,
-        **ORACLES79,
-        **ORACLES80,
-        **ORACLES81,
-        **ORACLES82,
-        **ORACLES83,
-        **ORACLES84,
-        **ORACLES85,
-        **ORACLES86,
-        **ORACLES87,
-        **ORACLES88,
-        **ORACLES89,
-        **ORACLES90,
-        **ORACLES91,
-        **ORACLES92,
-        **ORACLES93,
-        **ORACLES94,
-        **ORACLES95,
-        **ORACLES96,
-        **ORACLES97,
-        **ORACLES98,
-        **ORACLES99,
-        **ORACLES100,
-        **ORACLES101,
-        **ORACLES102,
-        **ORACLES103,
-        **ORACLES104,
-        **ORACLES105,
-        **ORACLES106,
-        **ORACLES107,
-        **ORACLES108,
-        **ORACLES109,
-        **ORACLES110,
-        **ORACLES111,
-        **ORACLES112,
-        **ORACLES113,
-        **ORACLES116,
-        **ORACLES117,
-        **ORACLES118,
-        **ORACLES119,
-        **ORACLES120,
-        **ORACLES121,
-        **ORACLES122,
-        **ORACLES123,
-        **ORACLES124,
-        **ORACLES125,
-        **ORACLES126,
-        **ORACLES127,
-        **ORACLES128,
-        **ORACLES129,
-        **ORACLES130,
-        **ORACLES131,
-        **ORACLES132,
-        **ORACLES133,
-        **ORACLES134,
-        **ORACLES135,
-        **ORACLES136,
-        **ORACLES137,
-        **ORACLES138,
-        **ORACLES139,
-        **ORACLES140,
-        **ORACLES141,
-        **ORACLES142,
-        **ORACLES143,
-        **ORACLES144,
-        **ORACLES145,
-        **ORACLES146,
-        **ORACLES147,
-        **ORACLES148,
-        **ORACLES149,
-        **ORACLES150,
-        **ORACLES151,
-        **ORACLES152,
-        **ORACLES153,
-        **ORACLES154,
-        **ORACLES155,
-        **ORACLES156,
-        **ORACLES157,
-        **ORACLES158,
-        **ORACLES159,
-        **ORACLES160,
-        **ORACLES161,
-        **ORACLES162,
-        **ORACLES163,
-        **ORACLES164,
-        **ORACLES165,
-        **ORACLES166,
-        **ORACLES167,
-        **ORACLES168,
-        **ORACLES169,
-        **ORACLES170,
-        **ORACLES171,
-        **ORACLES6,
-        **ORACLES7,
-        **ORACLES8,
-        **ORACLES9,
-        **ORACLES10,
-        **ORACLES2,
-        **ORACLES3,
-        **ORACLES4,
-        **ORACLES5,
+        **_batch_entries("ORACLES"),
         "rollup_1m": _ROLLUP_SQL.format(unit="minute"),
         "rollup_1h_cascade": _ROLLUP_SQL.format(unit="hour"),
         "rollup_1d_cascade": _ROLLUP_SQL.format(unit="day"),

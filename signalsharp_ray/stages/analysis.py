@@ -1,11 +1,15 @@
 """Analysis stage: the reference's algorithms as distributed per-series
 operators over rolled-up tier points.
 
-Each operator is a groupby(host, url).map_groups kernel: the group is sorted
-by bucket_ts inside the kernel (groupby does not guarantee intra-group
-order), the numpy kernel from signalsharp_ray.kernels runs on the value
-column, and the result is re-emitted as rows. Parallelism comes from the
-number of series; per-series state never crosses a kernel call.
+Two forms, one per-series numpy kernel from signalsharp_ray.kernels:
+- the flagship's: *_sorted run every series of a bucket's SortedTier
+  (rows sorted once by key, bucket_ts) inside the post-1m bucket-group
+  tasks, and *_tier build the output tables from them;
+- the per-group form: changepoints_kernel, smooth_kernel and
+  forecast_kernel take one (host, url) group's frame and sort it by
+  bucket_ts (the exchange keeps no intra-group order); detect_changepoints
+  runs changepoints_kernel per group over raytools.bucketed_map_groups.
+Per-series state never crosses a kernel call.
 
 Quadratic-memory kernels (RBF, L1 medians) are guarded by max_series_len:
 longer series are refused loudly rather than silently OOMing a worker —

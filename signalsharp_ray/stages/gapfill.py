@@ -13,8 +13,10 @@ exist); required by BASELINE.json north_rule. Semantics:
 - ordering: the group is sorted by bucket_ts inside the kernel (groupby does
   not guarantee intra-group order)
 
-Runs as groupby(host, url).map_groups — each series fully materialized in one
-kernel call (same co-partitioning contract as the analysis stage).
+Two forms: gapfill_segments fills every series of a sorted bucket at once
+(the flagship's post-1m encode); gapfill_tier runs gapfill_series per
+(host, url) group over raytools.bucketed_map_groups, each series fully
+materialized in one kernel call (as the analysis stage's Dataset form).
 """
 
 from __future__ import annotations

@@ -19,10 +19,15 @@ Two forms:
       count:int64, sum:float64, min:float64, max:float64, mean:float64
 - DATASET FORM (rollup_tier / cascade_tier): PARTIAL+FINAL aggregation
   over a Ray Dataset keyed by the caller's key columns (host, url by
-  default). Every batch is pre-aggregated with pyarrow's hash groupby
-  before the one shuffle, so the exchange moves one row per (key, bucket)
-  per batch instead of one per point; count/sum/min/max merge exactly.
-  Its rows carry the key columns and bucket_ts:timestamp[us].
+  default), one hash exchange (raytools._exchange) per tier. The split
+  tasks rebucket each input block and pre-merge it with pyarrow's hash
+  groupby, so the exchange moves one row per (key, bucket) per block
+  instead of one per point; rows are bucketed on the series key only. The
+  reduce tasks merge the partials (count/sum/min/max merge exactly) and
+  append the mean. rollup_tier is the cascade over the points seen as a
+  tier of one row per point (count = value is not null). Its rows carry
+  the key columns and bucket_ts:timestamp[us]; pyarrow's aggregates keep
+  the value's type (an int64 value sums as int64).
 
 mean = sum/count is computed AFTER the final merge (it is not mergeable).
 """
@@ -34,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..common.fsio import with_pandas_metadata
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import _exchange, default_buckets, with_key_bucket
 
 TIERS_US = {
     "1m": 60_000_000,
@@ -46,7 +51,6 @@ TIERS_US = {
     "1w": 604_800_000_000,
 }
 
-ROLLUP_KEY = ["host", "url", "bucket_ts"]
 DEFAULT_SERIES_KEY = ["host", "url"]
 
 
@@ -70,6 +74,33 @@ def bucket_timestamps(ts: pa.ChunkedArray, tier_us: int) -> pa.Array:
     return pa.array(floored.astype(np.int64), pa.timestamp("us"))
 
 
+def _points_as_tier(batch: pa.Table, keys: list, ts_col: str, value_col: str) -> pa.Table:
+    """Points seen as a tier of one row per point: bucket_ts = the point's
+    ts, count = value is not null, sum = min = max = value."""
+    v = batch[value_col]
+    cols = {k: batch[k] for k in keys}
+    cols.update(bucket_ts=batch[ts_col], count=pc.cast(pc.is_valid(v), pa.int64()), sum=v, min=v, max=v)
+    return pa.table(cols)
+
+
+def _merge_tier(rows: pa.Table, gk: list) -> pa.Table:
+    """count/sum/min/max rows merged per `gk` with pyarrow's hash groupby:
+    sum of counts, sum of sums, min of mins, max of maxes."""
+    g = rows.group_by(gk, use_threads=False).aggregate(
+        [("count", "sum"), ("sum", "sum"), ("min", "min"), ("max", "max")]
+    )
+    return g.rename_columns(gk + ["count", "sum", "min", "max"])
+
+
+def _partial_tier(rows: pa.Table, tier_us: int, keys: list) -> pa.Table:
+    """Tier rows (keys..., bucket_ts, count, sum, min, max) rebucketed to
+    tier_us and merged within the batch: the exchange's combiner."""
+    cols = {k: rows[k] for k in keys}
+    cols["bucket_ts"] = bucket_timestamps(rows["bucket_ts"], tier_us)
+    cols.update({c: rows[c] for c in ("count", "sum", "min", "max")})
+    return _merge_tier(pa.table(cols), keys + ["bucket_ts"])
+
+
 def partial_rollup_batch(
     batch: pa.Table,
     tier_us: int,
@@ -77,62 +108,32 @@ def partial_rollup_batch(
     ts_col: str = "ts",
     value_col: str = "value",
 ) -> pa.Table:
-    """In-batch partial aggregate on (key_cols..., bucket): the combiner."""
+    """In-batch partial aggregate of points on (key_cols..., bucket)."""
     keys = list(key_cols or DEFAULT_SERIES_KEY)
-    cols = {k: batch[k] for k in keys}
-    cols["bucket_ts"] = bucket_timestamps(batch[ts_col], tier_us)
-    cols["value"] = batch[value_col]
-    t = pa.table(cols)
+    return _partial_tier(_points_as_tier(batch, keys, ts_col, value_col), tier_us, keys)
+
+
+def _tier_exchange(ds, tier_us: int, keys: list, as_tier=None):
+    """One hash exchange per tier. Each split task views its input blocks
+    as tier rows (`as_tier`; None: they are tier rows), pre-merges them
+    (_partial_tier) and buckets them by the series key only, so a whole
+    series lands in one bucket; each reduce task merges its bucket's
+    partials and appends mean = sum/count (not mergeable, so computed
+    after the final merge). An empty input keeps the tier's columns."""
     gk = keys + ["bucket_ts"]
-    g = t.group_by(gk, use_threads=False).aggregate(
-        [("value", "count"), ("value", "sum"), ("value", "min"), ("value", "max")]
-    )
-    return g.rename_columns(gk + ["count", "sum", "min", "max"])
+    n_buckets = default_buckets()
 
+    def split(batch: pa.Table) -> pa.Table:
+        rows = batch if as_tier is None else as_tier(batch)
+        return with_key_bucket(_partial_tier(rows, tier_us, keys), keys, n_buckets)
 
-def _merge_partials(ds, key_cols: list | None = None):
-    """Cluster-wide final merge of partial rows (the one shuffle per tier).
+    def final(t: pa.Table) -> pa.Table:
+        merged = _merge_tier(t, gk)
+        return merged.append_column(
+            "mean", pc.divide(merged["sum"], pc.cast(merged["count"], pa.float64()))
+        )
 
-    Uses hash_bucket_aggregate instead of Ray's groupby().aggregate():
-    tier keys are HIGH cardinality (one group per series-bucket) and Ray's
-    aggregate pays Python-per-group overhead; the bucketed C++ aggregation
-    is exact for these commutative merges and O(#buckets) in Python.
-
-    The shuffle bucket is derived from the SERIES key only (not bucket_ts),
-    so a whole series lands in one bucket."""
-    keys = list(key_cols or DEFAULT_SERIES_KEY)
-    gk = keys + ["bucket_ts"]
-    agg = hash_bucket_aggregate(
-        ds,
-        gk,
-        [("count", "sum"), ("sum", "sum"), ("min", "min"), ("max", "max")],
-        bucket_cols=keys,
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {k: batch[k] for k in gk}
-        cols["count"] = batch["count_sum"]
-        cols["sum"] = batch["sum_sum"]
-        cols["min"] = batch["min_min"]
-        cols["max"] = batch["max_max"]
-        return pa.table(cols)
-
-    return agg.map_batches(rename, batch_format="pyarrow").map_batches(
-        _add_mean, batch_format="pyarrow"
-    )
-
-
-def _add_mean(batch: pa.Table) -> pa.Table:
-    # normalize bucket_ts back to us (Ray's aggregate may downcast to s);
-    # tier buckets are whole seconds so the cast is lossless
-    idx = batch.column_names.index("bucket_ts")
-    batch = batch.set_column(
-        idx, "bucket_ts", pc.cast(batch["bucket_ts"], pa.timestamp("us"))
-    )
-    mean = pc.divide(batch["sum"], pc.cast(batch["count"], pa.float64()))
-    if "mean" in batch.column_names:
-        batch = batch.drop_columns(["mean"])
-    return batch.append_column("mean", mean)
+    return _exchange([(ds, split)], n_buckets, final, empty_like=ds, drop_empty=True)
 
 
 def rollup_tier(
@@ -142,36 +143,18 @@ def rollup_tier(
     ts_col: str = "ts",
     value_col: str = "value",
 ):
-    """points (key_cols..., ts, value) -> tier aggregate rows."""
-    tier_us = TIERS_US[tier]
+    """points (key_cols..., ts, value) -> tier aggregate rows: the cascade
+    over the points seen as a tier of one row per point."""
     keys = list(key_cols or DEFAULT_SERIES_KEY)
-    partial = points_ds.map_batches(
-        lambda b: partial_rollup_batch(b, tier_us, keys, ts_col, value_col),
-        batch_format="pyarrow",
+    return _tier_exchange(
+        points_ds, TIERS_US[tier], keys, lambda b: _points_as_tier(b, keys, ts_col, value_col)
     )
-    return _merge_partials(partial, keys)
 
 
 def cascade_tier(finer_ds, coarser_tier: str, key_cols: list | None = None):
     """Re-aggregate a finer tier's rows into a coarser tier — exact because
     count/sum/min/max merge associatively; mean recomputed at the end."""
-    tier_us = TIERS_US[coarser_tier]
-    keys = list(key_cols or DEFAULT_SERIES_KEY)
-    gk = keys + ["bucket_ts"]
-
-    def rebucket(batch: pa.Table) -> pa.Table:
-        cols = {k: batch[k] for k in keys}
-        cols["bucket_ts"] = bucket_timestamps(batch["bucket_ts"], tier_us)
-        for c in ("count", "sum", "min", "max"):
-            cols[c] = batch[c]
-        t = pa.table(cols)
-        g = t.group_by(gk, use_threads=False).aggregate(
-            [("count", "sum"), ("sum", "sum"), ("min", "min"), ("max", "max")]
-        )
-        return g.rename_columns(gk + ["count", "sum", "min", "max"])
-
-    partial = finer_ds.map_batches(rebucket, batch_format="pyarrow")
-    return _merge_partials(partial, keys)
+    return _tier_exchange(finer_ds, TIERS_US[coarser_tier], list(key_cols or DEFAULT_SERIES_KEY))
 
 
 TIER_COLUMNS = ("count", "sum", "min", "max", "mean")

@@ -90,3 +90,20 @@ def test_catalog_agrees_with_registry():
     assert {n for n, _ in rows} == set(q), "regenerate OPERATORS.md"
     for name, status in rows:
         assert (status == "SQL") == (name in o), f"{name} status stale"
+
+
+def test_batch_order_names_every_batch_on_disk():
+    """BATCHES (the order the registry merges the queriesN.py batches in)
+    names each batch file on disk exactly once, and nothing else."""
+    import re
+
+    from signalsharp_ray.pipelines.queries import BATCHES
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    on_disk = []
+    for f in glob.glob(os.path.join(root, "signalsharp_ray/pipelines/queries*.py")):
+        m = re.fullmatch(r"queries(\d+)\.py", os.path.basename(f))
+        if m:
+            on_disk.append(int(m.group(1)))
+    assert len(set(BATCHES)) == len(BATCHES)
+    assert sorted(BATCHES) == sorted(on_disk)
