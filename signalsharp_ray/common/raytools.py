@@ -12,9 +12,16 @@ return an empty table of its usual schema. The grouped helpers then drop
 the empty buckets' blocks from their results (a downstream map_batches
 would strip their schema), and the pandas helpers never call their
 kernels on an empty bucket.
+
+The exchange pays its per-task costs per CPU rather than per block or per
+bucket: reads that it starts plan about 2 blocks per CPU (coarse_reads),
+and one reduce task runs the reducer over each bucket of a contiguous
+bucket group, returning one block per group.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pandas as pd
@@ -639,6 +646,27 @@ def _wait_all(refs: list) -> None:
 _MAP_BYTES = 256 << 20
 
 
+@contextlib.contextmanager
+def coarse_reads():
+    """Drop Ray Data's floor of 200 read blocks while the block runs.
+
+    Reads planned inside it make about 2 blocks per CPU, each at most
+    `target_max_block_size`, instead of one block per MiB up to 200. The
+    exchange regroups blocks into _MAP_BYTES split tasks anyway, so finer
+    reads only add read and map tasks. Ray 2.49 plans a read from the
+    current DataContext when execution starts; a factory whose Dataset
+    captures the context should be called inside the block too."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    floor = ctx.read_op_min_num_blocks
+    ctx.read_op_min_num_blocks = 1
+    try:
+        yield
+    finally:
+        ctx.read_op_min_num_blocks = floor
+
+
 def hash_exchange(
     ds,
     n_buckets: int,
@@ -657,12 +685,21 @@ def hash_exchange(
     returns), so the peak object-store footprint is the partitioned split
     output plus a small in-flight window — never the whole exchange input
     materialized up front AND its split copy side by side. Upstream extract
-    work overlaps the splitting. Each reduce task then concatenates its
-    bucket's slices and applies reduce_fn(table) -> table; reduces start as
+    work overlaps the splitting. Reads that the exchange starts run with
+    no block floor of Ray's own (coarse_reads): about 2 blocks per CPU,
+    since the split tasks regroup blocks by bytes anyway.
+
+    Each reduce task then takes a contiguous group of buckets: for each
+    bucket in turn it concatenates the bucket's slices and applies
+    reduce_fn(table) -> table, and it returns the outputs concatenated in
+    bucket order as one block. There are min(n_buckets, max(cluster CPUs,
+    ceil(input bytes / _MAP_BYTES))) groups, so a small input pays for
+    about one reduce task per CPU and a large one still reduces at most
+    about _MAP_BYTES of input per task (or one bucket). Reduces start as
     soon as the last map finishes (a hash exchange is a barrier at the
     reduce, not at the map). reduce_fn must accept an empty table (an
     empty bucket): every returned block then has its schema. Returns a
-    Dataset over the reduced buckets (ray.data.from_arrow_refs), so
+    Dataset over the reduced groups (ray.data.from_arrow_refs), so
     downstream stays in the Dataset API, once every reduce task has ended
     (failed ones too, so a reducer that writes files never outlives a
     failed call).
@@ -711,10 +748,12 @@ def _exchange(
     """hash_exchange over `sources`, a list of (Dataset or iterator of its
     ref bundles, bucket_fn): bucket_fn (None: the blocks already carry
     `__bucket`) maps each typed input table to the table to split, inside
-    the split task. Returns a Dataset over the reduced buckets; with
-    drop_empty only the non-empty ones (the first one when all are empty).
-    When no source yields a block, the result is `empty_like`'s columns
-    (minus `__bucket`) with no rows."""
+    the split task. The sources are consumed under coarse_reads. Returns a
+    Dataset with one block per reduce task (a contiguous bucket group, see
+    hash_exchange); with drop_empty a group keeps only its non-empty
+    buckets' outputs, and only the non-empty blocks are returned (the
+    first one when all are empty). When no source yields a block, the
+    result is `empty_like`'s columns (minus `__bucket`) with no rows."""
     import ray.data as rd
 
     def put(fn):
@@ -751,18 +790,21 @@ def _exchange(
         group = []
         group_bytes = 0
 
-    for src, bucket_fn in sources:
-        bucket_ref = put(bucket_fn)
-        bundles = src.iter_internal_ref_bundles() if hasattr(src, "iter_internal_ref_bundles") else src
-        for bundle in bundles:
-            for block_ref, meta in bundle.blocks:
-                group.append(block_ref)
-                group_bytes += meta.size_bytes or 0
-                if group_bytes >= _MAP_BYTES or len(group) >= max_blocks_per_map:
-                    flush(bucket_ref)
-        if group:
-            # a group never mixes sources: each has its own bucket_fn
-            flush(bucket_ref)
+    input_bytes = 0
+    with coarse_reads():
+        for src, bucket_fn in sources:
+            bucket_ref = put(bucket_fn)
+            bundles = src.iter_internal_ref_bundles() if hasattr(src, "iter_internal_ref_bundles") else src
+            for bundle in bundles:
+                for block_ref, meta in bundle.blocks:
+                    group.append(block_ref)
+                    group_bytes += meta.size_bytes or 0
+                    input_bytes += meta.size_bytes or 0
+                    if group_bytes >= _MAP_BYTES or len(group) >= max_blocks_per_map:
+                        flush(bucket_ref)
+            if group:
+                # a group never mixes sources: each has its own bucket_fn
+                flush(bucket_ref)
 
     if not per_block and not any(partials) and not any(pending):
         schema = empty_like.schema()
@@ -774,7 +816,8 @@ def _exchange(
     # tree fan-in: a 100-TB input yields ~4e5 map tasks, and a single
     # remote call with 4e5 ObjectRef args is not a reasonable task spec —
     # pre-concatenate each bucket's slices in chunks of FANIN so every
-    # task (intermediate and final) takes a bounded argument list
+    # task takes a bounded argument list (a reduce task at most FANIN per
+    # bucket of its group)
     FANIN = 256
 
     def gather(b: int):
@@ -791,9 +834,22 @@ def _exchange(
                 _fold_slices.remote(fold_ref, *slices[i: i + FANIN])
                 for i in range(0, len(slices), FANIN)
             ]
-        return _reduce_slices.remote(reduce_ref, *slices)
+        return slices
 
-    tables, rows = zip(*[gather(b) for b in range(n_buckets)])
+    # one reduce task per contiguous bucket range: a task's fixed cost is
+    # paid per CPU (or per _MAP_BYTES of input), not per bucket
+    n_cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_groups = min(n_buckets, max(n_cpus, -(-input_bytes // _MAP_BYTES)))
+
+    def reduce_group(buckets: list[int]):
+        per_bucket = [gather(b) for b in buckets]
+        return _reduce_slices.remote(
+            reduce_ref, not drop_empty, [len(s) for s in per_bucket],
+            *[r for s in per_bucket for r in s],
+        )
+
+    groups = bucket_groups(dict.fromkeys(range(n_buckets), 1), n_groups)
+    tables, rows = zip(*[reduce_group(g) for g in groups])
     tables = list(tables)
     _wait_all(tables)
     if drop_empty:
@@ -866,12 +922,23 @@ def _fold_slices(fn, *slices):
 
 
 @ray.remote(num_returns=2)
-def _reduce_slices(reduce_fn, *slices):
-    """reduce_fn over a bucket's slices, empty buckets included, so an
-    empty block carries the reducer's output schema rather than the map
-    side's; returns (table, rows)."""
-    t = _bucket_table(slices)
-    if t is None:
-        return slices[0], 0
-    out = _strip_meta(reduce_fn(t))
+def _reduce_slices(reduce_fn, keep_empty: bool, sizes: list[int], *slices):
+    """reduce_fn over each bucket of a group, whose slices come in bucket
+    order (`sizes` of them per bucket); returns (table, rows): the
+    outputs concatenated in bucket order. Empty buckets are reduced too,
+    so an empty output carries the reducer's schema rather than the map
+    side's; without keep_empty only the non-empty outputs are kept (the
+    first one when all are empty). A bucket with no typed slice is
+    skipped, and the group is untyped when all are."""
+    outs = []
+    for end, n in zip(np.cumsum(sizes), sizes):
+        t = _bucket_table(slices[end - n: end])
+        if t is not None:
+            outs.append(_strip_meta(reduce_fn(t)))
+    if not keep_empty:
+        outs = [t for t in outs if t.num_rows] or outs[:1]
+    typed = [t for t in outs if t.num_columns]
+    if not typed:
+        return (outs or slices)[0], 0
+    out = typed[0] if len(typed) == 1 else _concat(typed)
     return out, out.num_rows

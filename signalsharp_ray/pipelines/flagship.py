@@ -12,19 +12,21 @@ killed run resumes at the first incomplete commit):
            tier_1d -> PELT / EMA / forecast      -> changepoints_1d,
                                                     smoothed_1d, forecast_1d
 
-The exchange is the only shuffle, and job 1 ends in it: each reduce task
-dedups its bucket's points with one Arrow group_by, sorts them once by
+The exchange is the only shuffle, and job 1 ends in it. The pages are
+read in about 2 blocks per CPU, and each reduce task takes a contiguous
+group of buckets (about one group per CPU). For each bucket of its group
+it dedups the bucket's points with one Arrow group_by, sorts them once by
 (url_hash, ts) and writes them, the bucket's dictionary slice and its 1m
 tier, rolled from the sorted points by the cascade kernel
 (rollup_points; a point without a timestamp stays in points and forms no
-tier row). So points and tier_1m commit together (the freshness point
-readers wait for), and the reduce converts nothing to pandas. Job 2 is
-partition-aligned: one Ray task per contiguous bucket group
-(run_bucket_groups) reads each bucket's tier_1m once as an Arrow table
-and sorts it once by (url_hash, bucket_ts); every later kernel runs on
-those sorted arrays in memory: the cascade, one gap-fill grid and one
-DoD/Gorilla pass over all series of a tier, and the three analyses of
-the analysis tier. The job commits in two phases: the coarser tiers once
+tier row): one file per bucket and output. So points and tier_1m commit
+together (the freshness point readers wait for), and the reduce converts
+nothing to pandas. Job 2 is partition-aligned: one Ray task per
+contiguous bucket group (run_bucket_groups) reads each bucket's tier_1m
+once as an Arrow table and sorts it once by (url_hash, bucket_ts); every
+later kernel runs on those sorted arrays in memory: the cascade, one
+gap-fill grid and one DoD/Gorilla pass over all series of a tier, and
+the three analyses of the analysis tier. The job commits in two phases: the coarser tiers once
 every task has written them, then the six derived outputs. A rerun after
 a fault in the second phase recomputes the tiers in memory and writes
 only the derived outputs.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..common import fsio
-from ..common.raytools import run_bucket_groups
+from ..common.raytools import coarse_reads, run_bucket_groups
 from ..sources.synth import WebPagesSpec, generate_webpages_dataset
 from ..stages.analysis import (
     ChangepointConfig,
@@ -164,9 +166,12 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
     first = cfg.tiers[0]
 
     def ingest(out_dirs, commit):
-        exchange_points(pages_ds_factory(), n_buckets, partial(
-            _ingest_bucket, points_dir=out_dirs["points"],
-            tier_dir=out_dirs[f"tier_{first}"], tier_us=TIERS_US[first]))
+        # the pages are read in about 2 blocks per CPU (coarse_reads), both
+        # where the factory builds the read and where the exchange runs it
+        with coarse_reads():
+            exchange_points(pages_ds_factory(), n_buckets, partial(
+                _ingest_bucket, points_dir=out_dirs["points"],
+                tier_dir=out_dirs[f"tier_{first}"], tier_us=TIERS_US[first]))
 
     job([{"points": ["pages"], f"tier_{first}": ["points"]}], ingest)
     outputs["url_dict"] = outputs["points"] + "/dict"

@@ -44,6 +44,15 @@ def _hash_strings(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pa.array(hashed.view(np.int64), pa.int64())
 
 
+def _hash_distinct_strings(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """_hash_strings(arr), hashing each distinct string once: a batch
+    repeats a url on every crawl of it. A null keeps its hash of None."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    encoded = pc.dictionary_encode(arr, null_encoding="encode")
+    return _hash_strings(encoded.dictionary).take(encoded.indices)
+
+
 def _first_per_key(batch: pa.Table) -> pa.Table:
     """Keep the first row of each (url, ts) key inside a batch (pure-numpy
     in-batch pre-dedup on the integer (url_hash, ts) pair)."""
@@ -102,7 +111,7 @@ def _compact_bucket_batch(batch: pa.Table, n_buckets: int) -> pa.Table:
     string per distinct url per batch, enough for each bucket to build its
     slice of the url dictionary (url_dict_bucket)."""
     url = batch["url"]
-    url_hash = _hash_strings(url)
+    url_hash = _hash_distinct_strings(url)
     first = np.zeros(len(url_hash), dtype=bool)
     first[np.unique(url_hash.to_numpy(zero_copy_only=False), return_index=True)[1]] = True
     value = pc.cast(pc.binary_length(pc.cast(batch["text"], pa.binary())), pa.float64())

@@ -9,6 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from signalsharp_ray.common import raytools
 from signalsharp_ray.common.raytools import (
     bucketed_join,
     bucketed_map_groups,
@@ -16,7 +17,7 @@ from signalsharp_ray.common.raytools import (
     hash_exchange,
 )
 from signalsharp_ray.sources.synth import WebPagesSpec, generate_webpages_dataset
-from signalsharp_ray.stages.extract import build_url_dict, extract_dedup_exchange
+from signalsharp_ray.stages.extract import _hash_strings, build_url_dict, extract_dedup_exchange
 
 # 4 urls over 16 buckets: at least 12 buckets are empty
 SPEC = WebPagesSpec(n_rows=400, n_hosts=2, urls_per_host=2, rows_per_shard=100)
@@ -36,9 +37,17 @@ def _block_schemas(ds):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("build", [extract_dedup_exchange, build_url_dict])
 def test_one_schema_per_output_with_empty_buckets(build):
+    import ray
+
     blocks = _block_schemas(build(generate_webpages_dataset(SPEC), n_buckets=N_BUCKETS))
-    assert len(blocks) == N_BUCKETS
-    assert sum(1 for rows, _ in blocks if rows == 0) >= N_BUCKETS - 4
+    # one block per reduce task: a contiguous group of buckets per CPU,
+    # empty when none of its buckets holds a url
+    groups = raytools.bucket_groups(dict.fromkeys(range(N_BUCKETS), 1),
+                                    int(ray.cluster_resources()["CPU"]))
+    pages = pa.concat_tables(ray.get(generate_webpages_dataset(SPEC).to_arrow_refs()))
+    used = set((_hash_strings(pages["url"]).to_numpy().view(np.uint64) % np.uint64(N_BUCKETS)).tolist())
+    assert len(blocks) == len(groups) == 4
+    assert [rows == 0 for rows, _ in blocks] == [not used & set(g) for g in groups]
     schemas = {schema for _, schema in blocks}
     assert len(schemas) == 1, schemas
     (schema,) = schemas

@@ -16,7 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from signalsharp_ray.pipelines.flagship import _ingest_bucket
-from signalsharp_ray.stages.extract import _compact_bucket_batch, _first_per_key
+from signalsharp_ray.stages.extract import (
+    _compact_bucket_batch,
+    _first_per_key,
+    _hash_distinct_strings,
+    _hash_strings,
+)
 from signalsharp_ray.stages.rollup import TIERS_US, rollup_partition_pandas, rollup_points
 
 SETTINGS = settings(max_examples=80, deadline=None,
@@ -56,6 +61,26 @@ def test_compact_bucket_batch_on_any_string_layout(layout):
         assert (row["url"] is not None) == (row["url_hash"] not in seen)
         seen.setdefault(row["url_hash"], row["url"])
     assert sorted(seen.values()) == sorted(set(urls.to_pylist()))
+
+
+@pytest.mark.parametrize("layout", ["plain", "sliced", "chunked", "large_string", "nulls"])
+def test_url_hash_is_the_per_row_hash_on_any_layout(layout):
+    """The map side hashes each distinct url once; every row still gets
+    _hash_strings of its own url, a null url pandas' hash of None."""
+    base = pa.array([None if i % 7 == 3 else f"https://host{i % 4}.example.com/{'p' * (i % 5)}"
+                     for i in range(40)])
+    urls = {
+        "plain": base,
+        "sliced": base.slice(3, 20),
+        "chunked": pa.chunked_array([base.slice(3, 9), base.slice(17, 11), base.slice(0, 0)]),
+        "large_string": base.cast(pa.large_string()).slice(5, 20),
+        "nulls": pa.array([None] * 6, pa.string()),
+    }[layout]
+    want = _hash_strings(urls)
+    assert _hash_distinct_strings(urls).equals(want)
+    # the pre-dedup keeps every row: each has its own warc_ts
+    assert _compact_bucket_batch(_pages(urls), 4)["url_hash"].equals(pa.chunked_array([want]))
+    assert want.null_count == 0
 
 
 def test_pre_dedup_keys_are_exact_next_to_a_null_ts():
