@@ -35,6 +35,7 @@ only the derived outputs.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -94,10 +95,15 @@ def _ingest_bucket(t, points_dir, tier_dir, tier_us):
     points = dedup_bucket(t)
     if points.num_rows:
         b = t["__bucket"][0].as_py()
-        tier = rollup_points(points, tier_us)[0].table()
-        fsio.write_bucket(points, fsio.join(points_dir, "data"), b)
-        fsio.write_bucket(url_dict_bucket(t), fsio.join(points_dir, "dict"), b)
-        fsio.write_bucket(tier, tier_dir, b)
+        # each file is created on a thread of its own (mostly kernel time,
+        # outside the interpreter lock) while the next one is computed
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            writes = [pool.submit(fsio.write_bucket, points, fsio.join(points_dir, "data"), b),
+                      pool.submit(fsio.write_bucket, url_dict_bucket(t), fsio.join(points_dir, "dict"), b)]
+            tier = rollup_points(points, tier_us)[0].table()
+            writes.append(pool.submit(fsio.write_bucket, tier, tier_dir, b))
+            for w in writes:
+                w.result()
     return points.slice(0, 0)
 
 

@@ -173,6 +173,22 @@ def test_a_four_file_read_reaches_the_exchange_as_two_blocks_per_cpu(tmp_path):
     assert 1 <= len(os.listdir(marks)) <= 2 * _cpus()
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_the_helper_actors_the_exchange_waits_for_are_ray_datas():
+    """After an exchange over a Dataset, every (name, namespace) it waits
+    for names a live actor: a name Ray Data no longer uses would make the
+    wait a silent no-op."""
+    import ray
+    import ray.data as rd
+
+    out = raytools.hash_bucket_aggregate(rd.range(20), ["id"], [("id", "sum")], n_buckets=2)
+    assert out.count() == 20
+    for name, namespace in raytools._DATA_ACTORS:
+        actor = ray.get_actor(name, namespace=namespace)
+        ready, _ = ray.wait([actor.__ray_ready__.remote()], timeout=30)
+        assert ready, name
+
+
 def _edge_pages(late: list) -> pa.Table:
     """A day of 90 s crawls of eight urls, the last rows' warc_ts `late`."""
     n = 400

@@ -161,6 +161,35 @@ def test_failed_job_returns_after_every_writer_task_ended(runner, tmp_path):
     assert sorted(os.listdir(tmp_path)) == [f"done-{b}" for b in range(1, n)]
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_a_phase_reports_once_its_writer_threads_wrote_it(tmp_path):
+    """run_bucket_groups creates a task's files on writer threads: when a
+    phase reports, every file of that phase is on disk, and a write that
+    fails fails the call."""
+    from signalsharp_ray.common import raytools
+
+    n = 6
+
+    def fn(bucket):
+        yield {"a": pa.table({"x": [bucket]})}
+        yield {"b": pa.table({"x": [bucket] * 2})}
+
+    out_dirs = {"a": str(tmp_path / "a"), "b": str(tmp_path / "b")}
+    seen = {}
+
+    def on_phase(i, steps):
+        seen[i] = sorted(glob.glob(f"{out_dirs['ab'[i]]}/series_bucket=*/part-0.parquet"))
+
+    raytools.run_bucket_groups(fn, {b: 1 for b in range(n)}, out_dirs, on_phase)
+    assert seen == {i: [f"{out_dirs[s]}/series_bucket={b}/part-0.parquet" for b in range(n)]
+                    for i, s in enumerate("ab")}
+
+    (tmp_path / "not_a_dir").write_text("")
+    with pytest.raises(Exception):
+        raytools.run_bucket_groups(fn, {b: 1 for b in range(n)},
+                                   {"a": str(tmp_path / "not_a_dir")})
+
+
 def _edge_pages(warc_ts: list) -> pa.Table:
     """Eight urls crawled every 90 s, the rows at the end of the table
     replaced by `warc_ts`."""
