@@ -32,8 +32,15 @@ class L2Cost(CostFunction):
     def segment_costs(self, starts: np.ndarray, end: int) -> np.ndarray:
         """Vectorized cost over many candidate starts with a shared end —
         used by the PELT inner loop (new capability; output-identical to
-        looping compute_cost)."""
+        looping compute_cost). A univariate signal takes the flat prefix
+        rows: the same expression without the 2-D index and the sum over
+        one dimension, which cost more than the arithmetic."""
         n = end - starts
+        if self._n_dims == 1:
+            s1 = self._ps[0]
+            s2 = self._ps2[0]
+            d1 = s1[end] - s1[starts]
+            return (s2[end] - s2[starts]) - d1 * d1 / n
         seg_sum = self._ps[:, end][:, None] - self._ps[:, starts]
         seg_sum2 = self._ps2[:, end][:, None] - self._ps2[:, starts]
         return np.sum(seg_sum2 - seg_sum * seg_sum / n, axis=0)

@@ -15,6 +15,21 @@ Semantics match /root/reference/SignalSharp/Detection/PELT/PELTAlgorithm.cs:
   change") from backtracking CP (:349-383)
 - signals shorter than 2*MinSize -> no changepoints (:137-150)
 
+Three forms of the DP, one per case, with the same CP array:
+- univariate L2 with jump == 1 and at most _SMALL_N_FAST_PATH points:
+  `_segment_small_l2`, a scalar-float DP (numpy's per-call cost dominates
+  there)
+- jump == 1 and a cost with a batch `segment_costs` (L2 of any dimension,
+  Gaussian, RBF): `_segment_array`. The admissible starts are one
+  ascending int64 array; each step cuts the candidates off it with a
+  `searchsorted`, costs them once for both the minimum and the pruning
+  test, prunes with a boolean mask and appends t. On a series with no
+  change PELT prunes almost nothing, so the array grows to O(n) and the
+  DP is O(n^2) numpy work.
+- jump > 1, or a cost with no `segment_costs` (L1, AR, Poisson,
+  Bernoulli, Binomial): the reference's backward loop over a Python set
+  of admissible starts, candidate by candidate.
+
 Parallelism note: the DP is inherently sequential per series; the distributed
 engine gets parallelism from millions of (host,url) groups, each series
 fitting one map_groups kernel call.
@@ -30,9 +45,11 @@ import numpy as np
 from ..common.exceptions import UninitializedDataError
 from .costs import CostFunction, L2Cost, make_cost
 
-# scalar-DP fast-path cutoff for univariate L2 (see PELT._segment_small_l2);
-# tests set this to 0 to force the vectorized path for parity comparison
-_SMALL_N_FAST_PATH = 256
+# scalar-DP fast-path cutoff for univariate L2 (see PELT._segment_small_l2):
+# the two DPs take equal time at about this length on a series with no
+# change, the case where PELT prunes least; tests set this to 0 to force
+# the array path for parity comparison
+_SMALL_N_FAST_PATH = 144
 
 
 @dataclass
@@ -106,58 +123,39 @@ class PELT:
         ):
             return self._segment_small_l2(penalty)
 
+        if jump == 1 and hasattr(cost, "segment_costs"):
+            return self._segment_array(penalty)
+
         F = np.full(n + 1, math.inf)
         F[0] = -penalty
         CP = np.zeros(n + 1, dtype=np.int64)
         admissible: set[int] = {0}
 
-        # fast vectorized path: exact mode with a batch-capable cost
-        vectorized = jump == 1 and hasattr(cost, "segment_costs")
-
         for t in range(min_size, n + 1):
             best_cost = math.inf
             best_prev = 0
 
-            if vectorized:
-                cands = np.fromiter(
-                    (s for s in admissible if s <= t - min_size),
-                    dtype=np.int64,
-                )
-                if cands.size:
-                    seg_costs = cost.segment_costs(cands, t)
-                    totals = F[cands] + seg_costs + penalty
-                    k = int(np.argmin(totals))
-                    # the reference iterates backwards and keeps strict '<',
-                    # so among ties the LARGEST candidate index encountered
-                    # first wins; argmin returns the first occurrence in our
-                    # (unsorted) candidate order — resolve ties explicitly.
-                    m = totals[k]
-                    if math.isfinite(m):
-                        ties = cands[totals == m]
-                        best_prev = int(ties.max())
-                        best_cost = float(m)
-            else:
-                s = t - min_size
-                while s >= 0:
-                    if s in admissible:
-                        try:
-                            seg_cost = cost.compute_cost(s, t)
-                            total = F[s] + seg_cost + penalty
-                            if total < best_cost:
-                                best_cost = total
-                                best_prev = s
-                        except Exception:
-                            pass  # reference logs and skips (:247-257)
-                        # reference quirk (PELTAlgorithm.cs:259-267): in jump
-                        # mode, when the ADMISSIBLE candidate just processed
-                        # sits in (0, jump) and 0 is admissible, reset the
-                        # cursor to `jump` so the decrement below lands on 0.
-                        # The reset is skipped when the candidate itself was
-                        # not admissible (the `continue` at :226-234 bypasses
-                        # the bottom of the loop body).
-                        if jump > 1 and 0 < s < jump and 0 in admissible:
-                            s = jump
-                    s -= jump
+            s = t - min_size
+            while s >= 0:
+                if s in admissible:
+                    try:
+                        seg_cost = cost.compute_cost(s, t)
+                        total = F[s] + seg_cost + penalty
+                        if total < best_cost:
+                            best_cost = total
+                            best_prev = s
+                    except Exception:
+                        pass  # reference logs and skips (:247-257)
+                    # reference quirk (PELTAlgorithm.cs:259-267): in jump
+                    # mode, when the ADMISSIBLE candidate just processed
+                    # sits in (0, jump) and 0 is admissible, reset the
+                    # cursor to `jump` so the decrement below lands on 0.
+                    # The reset is skipped when the candidate itself was
+                    # not admissible (the `continue` at :226-234 bypasses
+                    # the bottom of the loop body).
+                    if jump > 1 and 0 < s < jump and 0 in admissible:
+                        s = jump
+                s -= jump
 
             if math.isinf(best_cost):
                 F[t] = math.inf
@@ -168,34 +166,62 @@ class PELT:
 
             # pruning
             next_adm: set[int] = set()
-            if vectorized:
-                adm = np.fromiter(admissible, dtype=np.int64)
-                ready = adm[adm <= t - min_size]
-                young = adm[adm > t - min_size]
-                if ready.size:
-                    seg_costs = cost.segment_costs(ready, t)
-                    keep = F[ready] + seg_costs <= F[t]
-                    next_adm.update(int(s) for s in ready[keep])
-                next_adm.update(int(s) for s in young if math.isfinite(F[s]))
-            else:
-                for s in admissible:
-                    if t - s >= min_size:
-                        try:
-                            if F[s] + cost.compute_cost(s, t) <= F[t]:
-                                next_adm.add(s)
-                        except Exception:
-                            if math.isfinite(F[s]):
-                                next_adm.add(s)
-                    elif math.isfinite(F[s]):
-                        next_adm.add(s)
+            for s in admissible:
+                if t - s >= min_size:
+                    try:
+                        if F[s] + cost.compute_cost(s, t) <= F[t]:
+                            next_adm.add(s)
+                    except Exception:
+                        if math.isfinite(F[s]):
+                            next_adm.add(s)
+                elif math.isfinite(F[s]):
+                    next_adm.add(s)
             if math.isfinite(F[t]):
                 next_adm.add(t)
             admissible = next_adm
 
         return CP
 
+    def _segment_array(self, penalty: float) -> np.ndarray:
+        """Exact PELT (jump == 1) for a cost with `segment_costs`: the
+        admissible starts are one ascending int64 array, so each step is a
+        handful of numpy calls over it. The candidates `adm[:k]` are the
+        starts at least `min_size` before `t`; their costs, computed once,
+        serve both the minimum and the pruning test. The younger starts
+        `adm[k:]` stay: each entered with a finite F. The last minimum is
+        the largest-index one, the reference's tie-break; a NaN or
+        infinite minimum leaves F[t] = inf and CP[t] = -1."""
+        n = self._n
+        min_size = self.options.min_size
+        segment_costs = self.cost.segment_costs
+        F = np.full(n + 1, math.inf)
+        F[0] = -penalty
+        CP = np.zeros(n + 1, dtype=np.int64)
+        adm = np.zeros(1, dtype=np.int64)
+
+        for t in range(min_size, n + 1):
+            k = int(np.searchsorted(adm, t - min_size, "right"))
+            if k == 0:
+                F[t] = math.inf
+                CP[t] = -1
+                continue
+            r = adm[:k]
+            base = F[r] + segment_costs(r, t)
+            totals = base + penalty
+            j = k - 1 - int(np.argmin(totals[::-1]))
+            m = totals[j]
+            if math.isfinite(m):
+                F[t] = m
+                CP[t] = r[j]
+                adm = np.concatenate((r[base <= m], adm[k:], [t]))
+            else:
+                F[t] = math.inf
+                CP[t] = -1
+                adm = np.concatenate((r[base <= math.inf], adm[k:]))
+        return CP
+
     def _segment_small_l2(self, penalty: float) -> np.ndarray:
-        """Scalar-float transcription of the vectorized DP for univariate
+        """Scalar-float transcription of the array DP for univariate
         L2 (jump == 1). Output-identical: same prefix sums (sequential
         accumulation == np.cumsum), same cost expression
         (seg2 - seg*seg/len), same F/CP updates, same largest-index

@@ -160,11 +160,12 @@ def dedup_bucket(t: pa.Table) -> pa.Table:
 
 def url_dict_bucket(t: pa.Table) -> pa.Table:
     """A bucket's exchange rows -> its url dictionary slice (url_hash, url,
-    host): the one url of each url_hash, from the rows that carry it."""
+    host): the one url of each url_hash, from the rows that carry it,
+    sorted by url_hash so the slice does not depend on row arrival order."""
     g = t.filter(pc.is_valid(t["url"])).group_by("url_hash", use_threads=False).aggregate(
         [("url", "min")]
     )
-    g = g.rename_columns(["url_hash", "url"])
+    g = g.rename_columns(["url_hash", "url"]).sort_by("url_hash")
     return g.append_column("host", _host(g["url"]))
 
 

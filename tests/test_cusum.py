@@ -77,3 +77,39 @@ def test_option_validation_matches_reference():
         CUSUMOptions(threshold_factor=0.0)
     with pytest.raises(ValueError):
         CUSUMOptions(slack_factor=-0.1)
+
+
+# -- the serve path's form, cusum_changepoints(zscore(x)), on edge series --
+
+
+def _serve_cusum(x):
+    with np.errstate(all="ignore"):
+        return cusum_changepoints(zscore(np.asarray(x, dtype=float)))
+
+
+def test_serve_form_constant_series():
+    # sigma 0 -> zscore gives zeros -> no crossing
+    np.testing.assert_array_equal(_serve_cusum(np.full(1440, 7.5)), [])
+
+
+def test_serve_form_nan_and_inf_series():
+    # a NaN or an inf makes the variance NaN, and max(0.0, nan) is 0.0, so
+    # zscore returns zeros: one non-finite value hides even a clear step
+    step = np.r_[np.zeros(30), np.full(30, 10.0)]
+    np.testing.assert_array_equal(_serve_cusum(step), [6, 12, 18, 24, 35, 41, 47, 53, 59])
+    for bad in (np.nan, np.inf, -np.inf):
+        x = step.copy()
+        x[5] = bad
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(zscore(x), np.zeros_like(x))
+        np.testing.assert_array_equal(_serve_cusum(x), [])
+
+
+def test_serve_form_length_one_and_two():
+    np.testing.assert_array_equal(_serve_cusum([]), [])
+    np.testing.assert_array_equal(_serve_cusum([5.0]), [])
+    # two distinct points z-score to -1, +1: far below the threshold of 5
+    np.testing.assert_array_equal(_serve_cusum([1.0, 2.0]), [])
+    np.testing.assert_array_equal(_serve_cusum([2.0, -7.0]), [])
+    np.testing.assert_array_equal(_serve_cusum([4.0, 4.0]), [])
+    assert _serve_cusum([1.0, 2.0]).dtype == np.int64

@@ -1,9 +1,14 @@
 """PELT vs reference golden values (FIXTURES.md §2.1,
 SignalSharp.Tests/Detection/PELTTests.cs)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from signalsharp_ray.kernels import pelt as pelt_mod
 from signalsharp_ray.kernels.pelt import PELT, PELTOptions, pelt_breakpoints
 
 
@@ -95,12 +100,11 @@ def test_docstring_multivariate_example():
 
 def test_small_l2_fast_path_identical_to_vectorized():
     """The scalar-float DP fast path (PELT._segment_small_l2) must produce
-    bitwise-identical breakpoints to the vectorized path on every config —
+    bitwise-identical breakpoints to the array path on every config —
     the measured 13-39x speedup on short series is only admissible if the
     output is EXACTLY equal."""
-    from signalsharp_ray.kernels import pelt as pelt_mod
-
     rng = np.random.default_rng(0)
+    saved = pelt_mod._SMALL_N_FAST_PATH
     try:
         for trial in range(200):
             n = int(rng.integers(2, 120))
@@ -116,10 +120,119 @@ def test_small_l2_fast_path_identical_to_vectorized():
             ms = [1, 2, 5][(trial // 3) % 3]
             if n < 2 * ms:
                 continue
-            pelt_mod._SMALL_N_FAST_PATH = 256
+            pelt_mod._SMALL_N_FAST_PATH = saved
             fast = PELT(PELTOptions(min_size=ms)).fit_and_detect(x, pen)
             pelt_mod._SMALL_N_FAST_PATH = 0
             slow = PELT(PELTOptions(min_size=ms)).fit_and_detect(x, pen)
             np.testing.assert_array_equal(fast, slow, err_msg=f"{n} {pen} {ms}")
     finally:
-        pelt_mod._SMALL_N_FAST_PATH = 256
+        pelt_mod._SMALL_N_FAST_PATH = saved
+
+
+# -- the array DP against the set-based DP it replaced -------------------
+
+
+def _reference_segment(p: PELT, penalty: float) -> np.ndarray:
+    """The former vectorized DP of PELT._segment: the admissible starts are
+    a Python set, rebuilt at each step, and ties go to the largest start
+    explicitly. Kept here as the reference for PELT._segment_array."""
+    n = p._n
+    min_size = p.options.min_size
+    cost = p.cost
+    F = np.full(n + 1, math.inf)
+    F[0] = -penalty
+    CP = np.zeros(n + 1, dtype=np.int64)
+    admissible = {0}
+    for t in range(min_size, n + 1):
+        best_cost = math.inf
+        best_prev = 0
+        cands = np.fromiter((s for s in admissible if s <= t - min_size), dtype=np.int64)
+        if cands.size:
+            totals = F[cands] + cost.segment_costs(cands, t) + penalty
+            m = totals[int(np.argmin(totals))]
+            if math.isfinite(m):
+                best_prev = int(cands[totals == m].max())
+                best_cost = float(m)
+        if math.isinf(best_cost):
+            F[t] = math.inf
+            CP[t] = -1
+        else:
+            F[t] = best_cost
+            CP[t] = best_prev
+        next_adm = set()
+        adm = np.fromiter(admissible, dtype=np.int64)
+        ready = adm[adm <= t - min_size]
+        young = adm[adm > t - min_size]
+        if ready.size:
+            keep = F[ready] + cost.segment_costs(ready, t) <= F[t]
+            next_adm.update(int(s) for s in ready[keep])
+        next_adm.update(int(s) for s in young if math.isfinite(F[s]))
+        if math.isfinite(F[t]):
+            next_adm.add(t)
+        admissible = next_adm
+    return CP
+
+
+def _signal(kind: str, n: int, dims: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (dims, n) if dims > 1 else (n,)
+    if kind == "constant":
+        return np.full(shape, 3.0)
+    if kind == "ties":
+        return np.round(rng.normal(0, 1, shape))
+    if kind == "step":
+        x = rng.normal(0, 1, shape)
+        x[..., n // 2:] += 8.0
+        return x
+    x = rng.normal(0, 1, shape)
+    if kind == "nonfinite":
+        flat = x.reshape(-1)
+        at = rng.integers(0, flat.size, size=3)
+        flat[at] = rng.choice([np.nan, np.inf, -np.inf], size=3)
+    return x
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cost=st.sampled_from(["l2", "l2_2d", "gaussian", "rbf"]),
+    kind=st.sampled_from(["normal", "constant", "ties", "step", "nonfinite"]),
+    n=st.integers(1, 60),
+    min_size=st.integers(1, 5),
+    penalty=st.sampled_from([0.0, 0.5, 1.0, 10.0, 100.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_array_dp_matches_set_dp(cost, kind, n, min_size, penalty, seed):
+    """PELT._segment_array gives the CP array of the set-based DP, bit for
+    bit, for every cost that takes it: short signals (n < 2 * min_size
+    included), zero penalty, constant and rounded (tied) values, NaN and
+    +-inf."""
+    dims = 2 if cost == "l2_2d" else 1
+    x = _signal(kind, n, dims, seed)
+    with np.errstate(all="ignore"):
+        p = PELT(PELTOptions(cost_function=cost.removesuffix("_2d"), min_size=min_size)).fit(x)
+        np.testing.assert_array_equal(p._segment_array(penalty), _reference_segment(p, penalty))
+
+
+@pytest.mark.parametrize("kind", ["normal", "step", "ties", "nonfinite"])
+@pytest.mark.parametrize("min_size", [1, 3])
+def test_dispatch_around_small_n_cutoff(kind, min_size):
+    """Univariate L2 switches from the scalar DP to the array DP above
+    _SMALL_N_FAST_PATH; on either side of the cutoff `_segment` gives the
+    set-based DP's CP array."""
+    cut = pelt_mod._SMALL_N_FAST_PATH
+    for n in (cut - 1, cut, cut + 1, cut + 2):
+        x = _signal(kind, n, 1, n)
+        with np.errstate(all="ignore"):
+            p = PELT(PELTOptions(min_size=min_size)).fit(x)
+            np.testing.assert_array_equal(p._segment(10.0), _reference_segment(p, 10.0))
+
+
+def test_two_way_tie_goes_to_the_larger_start():
+    """On [3, 3] with penalty 0, F[0] + c(0, 2) == F[1] + c(1, 2) exactly
+    (L2 costs are 0; Gaussian ones are len * ln(1e-10), and 2x == x + x);
+    the reference keeps the larger start, 1."""
+    for cost in ("l2", "gaussian"):
+        p = PELT(PELTOptions(cost_function=cost)).fit([3.0, 3.0])
+        np.testing.assert_array_equal(p._segment_array(0.0), [0, 0, 1])
+        np.testing.assert_array_equal(p._segment(0.0), [0, 0, 1])
+        np.testing.assert_array_equal(p.detect(0.0), [1])

@@ -76,6 +76,17 @@ def test_extract_batch():
     assert (d["url"].map(lambda u: _hash_strings(pa.array([u]))[0].as_py()) == d["url_hash"]).all()
 
 
+def test_url_dict_bucket_ignores_row_order():
+    """A bucket's dictionary slice is the same table, byte for byte once
+    written, whatever order its exchange rows arrive in."""
+    t = _compact_bucket_batch(_pages_table(), 16)
+    want = url_dict_bucket(t)
+    assert want["url_hash"].to_pylist() == sorted(want["url_hash"].to_pylist())
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(t.num_rows)
+        assert url_dict_bucket(t.take(pa.array(perm))).equals(want)
+
+
 def _pandas_rollup(points: pd.DataFrame, tier_us: int) -> pd.DataFrame:
     df = points.copy()
     df["bucket_ts"] = (df["ts"].astype("int64") // tier_us) * tier_us

@@ -2,11 +2,12 @@
 entries with an oracle_sql() compare row count + schema + order-insensitive
 values against DuckDB. Run before the real driver does.
 
-Usage: PYTHONPATH=/root/repo python tools/check_oracles.py [sf_dir] [name ...]
+Usage: PYTHONPATH=. python tools/check_oracles.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -67,7 +68,8 @@ def main():
             logging_level="ERROR",
         )
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's registry, whatever PYTHONPATH holds
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

@@ -1,15 +1,17 @@
 """Generate OPERATORS.md — the consolidated queries()/oracle_sql() catalog —
 from the live registry (names, docstring summaries, verification status).
 
-Usage: PYTHONPATH=/root/repo python tools/gen_catalog.py > OPERATORS.md
+Usage: python tools/gen_catalog.py > OPERATORS.md
 """
 
 from __future__ import annotations
 
 import inspect
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# this checkout's registry, whatever PYTHONPATH holds
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from signalsharp_ray.pipelines.queries import (  # noqa: E402
     _FIXED_HEADS,
