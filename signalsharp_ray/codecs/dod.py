@@ -14,18 +14,25 @@ first delta; we store the first timestamp and first delta raw as 64-bit):
 Regular-interval series (the common rolled-up tier case) collapse to one bit
 per point after the first two.
 
-Contract: consecutive deltas must fit in int64 (always true for microsecond
-epoch timestamps, which are < 2^51 in magnitude).
+Every int64 series round-trips: deltas and dods wrap in int64 on both
+sides, in the encoder's np.diff and in the decoder's prefix sums.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pyarrow as pa
 
-from .bitstream import BitReader, header_tokens, pack_segments, segment_bases
+from .bitstream import (
+    header_tokens,
+    join_groups,
+    one_stream,
+    pack_segments,
+    read_bits,
+    scan_tokens,
+    segment_bases,
+    stream_groups,
+)
 
 
 # per size class: '10' + 7 bits, '110' + 9, '1110' + 12, '1111' + 64 zigzag
@@ -39,8 +46,8 @@ def _zigzag(d: np.ndarray) -> np.ndarray:
     return ((d << 1) ^ (d >> 63)).view(np.uint64)
 
 
-def _unzigzag(u: int) -> int:
-    return (u >> 1) ^ -(u & 1)
+def _unzigzag(u: np.ndarray) -> np.ndarray:
+    return (u >> np.uint64(1)).view(np.int64) ^ -(u & np.uint64(1)).view(np.int64)
 
 
 def encode_timestamps_dod(timestamps: np.ndarray) -> bytes:
@@ -96,32 +103,72 @@ def encode_timestamps_dod_segments(timestamps: np.ndarray, offsets: np.ndarray) 
 
 
 def decode_timestamps_dod(data: bytes) -> np.ndarray:
-    (n,) = struct.unpack_from("<I", data, 0)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    r = BitReader(data[4:])
-    t0 = _to_signed64(r.read(64))
-    out[0] = t0
-    if n == 1:
-        return out
-    delta = _unzigzag(r.read(64))
-    out[1] = t0 + delta
-    for i in range(2, n):
-        if r.read(1) == 0:
-            d = 0
-        elif r.read(1) == 0:
-            d = r.read(7) - 63
-        elif r.read(1) == 0:
-            d = r.read(9) - 255
-        elif r.read(1) == 0:
-            d = r.read(12) - 2047
-        else:
-            d = _unzigzag(r.read(64))
-        delta += d
-        out[i] = out[i - 1] + delta
-    return out
+    """One stream: the one-segment case of decode_timestamps_dod_segments."""
+    return _decode_group(*one_stream(data))[0]
 
 
-def _to_signed64(u: int) -> int:
-    return u - (1 << 64) if u >= (1 << 63) else u
+def decode_timestamps_dod_segments(arr) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every stream of a binary array (sliced or chunked) at once:
+    returns (timestamps, offsets), stream i's series being
+    timestamps[offsets[i]:offsets[i+1]]. A zero dod is the one bit '0', so
+    a Python loop visits only the nonzero dods (skipping each zero run with
+    bytes.find) and records where each starts; the payload reads and both
+    prefix sums (dods -> deltas -> timestamps, wrapping like the encoder's
+    np.diff) are vectorized. A truncated stream raises EOFError."""
+    return join_groups([_decode_group(*g) for g in stream_groups(arr)], np.int64)
+
+
+# token width by size class (the number of '1' bits after a token's
+# leading '1', at most 3), and the class of each width
+_TOKEN_W = tuple((_CTRL_W + _PAY_W).tolist())
+_CLASS_BY_W = np.zeros(max(_TOKEN_W) + 1, dtype=np.int64)
+_CLASS_BY_W[list(_TOKEN_W)] = np.arange(4)
+
+
+def _walk(bits: bytes, starts, ends, firsts, stops):
+    """Bit position, point index and width of every nonzero dod. Stream
+    j's dods are bits starts[j]:ends[j] of `bits` and points
+    firsts[j]:stops[j]."""
+    find = bits.find
+    qs, idx, widths = [], [], []
+    for p, end, i, stop in zip(starts, ends, firsts, stops):
+        while True:
+            q = find(1, p, end)
+            if q < 0:
+                q = end
+            i += q - p  # the zero dods before q
+            if i >= stop:
+                break
+            z = find(0, q + 1, q + 4)
+            w = _TOKEN_W[z - q - 1 if z >= 0 else 3]
+            p = q + w
+            if p > end:
+                raise EOFError("bit stream exhausted")
+            qs.append(q)
+            idx.append(i)
+            widths.append(w)
+            i += 1
+    return qs, idx, widths
+
+
+def _decode_group(data, start, end):
+    n, off, q, i, w = scan_tokens(data, start, end, 2, _walk)
+    cls = _CLASS_BY_W[w]
+    first = off[:-1]
+    has1, has2 = n >= 1, n >= 2
+    # one read for every payload and raw word: dods, then ts0, then delta0
+    k, k1 = q.size, q.size + int(has1.sum())
+    pay = read_bits(data, np.concatenate([q + _CTRL_W[cls], 8 * start[has1] + 32, 8 * start[has2] + 96]),
+                    np.concatenate([_PAY_W[cls], np.full(k1 - k + int(has2.sum()), 64)]))
+    dd = np.zeros(off[-1], dtype=np.int64)
+    dd[i] = np.where(cls == 3, _unzigzag(pay[:k]), pay[:k].view(np.int64) - _BIAS[cls])
+    dd[first[has2] + 1] = _unzigzag(pay[k1:])
+    ts = _segment_cumsum(dd, off)  # deltas
+    ts[first[has1]] = pay[k:k1].view(np.int64)
+    return _segment_cumsum(ts, off), n
+
+
+def _segment_cumsum(x: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Prefix sum restarted at each segment, wrapping in int64."""
+    c = np.cumsum(x)
+    return c - np.repeat(np.concatenate([[0], c])[off[:-1]], np.diff(off))

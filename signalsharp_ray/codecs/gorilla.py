@@ -17,13 +17,21 @@ Layout here: header = uint32 n_points, then the bit stream.
 
 from __future__ import annotations
 
-import struct
 import sys
 
 import numpy as np
 import pyarrow as pa
 
-from .bitstream import BitReader, header_tokens, pack_segments, segment_bases
+from .bitstream import (
+    header_tokens,
+    join_groups,
+    one_stream,
+    pack_segments,
+    read_bits,
+    scan_tokens,
+    segment_bases,
+    stream_groups,
+)
 
 
 # 256-entry leading/trailing-zero LUTs for the byte-sliced vectorized
@@ -155,28 +163,78 @@ def encode_values_gorilla_segments(values: np.ndarray, offsets: np.ndarray) -> p
 
 
 def decode_values_gorilla(data: bytes) -> np.ndarray:
-    (n,) = struct.unpack_from("<I", data, 0)
-    out = np.empty(n, dtype=np.uint64)
-    if n == 0:
-        return out.view(np.float64)
-    r = BitReader(data[4:])
-    prev = r.read(64)
-    out[0] = prev
-    lead, mean = 0, 0
-    for i in range(1, n):
-        if r.read(1) == 0:
-            out[i] = prev
-            continue
-        if r.read(1) == 0:  # '10' reuse window
-            trail = 64 - lead - mean
-            x = r.read(mean) << trail
-        else:  # '11' new window
-            lead = r.read(5)
-            mean = r.read(6)
-            if mean == 0:
-                mean = 64
-            trail = 64 - lead - mean
-            x = r.read(mean) << trail
-        prev ^= x
-        out[i] = prev
-    return out.view(np.float64)
+    """One stream: the one-segment case of decode_values_gorilla_segments."""
+    return _decode_group(*one_stream(data))[0]
+
+
+def decode_values_gorilla_segments(arr) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every stream of a binary array (sliced or chunked) at once:
+    returns (values, offsets), stream i's series being
+    values[offsets[i]:offsets[i+1]]. A zero xor is the one bit '0', so a
+    Python loop visits only the nonzero xors (skipping each zero run with
+    bytes.find), reading just the meaningful-bit count of each '11' window
+    header to find the next token; the payload and window reads and the
+    per-stream prefix xor are vectorized. A truncated stream raises
+    EOFError."""
+    return join_groups([_decode_group(*g) for g in stream_groups(arr)], np.float64)
+
+
+# a '11' header's 6-bit meaningful-bit count (64 is stored as 0), keyed by
+# its six bits in a one-byte-per-bit view
+_MEAN_BY_BITS = {bytes((m >> (5 - j)) & 1 for j in range(6)): m or 64 for m in range(64)}
+
+
+def _walk(bits: bytes, starts, ends, firsts, stops):
+    """Bit position and point index of every nonzero xor. Stream j's xors
+    are bits starts[j]:ends[j] of `bits` and points firsts[j]:stops[j]."""
+    find = bits.find
+    qs, idx = [], []
+    for p, end, i, stop in zip(starts, ends, firsts, stops):
+        mean = 0
+        while True:
+            q = find(1, p, end)
+            if q < 0:
+                q = end
+            i += q - p  # the zero xors before q
+            if i >= stop:
+                break
+            if bits[q + 1]:  # '11': a new window
+                mean = _MEAN_BY_BITS[bits[q + 7:q + 13]]
+                p = q + 13 + mean
+            else:  # '10': the current window (none yet reads as a zero xor)
+                p = q + 2 + mean
+            if p > end:
+                raise EOFError("bit stream exhausted")
+            if mean:
+                qs.append(q)
+                idx.append(i)
+            i += 1
+    return qs, idx
+
+
+def _decode_group(data, start, end):
+    n, off, q, i = scan_tokens(data, start, end, 1, _walk)
+    first = off[:-1]
+    has1 = n >= 1
+    # one read for each token's 13-bit head ('11' + 5-bit lead + 6-bit
+    # meaningful count, or '10' + bits the '10' tokens do not use) and
+    # each stream's raw first value, one for the payloads
+    k = q.size
+    head = read_bits(data, np.concatenate([q, 8 * start[has1] + 32]),
+                     np.concatenate([np.full(k, 13), np.full(int(has1.sum()), 64)]))
+    ctrl = head[:k].astype(np.int64)
+    reset = ctrl >> 11 == 3
+    lead = np.where(reset, (ctrl >> 6) & 31, 0)
+    mean = np.where(reset, ((ctrl - 1) & 63) + 1, 0)
+    # every '10' reuses its stream's last window, which the walk has seen
+    win = np.maximum.accumulate(np.where(reset, np.arange(k), 0))
+    lead, mean = lead[win], mean[win]
+    trail = 64 - lead - mean
+    if (trail < 0).any():
+        raise ValueError("Gorilla window wider than 64 bits")
+    xs = np.zeros(off[-1], dtype=np.uint64)
+    xs[i] = read_bits(data, q + 2 + 11 * reset, mean) << trail.astype(np.uint64)
+    xs[first[has1]] = head[k:]
+    a = np.bitwise_xor.accumulate(xs)
+    a ^= np.repeat(np.concatenate([np.zeros(1, np.uint64), a])[first], n)
+    return a.view(np.float64), n

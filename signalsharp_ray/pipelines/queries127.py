@@ -13,8 +13,9 @@ exact integer microseconds, so decoded mean/timestamp columns equal the
 oracle's recomputation bitwise; means divide exact centivalue sums in
 the shared (csum/n)/100 op order.
 
-Scale contracts: rollups reduce through one bucketed exchange; encoding
-runs per series over retention-bounded profiles; the irregular-timestamp
+Scale contracts: rollups reduce through one bucketed exchange; each
+roundtrip encodes and decodes all its series with one segmented call per
+codec; the irregular-timestamp
 roundtrip restricts to the user_id < 50 probe panel (bloom_dedup_probe
 pattern) so the panel is bounded at any scale."""
 
@@ -23,9 +24,18 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..codecs.dod import decode_timestamps_dod, encode_timestamps_dod
-from ..codecs.gorilla import decode_values_gorilla, encode_values_gorilla
+from ..codecs.dod import (
+    decode_timestamps_dod_segments,
+    encode_timestamps_dod,
+    encode_timestamps_dod_segments,
+)
+from ..codecs.gorilla import (
+    decode_values_gorilla_segments,
+    encode_values_gorilla,
+    encode_values_gorilla_segments,
+)
 from ..common.raytools import hash_bucket_aggregate
+from ..stages.rollup import series_offsets
 from .queries2 import _events, _r6away
 from .queries6 import HOUR_US
 
@@ -84,26 +94,23 @@ def q_gorilla_roundtrip_audit(sf_dir: str):
     (stages/encode.py), per SignalSharp's rolled-up-points-match
     requirement."""
     agg = _hourly_value_rollup(sf_dir).sort_values(["event_type", "hour_us"])
-    frames = []
-    for et, g in agg.groupby("event_type", sort=True):
-        ts = g["hour_us"].to_numpy(np.int64)
-        n = g["n_sum"].to_numpy(np.int64)
-        c = g["csum_sum"].to_numpy(np.int64)
-        means = (c.astype(np.float64) / n.astype(np.float64)) / 100.0
-        ts_dec = decode_timestamps_dod(encode_timestamps_dod(ts))
-        v_dec = decode_values_gorilla(encode_values_gorilla(means))
-        frames.append(
-            pd.DataFrame(
-                {
-                    "event_type": et,
-                    "hour": ts_dec.astype("datetime64[us]"),
-                    "n_events": n,
-                    "mean_value": _r6away(v_dec),
-                }
-            )
-        )
-    out = pd.concat(frames, ignore_index=True)
-    return out.astype({"n_events": np.int64})
+    et = agg["event_type"].to_numpy()
+    offsets = series_offsets(et)
+    n = agg["n_sum"].to_numpy(np.int64)
+    c = agg["csum_sum"].to_numpy(np.int64)
+    means = (c.astype(np.float64) / n.astype(np.float64)) / 100.0
+    # one encode and one decode per codec over every event_type's series
+    ts_dec, _ = decode_timestamps_dod_segments(
+        encode_timestamps_dod_segments(agg["hour_us"].to_numpy(np.int64), offsets))
+    v_dec, _ = decode_values_gorilla_segments(encode_values_gorilla_segments(means, offsets))
+    return pd.DataFrame(
+        {
+            "event_type": et,
+            "hour": ts_dec.astype("datetime64[us]"),
+            "n_events": n,
+            "mean_value": _r6away(v_dec),
+        }
+    )
 
 
 ORACLES127["gorilla_roundtrip_audit"] = """
@@ -138,28 +145,17 @@ def q_dod_irregular_roundtrip(sf_dir: str):
         .to_pandas()
         .sort_values(["user_id", "ts", "event_id"])
     )
-    frames = []
-    for uid, g in panel.groupby("user_id", sort=True):
-        ts = g["ts"].to_numpy("datetime64[us]").view(np.int64)
-        dec = decode_timestamps_dod(encode_timestamps_dod(ts))
-        frames.append(
-            pd.DataFrame(
-                {
-                    "user_id": np.full(len(dec), uid, dtype=np.int64),
-                    "seq": np.arange(len(dec), dtype=np.int64),
-                    "ts": dec.astype("datetime64[us]"),
-                }
-            )
-        )
-    if not frames:
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series([], dtype=np.int64),
-                "seq": pd.Series([], dtype=np.int64),
-                "ts": pd.Series([], dtype="datetime64[us]"),
-            }
-        )
-    return pd.concat(frames, ignore_index=True)
+    uid = panel["user_id"].to_numpy(np.int64)
+    offsets = series_offsets(uid)
+    dec, _ = decode_timestamps_dod_segments(encode_timestamps_dod_segments(
+        panel["ts"].to_numpy("datetime64[us]").view(np.int64), offsets))
+    return pd.DataFrame(
+        {
+            "user_id": uid,
+            "seq": np.arange(uid.size, dtype=np.int64) - np.repeat(offsets[:-1], np.diff(offsets)),
+            "ts": dec.astype("datetime64[us]"),
+        }
+    )
 
 
 ORACLES127["dod_irregular_roundtrip"] = f"""

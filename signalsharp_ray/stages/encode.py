@@ -7,8 +7,9 @@ one block row per series:
     <key>, tier, n_points:int32, first_ts:timestamp[ns],
     first_value:float64, ts_dod:binary, values_gorilla:binary
 
-Round-trip is exact (bit-identical float64, exact int64 timestamps) — see
-decode_blocks and tests/test_stages.py.
+decode_blocks is the inverse: one segmented DoD and one segmented Gorilla
+decode over all rows of a blocks table. Round-trip is exact (bit-identical
+float64, exact int64 timestamps) — see tests/test_stages.py.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..codecs import decode_timestamps_dod, decode_values_gorilla
-from ..codecs.dod import encode_timestamps_dod_segments
-from ..codecs.gorilla import encode_values_gorilla_segments
+from ..codecs.dod import decode_timestamps_dod_segments, encode_timestamps_dod_segments
+from ..codecs.gorilla import decode_values_gorilla_segments, encode_values_gorilla_segments
 from ..common.fsio import with_pandas_metadata
 from .gapfill import gapfill_segments
 from .rollup import series_offsets, us_to_ns
@@ -115,33 +115,31 @@ def encode_partition_pandas(
     )
 
 
+_BLOCK_COLS = ("tier", "n_points", "first_ts", "first_value", "ts_dod", "values_gorilla")
+
+
 def decode_blocks(blocks: pa.Table | pd.DataFrame) -> pd.DataFrame:
-    """Inverse of the encode stage: block rows -> (host, url, tier, ts, value)
-    point rows. Used by tests and by readers of the compressed tier."""
+    """Inverse of the encode stage: block rows -> (key..., tier, bucket_ts,
+    value) point rows. Each binary column is decoded with one segmented
+    decoder call, straight from Arrow; only the key columns and tier go
+    through pandas, and they are repeated per point with np.repeat."""
     if isinstance(blocks, pa.Table):
-        blocks = blocks.to_pandas()
-    key_cols = [
-        c
-        for c in blocks.columns
-        if c not in ("tier", "n_points", "first_ts", "first_value", "ts_dod", "values_gorilla")
-    ]
-    # batch-decode: per-block codec calls, but ONE set of output arrays
-    # (np.repeat for the key columns) instead of a DataFrame per block
-    ts_parts, val_parts, lens = [], [], []
-    for row in blocks.itertuples(index=False):
-        d = row._asdict()
-        ts = decode_timestamps_dod(d["ts_dod"])
-        vals = decode_values_gorilla(d["values_gorilla"])
-        ts_parts.append(ts)
-        val_parts.append(vals)
-        lens.append(len(ts))
-    if not ts_parts:
+        streams = [blocks.column(c) for c in ("ts_dod", "values_gorilla")]
+        blocks = blocks.drop_columns([c for c in blocks.column_names if c in _BLOCK_COLS[1:]]).to_pandas()
+    else:
+        streams = [pa.array(blocks[c].to_numpy(), pa.binary()) for c in ("ts_dod", "values_gorilla")]
+    key_cols = [c for c in blocks.columns if c not in _BLOCK_COLS]
+    if not len(blocks):
         return pd.DataFrame(columns=key_cols + ["tier", "bucket_ts", "value"])
-    reps = np.asarray(lens)
+    ts, offsets = decode_timestamps_dod_segments(streams[0])
+    value, value_offsets = decode_values_gorilla_segments(streams[1])
+    if not np.array_equal(offsets, value_offsets):
+        raise ValueError("a block's ts_dod and values_gorilla hold different point counts")
+    reps = np.diff(offsets)
     out = {k: np.repeat(blocks[k].to_numpy(), reps) for k in key_cols}
     out["tier"] = np.repeat(blocks["tier"].to_numpy(), reps)
-    out["bucket_ts"] = pd.to_datetime(np.concatenate(ts_parts), unit="us")
-    out["value"] = np.concatenate(val_parts)
+    out["bucket_ts"] = pd.to_datetime(ts, unit="us")
+    out["value"] = value
     return pd.DataFrame(out)
 
 
@@ -153,4 +151,4 @@ def read_blocks(blocks_dir: str):
     import ray.data as rd
 
     ds = rd.read_parquet(blocks_dir)
-    return ds.map_batches(decode_blocks, batch_format="pandas")
+    return ds.map_batches(decode_blocks, batch_format="pyarrow")

@@ -1,10 +1,12 @@
-"""Byte identity of the segmented gap-fill + encode and of the one-pass
-cascade against per-series / pandas references, on adversarial buckets.
+"""Byte identity of the segmented gap-fill + encode, of the segmented
+decoders and of the one-pass cascade against per-series / pandas
+references, on adversarial buckets.
 
-The references are independent of the library's encoders: a bit-by-bit
+The references are independent of the library's codecs: a bit-by-bit
 Python writer of the Gorilla (VLDB 2015, section 4.1) and delta-of-delta
-streams, fed by the per-series `gapfill_arrays`; and the cascade as the
-pandas groupby it replaced.
+streams, fed by the per-series `gapfill_arrays`; a bit-by-bit reader of
+both streams (the scalar decoders the segmented ones replaced); and the
+cascade as the pandas groupby it replaced.
 """
 
 import struct
@@ -15,12 +17,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pyarrow as pa
+
 from signalsharp_ray.codecs import (
+    bitstream,
     decode_timestamps_dod,
     decode_values_gorilla,
     encode_timestamps_dod,
     encode_values_gorilla,
 )
+from signalsharp_ray.codecs.dod import decode_timestamps_dod_segments, encode_timestamps_dod_segments
+from signalsharp_ray.codecs.gorilla import decode_values_gorilla_segments, encode_values_gorilla_segments
 from signalsharp_ray.stages.encode import encode_sorted
 from signalsharp_ray.stages.gapfill import gapfill_arrays
 from signalsharp_ray.stages.rollup import (
@@ -207,6 +214,277 @@ def test_single_series_encoders_match_reference(values):
     assert encode_values_gorilla(values) == ref_gorilla(values)
     ts = np.cumsum(np.arange(values.size, dtype=np.int64) % 7 * 1_000_003) + INT64_MIN
     assert encode_timestamps_dod(ts) == ref_dod(ts)
+
+
+# -- segmented decoders ---------------------------------------------------------
+
+
+class _BitReader:
+    """MSB-first bit reader of the scalar decoders."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._nbits = len(data) * 8
+        self._pos = 0
+
+    def read(self, nbits: int) -> int:
+        if nbits == 0:
+            return 0
+        if self._pos + nbits > self._nbits:
+            raise EOFError("bit stream exhausted")
+        start_byte = self._pos >> 3
+        end_byte = (self._pos + nbits + 7) >> 3
+        chunk = int.from_bytes(self._data[start_byte:end_byte], "big")
+        shift = (end_byte - start_byte) * 8 - (self._pos - start_byte * 8) - nbits
+        self._pos += nbits
+        return (chunk >> shift) & ((1 << nbits) - 1)
+
+
+def _unzigzag(u: int) -> int:
+    return (u >> 1) ^ -(u & 1)
+
+
+def ref_decode_dod(data: bytes) -> np.ndarray:
+    """The scalar DoD decoder: Python ints, so its series keep every delta
+    inside int64 (the strategies below do)."""
+    (n,) = struct.unpack_from("<I", data, 0)
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return out
+    r = _BitReader(data[4:])
+    t0 = r.read(64)
+    out[0] = t0 - (1 << 64) if t0 >= (1 << 63) else t0
+    if n == 1:
+        return out
+    delta = _unzigzag(r.read(64))
+    out[1] = int(out[0]) + delta
+    for i in range(2, n):
+        if r.read(1) == 0:
+            d = 0
+        elif r.read(1) == 0:
+            d = r.read(7) - 63
+        elif r.read(1) == 0:
+            d = r.read(9) - 255
+        elif r.read(1) == 0:
+            d = r.read(12) - 2047
+        else:
+            d = _unzigzag(r.read(64))
+        delta += d
+        out[i] = int(out[i - 1]) + delta
+    return out
+
+
+def ref_decode_gorilla(data: bytes) -> np.ndarray:
+    (n,) = struct.unpack_from("<I", data, 0)
+    out = np.empty(n, dtype=np.uint64)
+    if n == 0:
+        return out.view(np.float64)
+    r = _BitReader(data[4:])
+    prev = r.read(64)
+    out[0] = prev
+    lead, mean = 0, 0
+    for i in range(1, n):
+        if r.read(1) == 0:
+            out[i] = prev
+            continue
+        if r.read(1) == 0:  # '10' reuse window
+            x = r.read(mean) << (64 - lead - mean)
+        else:  # '11' new window
+            lead = r.read(5)
+            mean = r.read(6) or 64
+            x = r.read(mean) << (64 - lead - mean)
+        prev ^= x
+        out[i] = prev
+    return out.view(np.float64)
+
+
+@st.composite
+def timestamp_series(draw, n):
+    """Sorted grids and irregular or decreasing series whose deltas stay
+    inside int64, from both int64 edges."""
+    kind = draw(st.sampled_from(["grid", "gappy", "irregular", "huge_steps"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "grid":
+        steps = np.full(n, draw(st.sampled_from([1, 60_000_000, 3_600_000_000])))
+    elif kind == "gappy":
+        steps = rng.choice([60, 60, 60, 120, 3600, 0, -60], size=n) * 1_000_000
+    elif kind == "irregular":
+        steps = rng.integers(-3000, 3000, size=n)
+    else:
+        steps = rng.integers(-2**40, 2**40, size=n)
+    rel = np.cumsum(np.concatenate([[0], steps[1:]]).astype(np.int64))[:n]
+    lo, hi = int(rel.min(initial=0)), int(rel.max(initial=0))
+    base = draw(st.sampled_from([INT64_MIN - lo, INT64_MAX - hi, 0]))
+    return (base + rel).astype(np.int64)
+
+
+@st.composite
+def decoder_value_series(draw, n):
+    """value_series plus LOCF-style repeats and window resets."""
+    kind = draw(st.sampled_from(["plain", "locf", "resets"]))
+    if kind == "plain":
+        return draw(value_series(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "locf":
+        reps = draw(st.sampled_from([2, 5, 60]))
+        return np.repeat(rng.normal(size=n // reps + 1) * 100, reps)[:n]
+    # alternating wide and narrow xors: each wide one opens a new window
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    bits[::2] &= np.uint64(0xFF)
+    return bits.view(np.float64)
+
+
+segment_lengths = st.lists(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 300)),
+                           min_size=0, max_size=8)
+
+
+def _layouts(arr: pa.BinaryArray, cut: int):
+    """The same streams as a plain, a sliced (non-zero offset), a chunked
+    and a one-chunk-per-stream array."""
+    junk = pa.array([b"\xff" * 9], pa.binary())
+    sliced = pa.concat_arrays([junk, arr, junk])[1:1 + len(arr)]
+    assert sliced.offset == 1
+    return [arr, sliced, pa.chunked_array([arr[:cut], arr[cut:]], pa.binary()),
+            pa.chunked_array([arr[j:j + 1] for j in range(len(arr))], pa.binary())]
+
+
+def _check_segments(arr, decode, ref, want, offsets):
+    streams = arr.to_pylist()
+    for i, layout in enumerate(_layouts(arr, len(arr) // 2)):
+        got, got_off = decode(layout)
+        np.testing.assert_array_equal(got_off, offsets)
+        assert got.tobytes() == want.tobytes(), i
+    for i, b in enumerate(streams):
+        assert ref(b).tobytes() == want[offsets[i]:offsets[i + 1]].tobytes()
+
+
+@SETTINGS
+@given(segment_lengths.flatmap(lambda ns: st.tuples(
+    st.tuples(*[timestamp_series(n) for n in ns]),
+    st.tuples(*[decoder_value_series(n) for n in ns]))))
+def test_segmented_decoders_match_scalar_reference(series):
+    ts_parts, value_parts = series
+    offsets = np.concatenate([[0], np.cumsum([t.size for t in ts_parts], dtype=np.int64)])
+    ts = np.concatenate([np.zeros(0, np.int64), *ts_parts])
+    values = np.concatenate([np.zeros(0), *value_parts])
+    _check_segments(encode_timestamps_dod_segments(ts, offsets), decode_timestamps_dod_segments,
+                    ref_decode_dod, ts, offsets)
+    _check_segments(encode_values_gorilla_segments(values, offsets),
+                    decode_values_gorilla_segments, ref_decode_gorilla, values, offsets)
+
+
+def test_segmented_decoders_across_groups(monkeypatch):
+    """Groups of a few bytes (every stream its own group, or a few per
+    group) decode exactly as one group."""
+    rng = np.random.default_rng(5)
+    n = rng.integers(0, 400, size=40)
+    offsets = np.concatenate([[0], np.cumsum(n)])
+    ts = np.cumsum(rng.integers(0, 4000, size=offsets[-1]))
+    values = np.repeat(rng.normal(size=offsets[-1]), 3)[:offsets[-1]]
+    arrs = [encode_timestamps_dod_segments(ts, offsets), encode_values_gorilla_segments(values, offsets)]
+    decoders = [decode_timestamps_dod_segments, decode_values_gorilla_segments]
+    whole = [dec(arr) for dec, arr in zip(decoders, arrs)]
+    for group_bytes in (1, 64, 700):
+        monkeypatch.setattr(bitstream, "GROUP_BYTES", group_bytes)
+        for dec, arr, (want, want_off) in zip(decoders, arrs, whole):
+            for layout in _layouts(arr, 17):
+                got, got_off = dec(layout)
+                np.testing.assert_array_equal(got_off, want_off)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_segmented_decode_memory_is_bounded():
+    """The one-byte-per-bit view is built per bounded group of streams:
+    decoding 4 MiB of streams never holds 8x their bytes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    offsets = np.arange(0, 64 * 8192 + 1, 8192)
+    arr = encode_values_gorilla_segments(rng.normal(size=offsets[-1]), offsets)
+    nbytes = arr.buffers()[2].size
+    tracemalloc.start()
+    try:
+        decode_values_gorilla_segments(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nbytes > 4 << 20
+    assert peak < 4 * nbytes
+
+
+@pytest.mark.parametrize("codec", ["dod", "gorilla"])
+def test_truncated_stream_raises(codec):
+    """Every cut of a stream raises EOFError, alone or among whole streams;
+    it is never decoded as zeros."""
+    rng = np.random.default_rng(11)
+    if codec == "dod":
+        series = np.cumsum(rng.choice([60, 60, 61, 5000, 2**40], size=40)).astype(np.int64)
+        stream = encode_timestamps_dod(series)
+        decode, segments, ref = decode_timestamps_dod, decode_timestamps_dod_segments, ref_decode_dod
+    else:
+        series = np.repeat(rng.normal(size=20), 2)
+        stream = encode_values_gorilla(series)
+        decode, segments, ref = decode_values_gorilla, decode_values_gorilla_segments, ref_decode_gorilla
+    whole = pa.array([stream], pa.binary())
+    for cut in range(len(stream)):
+        part = stream[:cut]
+        if cut >= 4:
+            with pytest.raises(EOFError):
+                ref(part)
+        with pytest.raises(EOFError):
+            decode(part)
+        with pytest.raises(EOFError):
+            segments(pa.concat_arrays([whole, pa.array([part], pa.binary()), whole]))
+
+
+def _former_decode_blocks(blocks):
+    """decode_blocks as it was: a pandas frame, one scalar decode per row."""
+    if isinstance(blocks, pa.Table):
+        blocks = blocks.to_pandas()
+    key_cols = [c for c in blocks.columns
+                if c not in ("tier", "n_points", "first_ts", "first_value", "ts_dod", "values_gorilla")]
+    ts_parts, val_parts, lens = [], [], []
+    for row in blocks.itertuples(index=False):
+        d = row._asdict()
+        ts_parts.append(ref_decode_dod(d["ts_dod"]))
+        val_parts.append(ref_decode_gorilla(d["values_gorilla"]))
+        lens.append(len(ts_parts[-1]))
+    if not ts_parts:
+        return pd.DataFrame(columns=key_cols + ["tier", "bucket_ts", "value"])
+    reps = np.asarray(lens)
+    out = {k: np.repeat(blocks[k].to_numpy(), reps) for k in key_cols}
+    out["tier"] = np.repeat(blocks["tier"].to_numpy(), reps)
+    out["bucket_ts"] = pd.to_datetime(np.concatenate(ts_parts), unit="us")
+    out["value"] = np.concatenate(val_parts)
+    return pd.DataFrame(out)
+
+
+def test_decode_blocks_matches_former_implementation(tmp_path):
+    """The frame, dtypes included, for a blocks dir as the flagship writes
+    it (read back with its hive series_bucket dictionary column and pandas
+    metadata), for the same rows as a DataFrame, and for zero rows."""
+    import pyarrow.parquet as pq
+
+    from signalsharp_ray.common.fsio import write_bucket
+    from signalsharp_ray.stages.encode import decode_blocks, encode_tier
+
+    rng = np.random.default_rng(3)
+    out = str(tmp_path / "blocks_1m")
+    for bucket in (0, 5):
+        n = rng.integers(1, 300, size=6)
+        key = np.repeat(rng.choice(2**62, size=6, replace=False), n)
+        minutes = np.concatenate([np.sort(rng.choice(600, size=k, replace=False)) for k in n])
+        mean = np.round(rng.normal(size=key.size) * 50, rng.integers(0, 3))
+        tier = SortedTier(key, 1_704_067_200_000_000 + minutes * TIERS_US["1m"],
+                          {"count": np.ones(key.size, np.int64), "sum": mean, "min": mean,
+                           "max": mean, "mean": mean})
+        write_bucket(encode_tier(tier, "1m", TIERS_US["1m"], "locf", 60), out, bucket)
+    table = pq.read_table(out)
+    assert pa.types.is_dictionary(table.schema.field("series_bucket").type)
+    assert table.schema.pandas_metadata is not None
+    frame = pd.read_parquet(out)
+    for blocks in (table, table.slice(3), frame, table.slice(0, 0), frame.iloc[:0]):
+        pd.testing.assert_frame_equal(decode_blocks(blocks), _former_decode_blocks(blocks))
 
 
 # -- cascade ------------------------------------------------------------------

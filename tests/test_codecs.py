@@ -88,7 +88,6 @@ class TestDoD:
         roundtrip_ts([-100, -50, -49, 0, 1_000_000_000_000])
         roundtrip_ts([100, 50, 25, 0, -1000])
 
-    # contract: timestamps (and so deltas) fit comfortably in int64 —
     # microsecond epochs are < 2^51; +/-2^52 leaves deltas overflow-free
     @given(
         st.lists(
@@ -99,4 +98,24 @@ class TestDoD:
     )
     @settings(max_examples=50, deadline=None)
     def test_property_roundtrip(self, xs):
+        roundtrip_ts(xs)
+
+    def test_int64_edges(self):
+        roundtrip_ts([-(2 ** 63), 2 ** 63 - 1])
+        roundtrip_ts([2 ** 63 - 1, -(2 ** 63), 2 ** 63 - 1, 0])
+
+    # any int64 series round-trips: deltas and dods wrap in int64 in the
+    # encoder's np.diff and in the decoder's prefix sums alike
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+                st.sampled_from([-(2 ** 63), -(2 ** 63) + 1, -1, 0, 1, 2 ** 63 - 2, 2 ** 63 - 1]),
+            ),
+            min_size=0,
+            max_size=100,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_roundtrip_any_int64(self, xs):
         roundtrip_ts(xs)
