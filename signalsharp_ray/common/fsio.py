@@ -98,12 +98,22 @@ def read_parquet_dir(path_or_uri: str):
 
 
 def read_bucket(stage_dir: str, bucket: int) -> pa.Table:
-    """One hive bucket of a stage as an Arrow table (the partition column
-    lives in the directory name, not in the files)."""
+    """One hive bucket of a stage as an Arrow table, schema metadata kept
+    (the partition column lives in the directory name, not in the files).
+    The directory is listed once and each file read as it is, with no
+    dataset discovery: its files, in name order, skipping names that start
+    with '.' or '_' as a dataset read does. A missing directory raises
+    FileNotFoundError."""
     import pyarrow.parquet as pq
 
     fs, path = resolve_fs(join(stage_dir, f"series_bucket={bucket}"))
-    return pq.read_table(path, filesystem=fs)
+    files = sorted(info.path for info in fs.get_file_info(pafs.FileSelector(path))
+                   if info.type == pafs.FileType.File and not info.base_name.startswith((".", "_")))
+    tables = []
+    for f in files:
+        with fs.open_input_file(f) as src:
+            tables.append(pq.ParquetFile(src).read())
+    return tables[0] if len(tables) == 1 else pa.concat_tables(tables)
 
 
 @functools.lru_cache(maxsize=64)  # one entry per output schema

@@ -551,28 +551,28 @@ def bucket_groups(bucket_rows: dict[int, int], n_groups: int) -> list[list[int]]
 
 def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str],
                       on_phase=None) -> None:
-    """Run `fn(bucket)` over every bucket of a hive-partitioned input as one
-    Ray task per contiguous bucket group, each task writing its own
-    buckets' outputs into `out_dirs[stage]` (fsio.write_bucket; empty
+    """Run `fn(buckets)` over every bucket of a hive-partitioned input as
+    one Ray task per contiguous group of buckets, each task writing its
+    own buckets' outputs into `out_dirs[stage]` (fsio.write_bucket; empty
     outputs, and stages not in out_dirs, write nothing).
 
-    `fn(bucket)` returns {stage: DataFrame or Table}, or is a generator
-    that yields one such dict per phase. A task runs phase i of all its
-    buckets, writes them, then reports, so later phases can reuse what a
-    bucket's generator computed. Float entries of a dict are step
-    seconds, summed per task with the write seconds (`write_s`).
+    `fn(buckets)` gets the task's buckets and yields one dict per phase:
+    {stage: {bucket: DataFrame or Table}}, plus float entries that are
+    step seconds, summed over tasks with the write seconds (`write_s`). A
+    task writes a phase's outputs, then reports, then asks `fn` for the
+    next phase, so later phases can reuse what `fn` computed.
     `on_phase(i, steps)` is called once every task has finished phase i,
     with the steps summed over tasks: the caller can commit that phase's
     outputs while later phases run.
 
     One task per group instead of one Dataset job per stage: a task reads
-    its input buckets once, runs every stage's kernel in memory and writes
-    every stage, so the per-stage job, block and write costs are paid once
-    per group. There is one group per cluster CPU, sized by `bucket_rows`
-    (bucket -> input rows), so every task runs at once and each phase ends
-    together. A task writes its files on _WRITER_THREADS threads, so
-    creating them overlaps the next bucket's kernels; a phase reports
-    only once its writes have ended. Out dirs may be URIs; tasks
+    its input buckets once, runs every stage's kernel in memory (`fn` may
+    run a kernel once over many buckets) and writes every stage, so the
+    per-stage job, block and write costs are paid once per group. There
+    is one group per cluster CPU, sized by `bucket_rows` (bucket -> input
+    rows), so every task runs at once and each phase ends together. A
+    task creates a phase's files on _WRITER_THREADS threads; the phase
+    reports only once they are all written. Out dirs may be URIs; tasks
     re-resolve the filesystem from the string."""
     n_cpus = int(ray.cluster_resources().get("CPU", 1))
     gens = [_run_group.remote(fn, g, out_dirs) for g in bucket_groups(bucket_rows, max(1, n_cpus))]
@@ -624,34 +624,21 @@ def _run_group(fn, buckets, out_dirs):
         fsio.write_bucket(data, out_dir, b)
         return time.perf_counter() - t0
 
-    runs = []
-    for b in buckets:
-        out = fn(b)
-        runs.append(out if hasattr(out, "__next__") else iter([out]))
-    # writer threads: a bucket's files are created (mostly kernel time,
-    # outside the interpreter lock, and in separate directories) while the
-    # next bucket computes. Every write of a phase ends before the phase
-    # reports, and leaving the block waits for the writes of a phase that
-    # failed.
+    # writer threads: a phase's files are created mostly in kernel time,
+    # outside the interpreter lock, and in separate directories. Every
+    # write of a phase ends before the phase reports, and leaving the
+    # block waits for the writes of a phase that failed.
     with ThreadPoolExecutor(max_workers=_WRITER_THREADS) as writer:
-        while True:
+        for out in fn(buckets):
             steps: dict[str, float] = {}
             writes = []
-            done = False
-            for b, run in zip(buckets, runs):
-                out = next(run, None)
-                if out is None:
-                    done = True
-                    continue
-                for stage, data in out.items():
-                    if isinstance(data, float):
-                        steps[stage] = steps.get(stage, 0.0) + data
-                    elif stage in out_dirs:
-                        writes.append(writer.submit(write, data, out_dirs[stage], b))
+            for stage, data in out.items():
+                if isinstance(data, float):
+                    steps[stage] = data
+                elif stage in out_dirs:
+                    writes += [writer.submit(write, t, out_dirs[stage], b) for b, t in data.items()]
             for w in writes:
                 steps["write_s"] = steps.get("write_s", 0.0) + w.result()
-            if done:
-                return
             yield steps
 
 

@@ -11,6 +11,10 @@ Mode map (verified against the reference loops):
               REVERSED first half-window ([x[hw-1], ..., x[0]]) — a quirk of
               the reference's loop (SignalPadding.cs:126-133) that we replicate
               exactly instead of using np.pad mode="wrap".
+
+segment_blocks pads the other way: many series of different lengths as
+the rows of one matrix, for the segmented kernels (PELT, EMA) that step
+through all series at once.
 """
 
 from __future__ import annotations
@@ -58,3 +62,27 @@ def apply_padding(
 def trim_padding(extended: np.ndarray, original_length: int, window_size: int) -> np.ndarray:
     hw = window_size // 2
     return np.asarray(extended, dtype=np.float64)[hw : hw + original_length].copy()
+
+
+def segment_blocks(offsets: np.ndarray, series: np.ndarray, max_cells: int):
+    """The series `series` (indices into `offsets`, each non-empty) as the
+    rows of padded matrices, longest first: yields (idx, take, mask) per
+    block of at most `max_cells` cells (one series at least). Row k of the
+    block is series idx[k], left-aligned; `take` is the (rows x longest)
+    index of each cell into the flat values array, clipped to the series'
+    last point, and `mask` marks the cells inside their series. Rows are
+    in descending length, so the rows still running at column j are a
+    prefix: the first `(mask[:, j]).sum()` ones."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    series = np.asarray(series, dtype=np.int64)
+    n = offsets[series + 1] - offsets[series]
+    order = np.argsort(-n, kind="stable")
+    i = 0
+    while i < order.size:
+        width = int(n[order[i]])
+        rows = order[i:i + max(1, max_cells // width)]
+        i += rows.size
+        idx, lens = series[rows], n[rows]
+        col = np.arange(width)
+        take = offsets[idx][:, None] + np.minimum(col[None, :], lens[:, None] - 1)
+        yield idx, take, col[None, :] < lens[:, None]

@@ -15,10 +15,17 @@ Semantics match /root/reference/SignalSharp/Detection/PELT/PELTAlgorithm.cs:
   change") from backtracking CP (:349-383)
 - signals shorter than 2*MinSize -> no changepoints (:137-150)
 
-Three forms of the DP, one per case, with the same CP array:
-- univariate L2 with jump == 1 and at most _SMALL_N_FAST_PATH points:
-  `_segment_small_l2`, a scalar-float DP (numpy's per-call cost dominates
-  there)
+Four forms of the DP, one per case, with the same CP array:
+- many series at once, univariate L2 with jump == 1, each of at most
+  _SMALL_N_FAST_PATH points: `pelt_l2_segments` runs `_segment_small_l2`
+  over a padded (series x n) matrix, longest series first, so step t
+  works on the prefix of rows still running; the admissible starts are a
+  boolean mask. The analysis stage takes this form for a tier's series;
+  longer series there take the per-series forms below.
+- one such series: `_segment_small_l2`, a scalar-float DP (numpy's
+  per-call cost dominates there; on one series the padded form took
+  6-15x as long at n = 7-30). The read path analyzes one series per
+  request.
 - jump == 1 and a cost with a batch `segment_costs` (L2 of any dimension,
   Gaussian, RBF): `_segment_array`. The admissible starts are one
   ascending int64 array; each step cuts the candidates off it with a
@@ -44,12 +51,18 @@ import numpy as np
 
 from ..common.exceptions import UninitializedDataError
 from .costs import CostFunction, L2Cost, make_cost
+from .padding import segment_blocks
 
 # scalar-DP fast-path cutoff for univariate L2 (see PELT._segment_small_l2):
 # the two DPs take equal time at about this length on a series with no
 # change, the case where PELT prunes least; tests set this to 0 to force
 # the array path for parity comparison
 _SMALL_N_FAST_PATH = 144
+
+# cells per padded block of pelt_l2_segments: bounds its matrices (F, CP,
+# the prefix sums and a step's temporaries) to a few MiB each however many
+# series a call gets
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -289,6 +302,87 @@ class PELT:
             idx = prev
         out.reverse()
         return np.asarray(out, dtype=np.int64)
+
+
+def pelt_l2_segments(values, offsets, penalty: float, min_size: int = 1):
+    """Exact PELT (univariate L2, jump 1) of every series
+    values[offsets[i]:offsets[i+1]] at once. Returns (series, breakpoint)
+    int64 arrays, series by series and ascending within one: for each i
+    the breakpoints PELT(PELTOptions(min_size=min_size)).fit_and_detect
+    gives for series i. Series of at most _SMALL_N_FAST_PATH points run as
+    one DP per padded block (_segment_l2_padded); longer ones take the
+    per-series array DP."""
+    if min_size <= 0:
+        raise ValueError("min_size must be positive")
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = np.diff(offsets)
+    if n.size and penalty < 0:
+        raise ValueError("penalty must be non-negative")
+    segs, bks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    short = np.flatnonzero((n >= 2 * min_size) & (n <= _SMALL_N_FAST_PATH))
+    for idx, take, mask in segment_blocks(offsets, short, _BLOCK_CELLS):
+        row, bk = _segment_l2_padded(np.where(mask, values[take], 0.0), n[idx], penalty, min_size)
+        segs.append(idx[row])
+        bks.append(bk)
+    for i in np.flatnonzero((n >= 2 * min_size) & (n > _SMALL_N_FAST_PATH)):
+        bk = PELT(PELTOptions(min_size=min_size)).fit_and_detect(
+            values[offsets[i]:offsets[i + 1]], penalty)
+        segs.append(np.full(bk.size, i, np.int64))
+        bks.append(bk)
+    seg, bk = np.concatenate(segs), np.concatenate(bks)
+    order = np.lexsort((bk, seg))
+    return seg[order], bk[order]
+
+
+def _segment_l2_padded(x: np.ndarray, n: np.ndarray, penalty: float, min_size: int):
+    """PELT._segment_small_l2 for every row of `x` (row i holds a series
+    of n[i] >= 2 * min_size points; rows in descending length) plus its
+    backtracking: (row, breakpoint) of every breakpoint. The operations
+    are _segment_small_l2's, element for element: the same cumsum prefix
+    sums, the cost (s2[t] - s2[s]) - d1 * d1 / (t - s), the total
+    (F[s] + cost) + penalty, a NaN total never the minimum, the largest
+    start among equal minima, an infinite minimum giving F[t] = inf and
+    CP[t] = -1, and the pruning test F[s] + cost <= F[t] on the
+    candidates (younger admissible starts stay)."""
+    rows, width = x.shape
+    zeros = np.zeros((rows, 1))
+    F = np.full((rows, width + 1), math.inf)
+    F[:, 0] = -penalty
+    CP = np.zeros((rows, width + 1), dtype=np.int64)
+    adm = np.zeros((rows, width + 1), dtype=bool)
+    adm[:, 0] = True
+    # rows still running at step t: n is descending
+    live = np.searchsorted(-n, -np.arange(width + 1), "right")
+    with np.errstate(invalid="ignore", over="ignore"):
+        s1 = np.concatenate([zeros, np.cumsum(x, axis=1)], axis=1)
+        s2 = np.concatenate([zeros, np.cumsum(x * x, axis=1)], axis=1)
+        for t in range(min_size, width + 1):
+            r = live[t]
+            k = t - min_size + 1  # candidate starts 0 .. t - min_size
+            d1 = s1[:r, t, None] - s1[:r, :k]
+            base = F[:r, :k] + ((s2[:r, t, None] - s2[:r, :k]) - d1 * d1 / (t - np.arange(k)))
+            totals = base + penalty
+            cand = adm[:r, :k]
+            totals[~cand | np.isnan(totals)] = math.inf
+            best = k - 1 - np.argmin(totals[:, ::-1], axis=1)
+            m = totals[np.arange(r), best]
+            ok = np.isfinite(m)
+            F[:r, t] = np.where(ok, m, math.inf)
+            CP[:r, t] = np.where(ok, best, -1)
+            adm[:r, :k] = cand & (base <= F[:r, t, None])
+            adm[:r, t] = ok
+    # backtracking, all rows at once: _extract_breakpoints
+    at = np.arange(rows)
+    idx = np.asarray(n, dtype=np.int64).copy()
+    out_row, out_bk = [], []
+    while at.size:
+        prev = CP[at, idx[at]]
+        at, prev = at[prev > 0], prev[prev > 0]
+        out_row.append(at)
+        out_bk.append(prev)
+        idx[at] = prev
+    return np.concatenate(out_row), np.concatenate(out_bk)
 
 
 def pelt_breakpoints(

@@ -4,6 +4,7 @@ Semantics match the reference:
 - SMA/WMA: /root/reference/SignalSharp/Smoothing/MovingAverage/MovingAverage.cs
   padding "none" -> 'valid' output (N-w+1); other paddings -> same-length output.
 - EMA: ema[0]=x[0]; ema[t]=a*x[t]+(1-a)*ema[t-1]; alpha in (0,1].
+  ema_segments runs it over many series at once, element for element.
 - SavGol: /root/reference/SignalSharp/Smoothing/SavitzkyGolay/SavitzkyGolayFilter.cs
   with its quirks replicated exactly (do NOT use scipy.signal.savgol_filter):
     * len < 2*window+1 -> input returned unchanged (:111-113)
@@ -20,7 +21,13 @@ import math
 
 import numpy as np
 
-from .padding import PAD_NONE, apply_padding, trim_padding
+from .padding import PAD_NONE, apply_padding, segment_blocks, trim_padding
+
+# longest series exponential_moving_average runs as the plain recurrence;
+# longer ones take its chunked form
+_EMA_LOOP_MAX = 2048
+# cells per padded block of ema_segments
+_EMA_BLOCK_CELLS = 1 << 18
 
 
 def simple_moving_average(
@@ -68,7 +75,7 @@ def exponential_moving_average(signal: np.ndarray, alpha: float) -> np.ndarray:
     if b == 0.0:
         out[1:] = signal[1:]
         return out
-    if n <= 2048:
+    if n <= _EMA_LOOP_MAX:
         prev = signal[0]
         for i in range(1, n):
             prev = alpha * signal[i] + b * prev
@@ -93,6 +100,35 @@ def exponential_moving_average(signal: np.ndarray, alpha: float) -> np.ndarray:
         out[i:j] = lev + acc
         prev = out[j - 1]
         i = j
+    return out
+
+
+def ema_segments(values: np.ndarray, offsets: np.ndarray, alpha: float) -> np.ndarray:
+    """exponential_moving_average of every series values[offsets[i]:
+    offsets[i+1]] at once, element for element. Series of at most
+    _EMA_LOOP_MAX points run its recurrence column by column over padded
+    blocks (the same float operations, on the rows still running); longer
+    ones take the per-series kernel and its chunked form."""
+    values = np.asarray(values, dtype=np.float64)
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must be in (0, 1]")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = np.diff(offsets)
+    out = np.empty_like(values)
+    b = 1.0 - alpha
+    short = np.flatnonzero((n > 0) & (n <= _EMA_LOOP_MAX))
+    for _, take, mask in segment_blocks(offsets, short, _EMA_BLOCK_CELLS):
+        x = values[take]
+        if b != 0.0:
+            live = mask.sum(axis=0)
+            prev = x[:, 0]
+            for i in range(1, x.shape[1]):
+                prev = alpha * x[:live[i], i] + b * prev[:live[i]]
+                x[:live[i], i] = prev
+        out[take[mask]] = x[mask]
+    for i in np.flatnonzero(n > _EMA_LOOP_MAX):
+        s, e = offsets[i], offsets[i + 1]
+        out[s:e] = exponential_moving_average(values[s:e], alpha)
     return out
 
 

@@ -22,11 +22,16 @@ tier, rolled from the sorted points by the cascade kernel
 tier row): one file per bucket and output. So points and tier_1m commit
 together (the freshness point readers wait for), and the reduce converts
 nothing to pandas. Job 2 is partition-aligned: one Ray task per
-contiguous bucket group (run_bucket_groups) reads each bucket's tier_1m
-once as an Arrow table and sorts it once by (url_hash, bucket_ts); every
-later kernel runs on those sorted arrays in memory: the cascade, one
-gap-fill grid and one DoD/Gorilla pass over all series of a tier, and
-the three analyses of the analysis tier. The job commits in two phases: the coarser tiers once
+contiguous bucket group (run_bucket_groups, _post_1m_buckets). A task
+runs every kernel once per chunk of its buckets (a contiguous run of at
+most _CHUNK_ROWS tier_1m rows; a group of the benchmark inputs is one
+chunk): it reads each bucket's tier_1m once as an Arrow table and stacks
+the chunk's buckets into one SortedTier, each bucket sorted by
+(url_hash, bucket_ts). The cascade, one gap-fill grid and one DoD/Gorilla pass per
+tier, and the three analyses of the analysis tier (PELT and EMA as
+padded DPs over all short series at once) each run once over the chunk,
+and every output is cut back into per-bucket slices, one file per
+bucket and output. The job commits in two phases: the coarser tiers once
 every task has written them, then the six derived outputs. A rerun after
 a fault in the second phase recomputes the tiers in memory and writes
 only the derived outputs.
@@ -38,6 +43,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+
+import numpy as np
+import pyarrow as pa
 
 from ..common import fsio
 from ..common.raytools import coarse_reads, run_bucket_groups
@@ -107,36 +115,90 @@ def _ingest_bucket(t, points_dir, tier_dir, tier_us):
     return points.slice(0, 0)
 
 
-def _post_1m_bucket(bucket, cfg, src_dir, dict_dir, stages):
-    """Everything after tier_1m for one bucket, as a two-phase generator
-    for run_bucket_groups: first the coarser tiers, then the blocks of
-    every tier and the analyses of the analysis tier, all from one sort of
-    the bucket's tier_1m; only `stages` are built (a rerun skips committed
-    ones). Each phase's dict also carries its step seconds (the writes are
-    timed by run_bucket_groups)."""
+# tier_1m rows per chunk of _post_1m_buckets: the rows one kernel pass
+# takes at most (a bucket with more is a chunk of its own). It bounds a
+# pass's temporaries (the 1m gap-fill grid is the largest), while a group
+# of either perfbench input, or one CPU's share of 1M input rows at 4
+# CPUs, is one chunk
+_CHUNK_ROWS = 1 << 18
+
+
+def _read_chunks(src_dir, buckets):
+    """The buckets' tier_1m tables, read in order and cut into contiguous
+    chunks of at most _CHUNK_ROWS rows: yields (chunk buckets, tables)."""
+    chunk, tables, rows = [], [], 0
+    for b in buckets:
+        t = fsio.read_bucket(src_dir, b)
+        if chunk and rows + t.num_rows > _CHUNK_ROWS:
+            yield chunk, tables
+            chunk, tables, rows = [], [], 0
+        chunk.append(b)
+        tables.append(t)
+        rows += t.num_rows
+    if chunk:
+        yield chunk, tables
+
+
+def _cutter(tier, sizes, chunk, key="url_hash"):
+    """A function that cuts a chunk's output table, its rows in the
+    tier's series order, into {bucket: Table.slice}: `sizes` are the
+    chunk's tier rows per bucket, and each row's series is found by its
+    key (a key is one series of one bucket)."""
+    skeys = tier.key[tier.offsets[:-1]]
+    sorter = np.argsort(skeys, kind="stable")
+    bounds = np.searchsorted(tier.offsets, np.concatenate([[0], np.cumsum(sizes)]))
+
+    def cut(table):
+        series = sorter[np.searchsorted(skeys, table[key].to_numpy(), sorter=sorter)]
+        at = np.searchsorted(series, bounds)
+        return {b: table.slice(s, e - s) for b, s, e in zip(chunk, at[:-1], at[1:])}
+    return cut
+
+
+def _post_1m_buckets(buckets, cfg, src_dir, dict_dir, stages):
+    """Everything after tier_1m for a group of buckets, as a two-phase
+    generator for run_bucket_groups: first the coarser tiers, then the
+    blocks of every tier and the analyses of the analysis tier; only
+    `stages` are built (a rerun skips committed ones). Each kernel runs
+    once per chunk of buckets (_read_chunks): the chunk's tier_1m tables
+    make one SortedTier, bucket after bucket, and every output is cut back
+    into the buckets' slices. Each phase's dict also carries its step
+    seconds (the writes are timed by run_bucket_groups)."""
     t0 = time.perf_counter()
-    tiers = {cfg.tiers[0]: SortedTier.from_table(fsio.read_bucket(src_dir, bucket))}
-    for finer, tier in zip(cfg.tiers, cfg.tiers[1:]):
-        tiers[tier], _ = cascade_sorted(tiers[finer], TIERS_US[tier])
-    out = {f"tier_{t}": tiers[t].table() for t in cfg.tiers[1:] if f"tier_{t}" in stages}
+    chunks = []
+    out = {f"tier_{t}": {} for t in cfg.tiers[1:] if f"tier_{t}" in stages}
+    for chunk, tables in _read_chunks(src_dir, buckets):
+        tiers = {cfg.tiers[0]: SortedTier.from_tables(tables)}
+        for finer, tier in zip(cfg.tiers, cfg.tiers[1:]):
+            tiers[tier], _ = cascade_sorted(tiers[finer], TIERS_US[tier])
+        cut = _cutter(tiers[cfg.tiers[0]], [t.num_rows for t in tables], chunk)
+        for stage in out:
+            out[stage].update(cut(tiers[stage.removeprefix("tier_")].table()))
+        chunks.append((chunk, tiers, cut))
     yield {**out, "cascade_s": time.perf_counter() - t0}
 
-    t0 = time.perf_counter()
-    out = {
-        f"blocks_{tier}": encode_tier(rows, tier, TIERS_US[tier], cfg.gapfill_method,
-                                      cfg.max_gap_buckets)
-        for tier, rows in tiers.items() if f"blocks_{tier}" in stages
-    }
-    t1 = time.perf_counter()
+    encode_s = analyses_s = 0.0
     at, col = cfg.analysis_tier, cfg.analysis_value_col
-    if f"changepoints_{at}" in stages:
-        out[f"changepoints_{at}"] = changepoints_tier(
-            tiers[at], cfg.changepoints, col, url_dict=fsio.read_bucket(dict_dir, bucket))
-    if f"smoothed_{at}" in stages:
-        out[f"smoothed_{at}"] = smooth_tier(tiers[at], cfg.smoothing, col)
-    if f"forecast_{at}" in stages:
-        out[f"forecast_{at}"] = forecast_tier(tiers[at], cfg.forecast, TIERS_US[at], col)
-    yield {**out, "encode_s": t1 - t0, "analyses_s": time.perf_counter() - t1}
+    out = {stage: {} for stage in stages if not stage.startswith("tier_")}
+    while chunks:
+        chunk, tiers, cut = chunks.pop(0)
+        t0 = time.perf_counter()
+        for tier, rows in tiers.items():
+            if f"blocks_{tier}" in stages:
+                out[f"blocks_{tier}"].update(cut(encode_tier(
+                    rows, tier, TIERS_US[tier], cfg.gapfill_method, cfg.max_gap_buckets)))
+        t1 = time.perf_counter()
+        if f"changepoints_{at}" in stages:
+            url_dict = pa.concat_tables([fsio.read_bucket(dict_dir, b) for b in chunk])
+            out[f"changepoints_{at}"].update(cut(changepoints_tier(
+                tiers[at], cfg.changepoints, col, url_dict=url_dict.combine_chunks())))
+        if f"smoothed_{at}" in stages:
+            out[f"smoothed_{at}"].update(cut(smooth_tier(tiers[at], cfg.smoothing, col)))
+        if f"forecast_{at}" in stages:
+            out[f"forecast_{at}"].update(cut(forecast_tier(tiers[at], cfg.forecast, TIERS_US[at], col)))
+        encode_s += t1 - t0
+        analyses_s += time.perf_counter() - t1
+    yield {**out, "encode_s": encode_s, "analyses_s": analyses_s}
 
 
 def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | None = None):
@@ -192,7 +254,7 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
         (f"forecast_{at}", cfg.do_forecast)) if on and at in cfg.tiers})
 
     def post_1m(out_dirs, commit):
-        fn = partial(_post_1m_bucket, cfg=cfg, src_dir=outputs[f"tier_{first}"],
+        fn = partial(_post_1m_buckets, cfg=cfg, src_dir=outputs[f"tier_{first}"],
                      dict_dir=outputs["url_dict"], stages=set(out_dirs))
         run_bucket_groups(fn, manifest.bucket_rows(f"tier_{first}"), out_dirs,
                           lambda i, steps: commit(tiers if i == 0 else derived, steps))

@@ -1,15 +1,22 @@
 """Analysis stage: the reference's algorithms as distributed per-series
 operators over rolled-up tier points.
 
-Two forms, one per-series numpy kernel from signalsharp_ray.kernels:
-- the flagship's: *_sorted run every series of a bucket's SortedTier
-  (rows sorted once by key, bucket_ts) inside the post-1m bucket-group
-  tasks, and *_tier build the output tables from them;
+Two forms over the same kernels from signalsharp_ray.kernels:
+- the flagship's: *_sorted run every series of a SortedTier (rows sorted
+  by key, bucket_ts; a chunk of buckets in the post-1m bucket-group
+  tasks), and *_tier build the output tables from them. PELT with the
+  univariate L2 cost and jump 1 runs every series of at most
+  pelt._SMALL_N_FAST_PATH points as one padded DP (pelt_l2_segments),
+  and EMA smoothing runs as one padded recurrence (ema_segments); both
+  give each series exactly what its per-series kernel gives. Every other
+  method, cost and op, and the forecast, run the per-series kernel on
+  each series in turn: linear_forecast sums with numpy's pairwise sum and
+  a BLAS dot, which a padded form could not reproduce bit for bit.
 - the per-group form: changepoints_kernel, smooth_kernel and
   forecast_kernel take one (host, url) group's frame and sort it by
   bucket_ts (the exchange keeps no intra-group order); detect_changepoints
   runs changepoints_kernel per group over raytools.bucketed_map_groups.
-Per-series state never crosses a kernel call.
+Per-series state never crosses series.
 
 Quadratic-memory kernels (RBF, L1 medians) are guarded by max_series_len:
 longer series are refused loudly rather than silently OOMing a worker —
@@ -28,9 +35,11 @@ from ..common.fsio import with_pandas_metadata
 from ..kernels.cusum import CUSUMOptions, cusum_changepoints
 from ..kernels.extrapolation import HoltOptions, holt_forecast, linear_forecast, ses_forecast
 from ..kernels.kalman import KalmanOptions, kalman_filter
-from ..kernels.pelt import PELT, PELTOptions
+from ..kernels.costs import L2Cost
+from ..kernels.pelt import PELT, PELTOptions, pelt_l2_segments
 from ..kernels.penalty_selection import PELTPenaltySelector, PenaltySelectionOptions
 from ..kernels.smoothing import (
+    ema_segments,
     exponential_moving_average,
     savitzky_golay,
     simple_moving_average,
@@ -243,17 +252,36 @@ def _partition_slices(df: pd.DataFrame, key_col: str):
     return df, keys, series_offsets(keys)
 
 
+def _l2_pelt(config: ChangepointConfig) -> bool:
+    """Whether the config runs exact PELT with the L2 cost (on a
+    univariate series), the case pelt_l2_segments computes."""
+    if config.method != "pelt" or config.jump != 1:
+        return False
+    opts = PELTOptions(cost_function=config.cost, min_size=config.min_size,
+                       cost_kwargs=config.cost_kwargs)
+    return isinstance(opts.resolve_cost(), L2Cost)
+
+
 def changepoints_sorted(keys, values, offsets, config: ChangepointConfig, key_col: str = "url_hash"):
     """(row, penalty, breakpoint_index) of every breakpoint, `row` being
-    the sorted partition row the breakpoint falls on."""
+    the sorted partition row the breakpoint falls on. A series longer than
+    the config's cap fails the call, the first one named."""
     cap = config.effective_cap()
+    n = np.diff(offsets)
+    over = np.flatnonzero(n > cap)
+    if over.size:
+        s = offsets[over[0]]
+        raise ValueError(
+            f"Series {key_col}={keys[s]} has {n[over[0]]} points > cap {cap}; "
+            "analyze a coarser tier."
+        )
+    if n.size and _l2_pelt(config):
+        seg, bk = pelt_l2_segments(values, offsets, config.penalty, config.min_size)
+        if not bk.size:
+            return np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int32)
+        return offsets[seg] + bk, np.full(bk.size, config.penalty), bk.astype(np.int32)
     rows, pens, bks = [], [], []
     for s, e in zip(offsets[:-1], offsets[1:]):
-        if e - s > cap:
-            raise ValueError(
-                f"Series {key_col}={keys[s]} has {e - s} points > cap {cap}; "
-                "analyze a coarser tier."
-            )
         bkps, penalty = _detect_values(values[s:e], config)
         if len(bkps):
             bk = np.asarray(bkps, dtype=np.int64)
@@ -266,6 +294,8 @@ def changepoints_sorted(keys, values, offsets, config: ChangepointConfig, key_co
 
 
 def smooth_sorted(values, offsets, config: SmoothingConfig) -> np.ndarray:
+    if config.op == "ema":
+        return ema_segments(values, offsets, config.alpha)
     out = np.empty_like(values)
     for s, e in zip(offsets[:-1], offsets[1:]):
         out[s:e] = _smooth_values(values[s:e], config)
@@ -381,7 +411,12 @@ def _const(value: str, n: int) -> pa.Array:
 def changepoints_tier(tier, config: ChangepointConfig, value_col: str = "mean",
                       key_col: str = "url_hash", url_dict: pa.Table | None = None) -> pa.Table:
     """The changepoints file's table for a SortedTier; `url_dict` (url_hash,
-    url, host) attaches the strings (dict_lookup)."""
+    url, host) attaches the strings (dict_lookup).
+
+    The tier holds the observed rows only (no gap-fill), so
+    `breakpoint_index` counts observed rows of a series, not tier periods:
+    a 10-day outage in a 1d series falls between two adjacent indices, and
+    `breakpoint_ts` is the first observed bucket after the change."""
     values = tier.cols[value_col].astype(np.float64)
     rows, pen, bk = changepoints_sorted(tier.key, values, tier.offsets, config, key_col)
     keys = tier.key[rows]

@@ -168,11 +168,13 @@ def series_offsets(keys: np.ndarray) -> np.ndarray:
 
 
 class SortedTier:
-    """One bucket's tier rows sorted by (key, bucket_ts), as numpy arrays:
-    `key`, `ts` (bucket_ts in int64 microseconds) and `cols` (count, sum,
-    min, max, mean); series i is rows offsets[i]:offsets[i+1]. Every tier
-    kernel (the 1m rollup over a points view, the cascade, gap-fill +
-    encode, the analyses) reads this one form."""
+    """Tier rows sorted by (key, bucket_ts), as numpy arrays: `key`, `ts`
+    (bucket_ts in int64 microseconds) and `cols` (count, sum, min, max,
+    mean); series i is rows offsets[i]:offsets[i+1]. Every tier kernel
+    (the 1m rollup over a points view, the cascade, gap-fill + encode, the
+    analyses) reads this one form. The rows of several hive buckets may
+    follow one another, each bucket sorted on its own: a key never spans
+    buckets, so each series is still one run."""
 
     __slots__ = ("key", "ts", "cols", "offsets")
 
@@ -181,11 +183,15 @@ class SortedTier:
         self.offsets = series_offsets(key)
 
     @classmethod
-    def from_table(cls, t: pa.Table, key: str = "url_hash") -> "SortedTier":
+    def from_tables(cls, tables: list, key: str = "url_hash") -> "SortedTier":
+        """Tier tables of distinct buckets as one SortedTier, bucket after
+        bucket in the order given."""
+        t = pa.concat_tables(tables)
         k = t[key].to_numpy()
         # a safe cast: tier buckets are whole minutes, so it never truncates
         ts = t["bucket_ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
-        order = np.lexsort((ts, k))
+        part = np.repeat(np.arange(len(tables)), [x.num_rows for x in tables])
+        order = np.lexsort((ts, k, part))
         return cls(k[order], ts[order], {c: t[c].to_numpy()[order] for c in TIER_COLUMNS})
 
     def table(self, key: str = "url_hash") -> pa.Table:

@@ -196,3 +196,100 @@ def test_run_killed_mid_post_1m_job_resumes_to_clean_outputs(clean, tmp_path):
     for stage in TIER_STAGES + DERIVED_STAGES:
         assert _stage_table(root / stage).equals(_stage_table(clean_root / stage)), stage
     assert not glob.glob(f"{root}/*.tmp-*")
+
+
+def _skewed_pages():
+    """One url crawled every day for 160 days (once a day, then three
+    times a day: a 1d series longer than pelt._SMALL_N_FAST_PATH), a few
+    urls seen on 12 days around a 10-day outage, and 60 urls seen once."""
+    import numpy as np
+    import pyarrow as pa
+
+    day, base = 86_400_000_000, 1_704_067_200_000_000
+    urls, ts = [], []
+    for d in range(160):
+        for k in range(1 if d < 80 else 3):
+            urls.append("https://long.example.com/p")
+            ts.append(base + d * day + k * 3_600_000_000)
+    for i in range(4):
+        for d in list(range(6)) + list(range(16, 22)):
+            urls.append(f"https://mid{i}.example.com/p")
+            ts.append(base + d * day + i * 60_000_000)
+    for i in range(60):
+        urls.append(f"https://one{i}.example.com/p/{i}")
+        ts.append(base + (i % 30) * day)
+    text = [f"{u}#{j % 7}" * (1 + j % 5) for j, u in enumerate(urls)]
+    return pa.table({"url": urls, "warc_ts": pa.array(np.array(ts), pa.timestamp("us")),
+                     "html": [t.encode() for t in text], "text": text, "lang": ["en"] * len(urls)})
+
+
+def _per_bucket_reference(cfg, src_dir, dict_dir, bucket):
+    """A bucket's post-1m outputs from the *_sorted kernels, bucket alone."""
+    from signalsharp_ray.common import fsio
+    from signalsharp_ray.stages.analysis import changepoints_tier, forecast_tier, smooth_tier
+    from signalsharp_ray.stages.encode import encode_tier
+    from signalsharp_ray.stages.rollup import TIERS_US, SortedTier, cascade_sorted
+
+    tiers = {"1m": SortedTier.from_tables([fsio.read_bucket(src_dir, bucket)])}
+    for finer, tier in (("1m", "1h"), ("1h", "1d")):
+        tiers[tier], _ = cascade_sorted(tiers[finer], TIERS_US[tier])
+    col, t1d = cfg.analysis_value_col, tiers["1d"]
+    out = {f"tier_{t}": tiers[t].table() for t in ("1h", "1d")}
+    out.update({f"blocks_{t}": encode_tier(rows, t, TIERS_US[t], cfg.gapfill_method,
+                                           cfg.max_gap_buckets) for t, rows in tiers.items()})
+    out["changepoints_1d"] = changepoints_tier(t1d, cfg.changepoints, col,
+                                               url_dict=fsio.read_bucket(dict_dir, bucket))
+    out["smoothed_1d"] = smooth_tier(t1d, cfg.smoothing, col)
+    out["forecast_1d"] = forecast_tier(t1d, cfg.forecast, TIERS_US["1d"], col)
+    return out
+
+
+def _files(root, stage):
+    return {os.path.relpath(f, root): open(f, "rb").read()
+            for f in glob.glob(f"{root}/{stage}/*/*.parquet")}
+
+
+def test_chunked_post_1m_outputs_match_per_bucket_files(ray_session, tmp_path, monkeypatch):
+    """The post-1m kernels run once per chunk of buckets and cut their
+    outputs back into buckets: with the chunk cap set so low that one
+    group spans several chunks (the skewed bucket alone, small buckets
+    together), every post-1m file is byte-identical to the one a
+    per-bucket run of the *_sorted kernels writes, and so is the
+    flagship's own output (one chunk per group)."""
+    import ray.data as rd
+
+    from signalsharp_ray.common import fsio
+    from signalsharp_ray.pipelines import flagship
+    from signalsharp_ray.pipelines.flagship import run_flagship
+
+    pages = _skewed_pages()
+    cfg = FlagshipConfig(out_root=str(tmp_path / "run"), n_buckets=6)
+    res = run_flagship(lambda: rd.from_arrow(pages), "skewed", cfg)
+    src, dicts = res["outputs"]["tier_1m"], res["outputs"]["url_dict"]
+    rows = PipelineManifest(cfg.out_root).bucket_rows("tier_1m")
+    buckets = sorted(rows)
+    big = max(rows, key=rows.get)
+    t1d = fsio.read_bucket(res["outputs"]["tier_1d"], big)
+    days = pc.value_counts(t1d["url_hash"]).field("counts").to_pylist()
+    assert max(days) == 160 and 1 in days  # the long series next to one-point ones
+
+    monkeypatch.setattr(flagship, "_CHUNK_ROWS", rows[big] - 1)
+    chunks = [c for c, _ in flagship._read_chunks(src, buckets)]
+    assert [b for c in chunks for b in c] == buckets
+    assert [big] in chunks and max(len(c) for c in chunks) >= 2
+
+    stages = set(TIER_STAGES[1:] + DERIVED_STAGES)
+    for i, out in enumerate(flagship._post_1m_buckets(buckets, cfg, src, dicts, stages)):
+        assert set(out) - stages == ({"cascade_s"} if i == 0 else {"encode_s", "analyses_s"})
+        for stage in stages & set(out):
+            for b, t in out[stage].items():
+                fsio.write_bucket(t, str(tmp_path / "chunked" / stage), b)
+    for b in buckets:
+        for stage, t in _per_bucket_reference(cfg, src, dicts, b).items():
+            fsio.write_bucket(t, str(tmp_path / "ref" / stage), b)
+
+    for stage in sorted(stages):
+        ref = _files(tmp_path / "ref", stage)
+        assert ref, stage
+        assert _files(tmp_path / "chunked", stage) == ref, stage
+        assert _files(cfg.out_root, stage) == ref, stage

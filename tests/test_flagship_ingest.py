@@ -151,9 +151,10 @@ def test_failed_job_returns_after_every_writer_task_ended(runner, tmp_path):
         ds = rd.from_arrow(pa.table({"__bucket": pa.array(range(n), pa.int64())}))
         call = lambda: raytools.hash_exchange(ds, n, reduce)  # noqa: E731
     else:
-        def fn(bucket):
-            work(bucket)
-            return {}
+        def fn(buckets):
+            for bucket in buckets:
+                work(bucket)
+            yield {}
 
         call = lambda: raytools.run_bucket_groups(fn, {b: 1 for b in range(n)}, {})  # noqa: E731
     with pytest.raises(Exception, match="injected task fault"):
@@ -170,9 +171,9 @@ def test_a_phase_reports_once_its_writer_threads_wrote_it(tmp_path):
 
     n = 6
 
-    def fn(bucket):
-        yield {"a": pa.table({"x": [bucket]})}
-        yield {"b": pa.table({"x": [bucket] * 2})}
+    def fn(buckets):
+        yield {"a": {b: pa.table({"x": [b]}) for b in buckets}}
+        yield {"b": {b: pa.table({"x": [b] * 2}) for b in buckets}}
 
     out_dirs = {"a": str(tmp_path / "a"), "b": str(tmp_path / "b")}
     seen = {}

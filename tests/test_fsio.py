@@ -54,6 +54,57 @@ class TestResolveFs:
         assert fsio.list_partition_dirs(str(tmp_path / "nope"), "x=") == []
 
 
+class TestReadBucket:
+    """fsio.read_bucket lists the bucket directory once and reads each
+    file as it is (no dataset discovery)."""
+
+    @staticmethod
+    def _table(lo, hi):
+        import pyarrow as pa
+
+        return fsio.with_pandas_metadata(pa.table({"url_hash": np.arange(lo, hi, dtype=np.int64),
+                                                   "mean": np.arange(lo, hi) / 2.0}))
+
+    def test_single_file_keeps_schema_metadata(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        t = self._table(0, 5)
+        fsio.write_bucket(t, str(tmp_path), 3)
+        got = fsio.read_bucket(str(tmp_path), 3)
+        assert got.equals(t)
+        assert got.schema.equals(t.schema, check_metadata=True)
+        assert b"pandas" in got.schema.metadata
+        want = pq.read_table(f"{tmp_path}/series_bucket=3")
+        assert got.schema.equals(want.schema, check_metadata=True) and got.equals(want)
+
+    def test_several_files_in_name_order(self, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        d = tmp_path / "series_bucket=0"
+        d.mkdir()
+        parts = [self._table(10, 12), self._table(0, 3), self._table(5, 6)]
+        for name, t in zip(["part-1", "part-0", "part-2"], parts):
+            pq.write_table(t, d / f"{name}.parquet")
+        (d / "_SUCCESS").write_text("")
+        (d / ".part-0.parquet.crc").write_text("")
+        got = fsio.read_bucket(str(tmp_path), 0)
+        assert got.equals(pa.concat_tables([parts[1], parts[0], parts[2]]))
+        assert got.schema.equals(parts[0].schema, check_metadata=True)
+        assert got.equals(pq.read_table(str(d)))
+
+    def test_memory_uri(self):
+        root = "memory://fsio_read_bucket/stage"
+        t = self._table(0, 4)
+        fsio.write_bucket(t, root, 7)
+        got = fsio.read_bucket(root, 7)
+        assert got.equals(t) and got.schema.equals(t.schema, check_metadata=True)
+
+    def test_missing_bucket_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            fsio.read_bucket(str(tmp_path), 1)
+
+
 class TestManifestOnMemoryFs:
     def test_run_stage_and_resume(self):
         from signalsharp_ray.state.manifest import PipelineManifest

@@ -236,3 +236,91 @@ def test_two_way_tie_goes_to_the_larger_start():
         np.testing.assert_array_equal(p._segment_array(0.0), [0, 0, 1])
         np.testing.assert_array_equal(p._segment(0.0), [0, 0, 1])
         np.testing.assert_array_equal(p.detect(0.0), [1])
+
+
+# -- the segmented DP against the per-series kernel ----------------------
+
+
+def _batch_series(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if n == 0:
+        return np.zeros(0)
+    if kind == "ties":
+        return rng.integers(0, 3, n).astype(np.float64)
+    if kind == "constant":
+        return np.full(n, float(rng.integers(-2, 3)))
+    return _signal(kind, n, 1, seed)
+
+
+def _per_series(values, offsets, penalty, min_size):
+    segs, bks = [], []
+    for i, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        bk = PELT(PELTOptions(min_size=min_size)).fit_and_detect(values[s:e], penalty)
+        segs += [i] * bk.size
+        bks += bk.tolist()
+    return np.asarray(segs, np.int64), np.asarray(bks, np.int64)
+
+
+def _check_segments(series, penalty, min_size):
+    values = np.concatenate([np.zeros(0)] + series)
+    offsets = np.concatenate([[0], np.cumsum([x.size for x in series])]).astype(np.int64)
+    with np.errstate(all="ignore"):
+        want = _per_series(values, offsets, penalty, min_size)
+        got = pelt_mod.pelt_l2_segments(values, offsets, penalty, min_size)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["normal", "constant", "ties", "step", "nonfinite"]),
+            st.one_of(st.integers(0, 3), st.integers(0, 24), st.integers(100, 144)),
+            st.integers(0, 2**16),
+        ),
+        min_size=1, max_size=12,
+    ),
+    min_size=st.integers(1, 3),
+    penalty=st.sampled_from([0.0, 10.0]),
+)
+def test_segmented_pelt_matches_per_series(specs, min_size, penalty):
+    """pelt_l2_segments gives each series of a mixed batch the breakpoints
+    PELT(...).fit_and_detect gives it alone: lengths 0, 1, 2 and up to
+    _SMALL_N_FAST_PATH, constant and tie-heavy small-integer values, NaN
+    and +-inf, min_size 1-3, penalties 0 and 10."""
+    _check_segments([_batch_series(k, n, seed) for k, n, seed in specs], penalty, min_size)
+
+
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_segmented_pelt_routes_long_series_per_series(min_size):
+    """A series longer than _SMALL_N_FAST_PATH takes the per-series array
+    DP inside a batch of short ones, with the same result."""
+    cut = pelt_mod._SMALL_N_FAST_PATH
+    series = [_batch_series("step", cut + 40, 1), _batch_series("ties", 5, 2),
+              _batch_series("step", cut, 3), np.zeros(0), _batch_series("nonfinite", cut + 1, 4),
+              _batch_series("normal", 1, 5)]
+    for penalty in (0.0, 10.0):
+        _check_segments(series, penalty, min_size)
+
+
+def test_segmented_pelt_small_blocks_and_validation(monkeypatch):
+    """Blocks of a few cells give the same breakpoints; a negative
+    penalty or a non-positive min_size fails as the kernel does."""
+    monkeypatch.setattr(pelt_mod, "_BLOCK_CELLS", 20)
+    _check_segments([_batch_series("step", n, n) for n in (30, 3, 9, 9, 17, 1, 60)], 1.0, 1)
+    with pytest.raises(ValueError, match="penalty"):
+        pelt_mod.pelt_l2_segments(np.ones(4), np.array([0, 4]), -1.0)
+    with pytest.raises(ValueError, match="min_size"):
+        pelt_mod.pelt_l2_segments(np.ones(4), np.array([0, 4]), 1.0, 0)
+
+
+def test_changepoints_sorted_names_the_series_over_the_cap():
+    from signalsharp_ray.stages.analysis import ChangepointConfig, changepoints_sorted
+
+    keys = np.array([7, 7, 8, 8, 8, 8, 9, 9, 9, 9, 9], np.int64)
+    offsets = np.array([0, 2, 6, 11])
+    cfg = ChangepointConfig(max_series_len=3)
+    with pytest.raises(ValueError, match=r"url_hash=8 has 4 points > cap 3"):
+        changepoints_sorted(keys, np.arange(11.0), offsets, cfg)

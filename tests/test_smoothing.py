@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from signalsharp_ray.kernels import padding as pad
+from signalsharp_ray.kernels import smoothing
 from signalsharp_ray.kernels.smoothing import (
+    ema_segments,
     exponential_moving_average,
     savitzky_golay,
     simple_moving_average,
@@ -216,3 +218,26 @@ def test_savgol_derivative_matches_reference_construction():
         emul[i] = s
     ours = savitzky_golay(sig, w, p, deriv=deriv)
     np.testing.assert_allclose(ours[hw:-hw], emul[hw:-hw], atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("cells", [1 << 18, 50])
+def test_ema_segments_match_per_series(alpha, cells, monkeypatch):
+    """ema_segments gives every series exactly what
+    exponential_moving_average gives it alone: lengths 0, 1 and 2, NaN and
+    +-inf, alpha = 1 (every output is its input), a series longer than
+    the recurrence's 2048 points (the per-series chunked form) and small
+    padded blocks."""
+    monkeypatch.setattr(smoothing, "_EMA_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(11)
+    lengths = [1, 2, 0, 5, 2049, 30, 1, 2048, 3]
+    series = [rng.normal(0, 10, n) for n in lengths]
+    series[3][2] = np.nan
+    series[5][[4, 9]] = [np.inf, -np.inf]
+    values = np.concatenate(series)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    got = ema_segments(values, offsets, alpha)
+    want = np.concatenate([exponential_moving_average(x, alpha) for x in series])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError, match="alpha"):
+        ema_segments(values, offsets, 0.0)

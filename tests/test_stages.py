@@ -648,3 +648,25 @@ class TestGapfillProperties:
             inside = (synth > ts[i]) & (synth < ts[i + 1])
             assert inside.sum() == (g if g <= max_gap else 0)
 
+
+def test_breakpoint_index_counts_observed_days_not_calendar_days():
+    """The analysis tier holds the observed rows only (no gap-fill), so
+    breakpoint_index counts observed 1d rows: a series with a 10-day
+    outage before its level shift gets the same index as the same values
+    without the outage, and breakpoint_ts is the first day after it."""
+    from signalsharp_ray.stages.analysis import changepoints_tier
+    from signalsharp_ray.stages.rollup import SortedTier
+
+    day = TIERS_US["1d"]
+    base = 1_704_067_200_000_000
+    counts = np.array([1] * 5 + [50] * 5, np.int64)
+    gap_days = np.r_[0:5, 15:20]  # days 5-14 missing
+    key = np.repeat([11, 22], 10).astype(np.int64)
+    ts = base + day * np.concatenate([gap_days, np.arange(10)])
+    c = np.tile(counts, 2)
+    tier = SortedTier(key, ts, {"count": c, "sum": c * 1.0, "min": c * 1.0, "max": c * 1.0,
+                                "mean": c * 1.0})
+    out = changepoints_tier(tier, ChangepointConfig(penalty=10.0), "count").to_pydict()
+    assert out["url_hash"] == [11, 22]
+    assert out["breakpoint_index"] == [5, 5]
+    assert [t.value // 1000 for t in out["breakpoint_ts"]] == [base + 15 * day, base + 5 * day]
