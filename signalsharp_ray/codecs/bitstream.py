@@ -71,6 +71,7 @@ def header_tokens(n) -> np.ndarray:
 # a group's one-byte-per-bit view is 8x its bytes, so the decoders take at
 # most this many stream bytes at once (a longer stream is a group alone)
 GROUP_BYTES = 1 << 18
+_BINARY = pa.binary()
 
 
 def stream_groups(arr):
@@ -81,7 +82,13 @@ def stream_groups(arr):
     single stream is longer; runs of small chunks are concatenated (one
     copy of their bytes) so that a table read from many files does not pay
     the per-group cost once per file."""
-    for c in _joined_chunks(arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]):
+    chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
+    for c in chunks:
+        if c.type != _BINARY:
+            raise TypeError(f"bit streams must be binary, not {c.type}")
+        if c.null_count:
+            raise ValueError("null bit stream")
+    for c in chunks if len(chunks) == 1 else _joined_chunks(chunks):
         _, obuf, dbuf = c.buffers()
         off = np.frombuffer(obuf, np.int32)[c.offset:c.offset + len(c) + 1].astype(np.int64)
         data = np.frombuffer(dbuf, np.uint8) if dbuf is not None else np.zeros(0, np.uint8)
@@ -93,19 +100,19 @@ def stream_groups(arr):
 
 
 def _joined_chunks(chunks):
+    """Non-empty chunks, runs of small ones concatenated into one array. A
+    chunk's size is that of its whole buffers (Array.nbytes costs ~7 us a
+    chunk); a slice counted as its parent only ends a run early."""
     run, nbytes = [], 0
     for c in chunks:
-        if c.type != pa.binary():
-            raise TypeError(f"bit streams must be binary, not {c.type}")
-        if c.null_count:
-            raise ValueError("null bit stream")
         if not len(c):
             continue
-        if run and nbytes + c.nbytes > GROUP_BYTES:
+        size = c.get_total_buffer_size()
+        if run and nbytes + size > GROUP_BYTES:
             yield run[0] if len(run) == 1 else pa.concat_arrays(run)
             run, nbytes = [], 0
         run.append(c)
-        nbytes += c.nbytes
+        nbytes += size
     if run:
         yield run[0] if len(run) == 1 else pa.concat_arrays(run)
 
@@ -165,8 +172,14 @@ def read_bits(data, pos, width) -> np.ndarray:
 
 
 def join_groups(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group (values, point counts) -> (flat values, offsets)."""
-    if not parts:
-        return np.zeros(0, dtype), np.zeros(1, np.int64)
-    n = np.concatenate([c for _, c in parts])
-    return np.concatenate([v for v, _ in parts]), np.concatenate([[0], np.cumsum(n)])
+    """Per-group (values, point counts) -> (flat values, offsets); a lone
+    group's values are returned as they are."""
+    if len(parts) == 1:
+        values, n = parts[0]
+    elif parts:
+        values, n = (np.concatenate(x) for x in zip(*parts))
+    else:
+        values, n = np.zeros(0, dtype), np.zeros(0, np.int64)
+    off = np.zeros(n.size + 1, np.int64)
+    np.cumsum(n, out=off[1:])
+    return values, off

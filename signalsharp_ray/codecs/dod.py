@@ -171,4 +171,6 @@ def _decode_group(data, start, end):
 def _segment_cumsum(x: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Prefix sum restarted at each segment, wrapping in int64."""
     c = np.cumsum(x)
+    if off.size <= 2:
+        return c
     return c - np.repeat(np.concatenate([[0], c])[off[:-1]], np.diff(off))

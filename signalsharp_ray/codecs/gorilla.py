@@ -236,5 +236,6 @@ def _decode_group(data, start, end):
     xs[i] = read_bits(data, q + 2 + 11 * reset, mean) << trail.astype(np.uint64)
     xs[first[has1]] = head[k:]
     a = np.bitwise_xor.accumulate(xs)
-    a ^= np.repeat(np.concatenate([np.zeros(1, np.uint64), a])[first], n)
+    if n.size > 1:  # restart the prefix xor at each stream
+        a ^= np.repeat(np.concatenate([np.zeros(1, np.uint64), a])[first], n)
     return a.view(np.float64), n

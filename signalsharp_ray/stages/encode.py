@@ -8,8 +8,11 @@ one block row per series:
     first_value:float64, ts_dod:binary, values_gorilla:binary
 
 decode_blocks is the inverse: one segmented DoD and one segmented Gorilla
-decode over all rows of a blocks table. Round-trip is exact (bit-identical
-float64, exact int64 timestamps) — see tests/test_stages.py.
+decode over all rows of a blocks table, then one pandas frame built from
+numpy arrays (each key column converted on its own, bucket_ts cast from
+int64 microseconds to datetime64[ns]); the table itself never goes through
+Table.to_pandas. Round-trip is exact (bit-identical float64, exact int64
+timestamps) — see tests/test_stages.py.
 """
 
 from __future__ import annotations
@@ -116,31 +119,68 @@ def encode_partition_pandas(
 
 
 _BLOCK_COLS = ("tier", "n_points", "first_ts", "first_value", "ts_dod", "values_gorilla")
+# datetime64[ns] holds the int64 microseconds -_NS_MAX_US..._NS_MAX_US
+_NS_MAX_US = (2**63 - 1) // 1000
 
 
 def decode_blocks(blocks: pa.Table | pd.DataFrame) -> pd.DataFrame:
     """Inverse of the encode stage: block rows -> (key..., tier, bucket_ts,
-    value) point rows. Each binary column is decoded with one segmented
-    decoder call, straight from Arrow; only the key columns and tier go
-    through pandas, and they are repeated per point with np.repeat."""
+    value) point rows, one frame built in one step from numpy arrays. Each
+    binary column is decoded with one segmented decoder call, straight
+    from Arrow. Of a table, each key column and tier is converted on its
+    own, never the whole table: nulls, strings and dictionaries convert as
+    pandas converts them, and the columns its pandas metadata names as the
+    index are left out, as Table.to_pandas leaves them out. Of a frame, its
+    own columns are taken. Both are repeated per point with np.repeat.
+    bucket_ts is datetime64[ns]; a timestamp outside that range raises
+    OutOfBoundsDatetime, as pd.to_datetime(unit="us") does."""
     if isinstance(blocks, pa.Table):
+        index = _pandas_index_columns(blocks.schema)
+        names = [c for c in blocks.schema.names if c not in index]
         streams = [blocks.column(c) for c in ("ts_dod", "values_gorilla")]
-        blocks = blocks.drop_columns([c for c in blocks.column_names if c in _BLOCK_COLS[1:]]).to_pandas()
+
+        def column(c):
+            col = blocks.column(c)
+            return col.to_numpy() if _converts_alike(col.type) else col.to_pandas().to_numpy()
     else:
+        names = list(blocks.columns)
         streams = [pa.array(blocks[c].to_numpy(), pa.binary()) for c in ("ts_dod", "values_gorilla")]
-    key_cols = [c for c in blocks.columns if c not in _BLOCK_COLS]
+
+        def column(c):
+            return blocks[c].to_numpy()
+    key_cols = [c for c in names if c not in _BLOCK_COLS]
     if not len(blocks):
         return pd.DataFrame(columns=key_cols + ["tier", "bucket_ts", "value"])
     ts, offsets = decode_timestamps_dod_segments(streams[0])
     value, value_offsets = decode_values_gorilla_segments(streams[1])
     if not np.array_equal(offsets, value_offsets):
         raise ValueError("a block's ts_dod and values_gorilla hold different point counts")
+    if ts.size and not (-_NS_MAX_US <= ts.min() and ts.max() <= _NS_MAX_US):
+        bad = ts[(ts < -_NS_MAX_US) | (ts > _NS_MAX_US)][0]
+        raise pd.errors.OutOfBoundsDatetime(f"Out of bounds nanosecond timestamp: {bad} us")
     reps = np.diff(offsets)
-    out = {k: np.repeat(blocks[k].to_numpy(), reps) for k in key_cols}
-    out["tier"] = np.repeat(blocks["tier"].to_numpy(), reps)
-    out["bucket_ts"] = pd.to_datetime(ts, unit="us")
+    out = {k: np.repeat(column(k), reps) for k in key_cols + ["tier"]}
+    out["bucket_ts"] = ts.astype("datetime64[us]").astype("datetime64[ns]")
     out["value"] = value
-    return pd.DataFrame(out)
+    return pd.DataFrame(out, copy=False)
+
+
+def _converts_alike(t: pa.DataType) -> bool:
+    """Whether ChunkedArray.to_numpy gives what .to_pandas().to_numpy()
+    gives, without the ~25 us Series: both run pyarrow's pandas
+    conversion, nulls as NaN or None. A dictionary (with nulls), date or
+    zoned timestamp column converts differently and goes through pandas."""
+    return pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_string(t)
+
+
+def _pandas_index_columns(schema: pa.Schema) -> set:
+    """The stored columns a pandas metadata record names as the index
+    (parsed only when its index_columns list is not the empty one that
+    pyarrow writes for a frame without a stored index)."""
+    meta = (schema.metadata or {}).get(b"pandas")
+    if meta is None or b'"index_columns": []' in meta:
+        return set()
+    return {c for c in schema.pandas_metadata.get("index_columns", []) if isinstance(c, str)}
 
 
 def read_blocks(blocks_dir: str):

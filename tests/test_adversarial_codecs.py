@@ -9,6 +9,7 @@ both streams (the scalar decoders the segmented ones replaced); and the
 cascade as the pandas groupby it replaced.
 """
 
+import glob
 import struct
 
 import numpy as np
@@ -459,17 +460,12 @@ def _former_decode_blocks(blocks):
     return pd.DataFrame(out)
 
 
-def test_decode_blocks_matches_former_implementation(tmp_path):
-    """The frame, dtypes included, for a blocks dir as the flagship writes
-    it (read back with its hive series_bucket dictionary column and pandas
-    metadata), for the same rows as a DataFrame, and for zero rows."""
-    import pyarrow.parquet as pq
-
+def _write_flagship_blocks(out):
+    """Two buckets of a 1m blocks tier, written as the flagship writes them."""
     from signalsharp_ray.common.fsio import write_bucket
-    from signalsharp_ray.stages.encode import decode_blocks, encode_tier
+    from signalsharp_ray.stages.encode import encode_tier
 
     rng = np.random.default_rng(3)
-    out = str(tmp_path / "blocks_1m")
     for bucket in (0, 5):
         n = rng.integers(1, 300, size=6)
         key = np.repeat(rng.choice(2**62, size=6, replace=False), n)
@@ -479,12 +475,102 @@ def test_decode_blocks_matches_former_implementation(tmp_path):
                           {"count": np.ones(key.size, np.int64), "sum": mean, "min": mean,
                            "max": mean, "mean": mean})
         write_bucket(encode_tier(tier, "1m", TIERS_US["1m"], "locf", 60), out, bucket)
+
+
+def _block_table(keys: dict, series: list) -> pa.Table:
+    """A blocks table with the given key columns, one row per (int64 us
+    timestamps, values) series; first_ts stays timestamp[us] so that the
+    whole-table pandas conversion of the former code takes any timestamp."""
+    return pa.table({
+        **keys,
+        "tier": ["1h"] * len(series),
+        "n_points": pa.array([len(t) for t, _ in series], pa.int32()),
+        "first_ts": pa.array([t[0] for t, _ in series], pa.timestamp("us")),
+        "first_value": [float(v[0]) for _, v in series],
+        "ts_dod": pa.array([encode_timestamps_dod(np.array(t, np.int64)) for t, _ in series], pa.binary()),
+        "values_gorilla": pa.array([encode_values_gorilla(np.array(v, np.float64)) for _, v in series],
+                                   pa.binary()),
+    })
+
+
+NS_MAX_US = 9_223_372_036_854_775  # the last microsecond of datetime64[ns]
+
+
+def test_decode_blocks_matches_former_implementation(tmp_path):
+    """The frame, dtypes included, for a blocks dir as the flagship writes
+    it (read back with its hive series_bucket dictionary column and pandas
+    metadata), for the same rows as a DataFrame, for zero rows, for a table
+    concatenated from two files, for string, int64 and dictionary keys
+    holding a null, for two key columns, for tables whose pandas metadata
+    names stored index columns (left out, as Table.to_pandas leaves them
+    out) and for timestamps at both ends of datetime64[ns]; one
+    microsecond past either end raises OutOfBoundsDatetime in both."""
+    import pyarrow.parquet as pq
+
+    from signalsharp_ray.stages.encode import decode_blocks
+
+    out = str(tmp_path / "blocks_1m")
+    _write_flagship_blocks(out)
     table = pq.read_table(out)
     assert pa.types.is_dictionary(table.schema.field("series_bucket").type)
     assert table.schema.pandas_metadata is not None
     frame = pd.read_parquet(out)
-    for blocks in (table, table.slice(3), frame, table.slice(0, 0), frame.iloc[:0]):
+    files = [pq.read_table(f) for f in sorted(glob.glob(f"{out}/series_bucket=*/*.parquet"))]
+    two_files = pa.concat_tables(files)
+    assert two_files.column("ts_dod").num_chunks == 2
+
+    hour = TIERS_US["1h"]
+    series = [([0, hour, 5 * hour], [1.5, -2.0, 1.5]), ([7 * hour], [np.nan]),
+              ([hour, 2 * hour], [3.0, 3.0])]
+    null_str = _block_table({"url": pa.array(["a", None, "c"])}, series)
+    null_int = _block_table({"url_hash": pa.array([4, None, -9], pa.int64())}, series)
+    null_dict = _block_table({"url": pa.array(["a", None, "a"]).dictionary_encode()}, series)
+    two_keys = _block_table({"host": ["h", "h", "g"], "url_hash": pa.array([1, 2, 3], pa.int64())},
+                            series)
+    edges = _block_table({"url_hash": pa.array([1, 2], pa.int64())},
+                         [([NS_MAX_US - hour, NS_MAX_US], [1.0, 2.0]),
+                          ([-NS_MAX_US, -NS_MAX_US + hour], [3.0, 4.0])])
+    stored_index = pa.Table.from_pandas(frame.iloc[[5, 0, 3]])
+    named_index = pa.Table.from_pandas(frame.set_index("url_hash"))
+    assert "__index_level_0__" in stored_index.column_names
+    for blocks in (table, table.slice(3), frame, table.slice(0, 0), frame.iloc[:0], two_files,
+                   null_str, null_int, null_dict, two_keys, null_str.to_pandas(), edges, stored_index,
+                   named_index):
         pd.testing.assert_frame_equal(decode_blocks(blocks), _former_decode_blocks(blocks))
+    assert decode_blocks(edges)["bucket_ts"].iloc[[0, -1]].tolist() == [
+        pd.Timestamp(NS_MAX_US - hour, unit="us"), pd.Timestamp(-NS_MAX_US + hour, unit="us")]
+
+    for ts in ([0, NS_MAX_US + 1], [-NS_MAX_US - 1, 0]):
+        past = _block_table({"url_hash": pa.array([1], pa.int64())}, [(ts, [1.0, 2.0])])
+        for decode in (decode_blocks, _former_decode_blocks):
+            with pytest.raises(pd.errors.OutOfBoundsDatetime):
+                decode(past)
+
+
+def test_decode_blocks_builds_no_frame_of_the_table(tmp_path, monkeypatch):
+    """decode_blocks of a table converts its columns one by one: it calls
+    neither Table.to_pandas (pyarrow's table_to_dataframe) nor
+    pd.to_datetime. The guard itself catches the former implementation."""
+    import pyarrow.pandas_compat
+    import pyarrow.parquet as pq
+
+    from signalsharp_ray.stages.encode import decode_blocks
+
+    out = str(tmp_path / "blocks_1m")
+    _write_flagship_blocks(out)
+    table = pq.read_table(out)
+    want = decode_blocks(table)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("whole-table pandas round trip")
+
+    monkeypatch.setattr(pyarrow.pandas_compat, "table_to_dataframe", forbidden)
+    monkeypatch.setattr(pd, "to_datetime", forbidden)
+    with pytest.raises(AssertionError, match="round trip"):
+        _former_decode_blocks(table)
+    pd.testing.assert_frame_equal(decode_blocks(table), want)
+    assert len(decode_blocks(table.slice(2, 1))) == table["n_points"][2].as_py()
+    assert decode_blocks(table.slice(0, 0)).empty
 
 
 # -- cascade ------------------------------------------------------------------

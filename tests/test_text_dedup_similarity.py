@@ -72,6 +72,34 @@ class TestText:
         out = language_id(_docs_ds(df)).to_pandas().sort_values("doc_id")
         assert out["pred_lang"].tolist() == ["en", "de", "fr", "zh"]
 
+    def test_language_id_combining_marks_match_reference(self):
+        """NFD text splits at each combining mark on both paths: the RE2
+        tokenizer's [^\\p{L}]+ and _predict's [^\\W\\d_]+ both end a token
+        at U+0301 ('cafe\\u0301' -> 'cafe'), so the vectorized pred_lang
+        equals the row-at-a-time reference on NFD and NFC documents alike.
+        Some predictions differ between the two forms ('é à ó' has no
+        stopword, its NFD form has three pt ones)."""
+        import unicodedata
+
+        import pyarrow as pa
+
+        from signalsharp_ray.stages.text import LanguageId
+
+        docs = ["café le la de não", "São Paulo é uma cidade em que a gente para",
+                "el niño y la niña en la montaña por una", "мой край и это не на что",
+                "où est la fenêtre et les clés pour une", "Ärger über die Brücke und das ist nicht",
+                "naïve résumé of the coöperation and it is", "é à ó", "ñ", ""]
+        lid = LanguageId()
+        preds = {}
+        for form in ("NFC", "NFD"):
+            texts = [unicodedata.normalize(form, d) for d in docs]
+            got = lid(pa.table({"doc_id": np.arange(len(texts)), "text": texts}))
+            preds[form] = got["pred_lang"].to_pylist()
+            assert preds[form] == [lid._predict(t) for t in texts]
+        assert unicodedata.normalize("NFD", "é") != "é"
+        assert lid.word.findall(unicodedata.normalize("NFD", docs[0]))[-2:] == ["na", "o"]
+        assert preds["NFC"][7] == "und" and preds["NFD"][7] == "pt"
+
     def test_fingerprints_deterministic(self):
         from signalsharp_ray.stages.text import fingerprints
 
