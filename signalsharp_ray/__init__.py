@@ -9,8 +9,8 @@ Layout:
              optimizers, Kalman) — the conformance corpus
   codecs/    Gorilla XOR value codec + delta-of-delta timestamp codec
   sources/   synthetic Common-Crawl-style web-page table generator + readers
-  stages/    Ray Data map_batches / groupby stages (extract, rollup, gap-fill,
-             encode, analysis, text, dedup, similarity, multimodal)
+  stages/    Ray Data map_batches / hash-exchange stages (extract, rollup,
+             gap-fill, encode, analysis, text, dedup, similarity, multimodal)
   pipelines/ end-to-end pipelines and the queries()/oracle_sql() registry
   state/     per-partition checkpoint manifest + lineage
 """
@@ -18,32 +18,15 @@ Layout:
 __version__ = "0.1.0"
 
 
-def _configure_ray_data() -> None:
-    """Engine-wide Ray Data execution settings, applied at import time
-    (DataContext is snapshotted into every Dataset at creation, so this must
-    run before any dataset is built):
+def _stub_fsspec_http() -> None:
+    """Applied at import time, before any Dataset reads a file.
 
-    - HASH_SHUFFLE: our shuffles are all hash-partitioned groupbys/
-      repartitions; the sort-based default serializes on a sample+sort step
-      that dominates wall time and it cannot plan key-based repartition.
+    fsspec's http module needs aiohttp, which may be absent. Ray imports it
+    on every read and tolerates ModuleNotFoundError, but under CONCURRENT
+    Dataset executions a second thread can observe the module mid-failed-
+    import and get a plain ImportError instead, crashing the stage. Stub
+    the module once so the import is deterministic and thread-safe.
     """
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        ctx = DataContext.get_current()
-        # sort-based shuffle measured faster than HASH_SHUFFLE here (the
-        # hash path spawns one aggregator actor per partition - a worker
-        # storm on a single node); keep the default but leave this hook for
-        # cluster deployments where hash shuffle pays off.
-        _ = (ctx, ShuffleStrategy)
-    except Exception:  # pragma: no cover - older Ray without the knob
-        pass
-
-    # fsspec's http module needs aiohttp (absent here). Ray imports it on
-    # every read and tolerates ModuleNotFoundError — but under CONCURRENT
-    # Dataset executions a second thread can observe the module mid-failed-
-    # import and get a plain ImportError instead, crashing the stage. Stub
-    # the module once so the import is deterministic and thread-safe.
     import sys
     import types
 
@@ -59,4 +42,4 @@ def _configure_ray_data() -> None:
         sys.modules["fsspec.implementations.http"] = stub
 
 
-_configure_ray_data()
+_stub_fsspec_http()

@@ -1,7 +1,8 @@
 """Small Ray helpers shared by stages.
 
-The library has one hash shuffle, `hash_exchange`: every grouped
-operator (hash_bucket_aggregate, bucketed_map_groups, bucketed_cogroup,
+The library has one shuffle, `hash_exchange` (no library code runs Ray
+Data's sort-based groupby().map_groups): every grouped operator
+(hash_bucket_aggregate, bucketed_map_groups, bucketed_cogroup,
 bucketed_join, the Dataset-form rollup tiers, the incremental stores'
 apply) puts its rows in a
 `__bucket` by its own hash and hands a per-bucket reducer to it. The
@@ -235,14 +236,19 @@ def bucketed_map_groups(
     n_buckets: int | None = None,
     whole_bucket_fn=None,
 ):
-    """groupby(key).map_groups(fn) with BOUNDED Ray per-group overhead.
+    """The library's groupby(key).map_groups(fn, batch_format="pandas"),
+    with BOUNDED Ray per-group overhead.
 
-    Ray's map_groups pays interpreter + block overhead per group; with
-    millions of (host, url) series that dominates wall time. This
-    exchanges rows on hash(key) % n_buckets instead and applies `fn` per
-    key-group INSIDE the bucket kernel via pandas groupby — same
-    whole-group-in-one-call contract, Ray overhead proportional to
-    n_buckets only. fn takes and returns a pandas DataFrame.
+    Ray's map_groups sorts the whole dataset and pays interpreter + block
+    overhead per group; with millions of (host, url) series that dominates
+    wall time. This exchanges rows on hash(key) % n_buckets instead and
+    applies `fn` per key-group INSIDE the bucket kernel via pandas groupby:
+    the same whole-group-in-one-call contract, Ray overhead proportional to
+    n_buckets only. fn takes and returns a pandas DataFrame. Rows whose
+    key is null form one group, as under map_groups. Unlike map_groups,
+    the group frame keeps its row labels within the bucket frame, and an
+    int column with nulls anywhere in the bucket is float64 in every group
+    of it.
 
     whole_bucket_fn: alternative kernel applied to the ENTIRE bucket frame
     at once (all rows of every key hashing into the bucket) — for kernels
@@ -276,7 +282,8 @@ def _map_groups_exchange(sources, key_cols, fn, n_buckets, empty_like, whole_buc
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if whole_bucket_fn is not None:
             return whole_bucket_fn(df)
-        outs = [fn(g) for _, g in df.groupby(key_cols, sort=False)]
+        # a null key is one group, as under Ray's map_groups
+        outs = [fn(g) for _, g in df.groupby(key_cols, sort=False, dropna=False)]
         outs = [o for o in outs if o is not None]
         if not outs:
             return fn(df.iloc[:0])

@@ -2,5 +2,6 @@
 
 Every kernel here is deterministic, stateless (or explicitly fitted), and
 operates on a fully materialized series; the distributed engine invokes them
-inside ray.data map_batches / map_groups over per-(host,url,tier) groups.
+inside ray.data map_batches / bucketed_map_groups over per-(host,url,tier)
+groups.
 """

@@ -18,7 +18,7 @@ solve is written as the exact shared expressions
 and the 3-step forecast recursion is unrolled closed-form, so the SQL
 oracle replays it without a recursive CTE.
 
-Per-series kernel (groupby/map_groups contract).
+Per-series kernel (bucketed_map_groups contract).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ it completes the changepoint family next to PELT
 (/root/reference/SignalSharp/Detection/PELT/PELTAlgorithm.cs) and CUSUM.
 
 Per-series sequential kernel: the whole time-sorted series reaches one call
-(the same groupby/map_groups contract as kernels.pelt / kernels.cusum —
+(the same bucketed_map_groups contract as kernels.pelt / kernels.cusum —
 distribution happens across series, not within one).
 
 Vectorized over the run-length axis: each step is O(active run lengths) in

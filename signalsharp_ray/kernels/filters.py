@@ -18,7 +18,7 @@ Float-parity design (the house SQL-oracle contract):
   like the Kalman/EMA oracles, with coefficients built from libm tan.
 
 Per-series sequential kernels: the whole time-sorted series reaches one
-call (the groupby/map_groups contract shared by kernels.pelt /
+call (the bucketed_map_groups contract shared by kernels.pelt /
 kernels.smoothing — distribution happens across series, not within one).
 """
 

@@ -21,7 +21,7 @@ final division by n. O(n^2 * factor) direct evaluation — the series
 this engine feeds it (hour-of-day / day-of-week profiles, daily rollup
 series) are bounded by the calendar, not the data volume.
 
-Per-series kernel (groupby/map_groups contract).
+Per-series kernel (bucketed_map_groups contract).
 """
 
 from __future__ import annotations

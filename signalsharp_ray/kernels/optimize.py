@@ -354,7 +354,7 @@ class NelderMeadOptions:
     enable_adaptive_parameters: bool = False
     # wall-clock budget (IParameterOptimizer.cs:50-55 semantics); on expiry
     # the partial best returns with success=False, like a cancellation —
-    # guards against pathological per-series hangs inside map_groups
+    # guards against pathological per-series hangs inside bucketed_map_groups
     timeout_s: float | None = None
 
     def algorithm_parameters(self, iteration: int, dims: int) -> tuple[float, float, float, float]:

@@ -39,7 +39,7 @@ Four forms of the DP, one per case, with the same CP array:
 
 Parallelism note: the DP is inherently sequential per series; the distributed
 engine gets parallelism from millions of (host,url) groups, each series
-fitting one map_groups kernel call.
+fitting one bucketed_map_groups kernel call.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ is an ASCENDING-i left fold of libm cos/sin terms, the exact shape of
 DuckDB's list_sum(list_transform(...)) (the established house parity
 pattern, see kernels/filters.py).
 
-Per-series kernel (groupby/map_groups contract shared with
+Per-series kernel (bucketed_map_groups contract shared with
 kernels.pelt / kernels.smoothing).
 """
 

@@ -18,7 +18,7 @@ The expression is transcribed op-for-op in the oracle; with factor m
 the fractions u = j/m are exact dyadic doubles for m in {2,4,8}, so
 both engines evaluate the identical float polynomial.
 
-Per-series kernel (groupby/map_groups contract).
+Per-series kernel (bucketed_map_groups contract).
 """
 
 from __future__ import annotations

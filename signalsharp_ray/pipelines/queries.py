@@ -19,6 +19,7 @@ import importlib
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels import resampling, stats
 from ..kernels.cusum import CUSUMOptions, cusum_changepoints
 from ..kernels.extrapolation import (
@@ -38,47 +39,15 @@ from ..kernels.smoothing import (
 )
 from ..stages.gapfill import gapfill_tier
 from ..stages.rollup import cascade_tier, rollup_tier
+from .queries2 import _documents, _events, _r6, _r6away, _r6h, event_tier
 
 EVENT_COLS = ["event_id", "ts", "event_type", "value"]
-
-
-def _events(sf_dir: str, columns=None):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns or EVENT_COLS)
-
-
-def _documents(sf_dir: str, columns=None):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
 def _embeddings(sf_dir: str):
     import ray.data as rd
 
     return rd.read_parquet(f"{sf_dir}/embeddings.parquet")
-
-
-def _r6(x):
-    return np.round(np.asarray(x, dtype=np.float64), 6)
-
-
-def _r6h(x):
-    """Round-half-UP to 6 decimals (matches SQL ROUND's half-away-from-zero
-    for non-negative values). Required for RATIONAL-valued outputs like
-    Jaccard ratios, which land on exact decimal midpoints (e.g. 1/128 =
-    0.0078125) where numpy's banker's rounding and SQL disagree."""
-    v = np.asarray(x, dtype=np.float64)
-    return np.floor(v * 1e6 + 0.5) / 1e6
-
-
-def _r6away(x):
-    """Round-half-AWAY-FROM-ZERO to 6 decimals == DuckDB ROUND(double, 6)
-    for both signs (numpy's banker's rounding differs on midpoints, which
-    occur whenever outputs are arithmetic on exact decimal inputs)."""
-    v = np.asarray(x, dtype=np.float64)
-    return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
 
 
 def _sorted_group(df: pd.DataFrame) -> pd.DataFrame:
@@ -206,7 +175,7 @@ def q_rollup_1h_by_user(sf_dir: str):
 
 
 def _per_series(sf_dir, fn):
-    return _events(sf_dir).groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(_events(sf_dir, EVENT_COLS), ["event_type"], fn)
 
 
 def q_downsample(sf_dir: str, factor: int = 3):
@@ -481,7 +450,7 @@ def q_holt_multiplicative(sf_dir: str, horizon: int = 3):
     """Multiplicative-trend Holt on the strictly-positive 1h count series
     (reference positivity contract) with a recursive-CTE oracle."""
     opts = HoltOptions(alpha=0.5, beta=0.5, trend_type="multiplicative")
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -495,7 +464,7 @@ def q_holt_multiplicative(sf_dir: str, horizon: int = 3):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +530,7 @@ def q_cusum_changepoints(sf_dir: str):
 
 def q_pelt_changepoints(sf_dir: str):
     """PELT/L2 on the 1d rollup count series per event_type."""
-    t1d = rollup_tier(_events(sf_dir), "1d", key_cols=["event_type"])
+    t1d = event_tier(sf_dir, "1d")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -574,7 +543,7 @@ def q_pelt_changepoints(sf_dir: str):
             }
         )
 
-    return t1d.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1d, ["event_type"], fn)
 
 
 def q_pelt_step_detection(sf_dir: str, step: int = 40):
@@ -586,7 +555,7 @@ def q_pelt_step_detection(sf_dir: str, step: int = 40):
     distributed PELT path (rollup -> per-series DP) with an independent
     ground truth, covering the DP/backtrack/pruning machinery the
     free-form changepoint queries cannot oracle."""
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -601,7 +570,7 @@ def q_pelt_step_detection(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_pelt_cost_step(sf_dir: str, step: int = 40):
@@ -612,7 +581,7 @@ def q_pelt_cost_step(sf_dir: str, step: int = 40):
     splits reduce cost by 0 (+penalty), merges across a step explode it.
     Drives the DP + pruning + each cost's prefix/Gram machinery through
     the distributed path with independent ground truth."""
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
     # ar and jump>1 are deliberately absent: AR detects DYNAMICS changes
     # (a mean step is not its ground truth) and the Jump approximation is
     # approximate by reference semantics — both are covered by golden
@@ -656,7 +625,7 @@ def q_pelt_cost_step(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_pelt_multivariate_step(sf_dir: str, step: int = 40):
@@ -664,7 +633,7 @@ def q_pelt_multivariate_step(sf_dir: str, step: int = 40):
     dims = [step, 2*step] noiseless series over the 1h bucket index; the
     multivariate L2 DP must recover exactly the shared level-change
     indices the oracle derives in closed form."""
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -680,7 +649,7 @@ def q_pelt_multivariate_step(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_pelt_auto_penalty_step(sf_dir: str, step: int = 40):
@@ -691,7 +660,7 @@ def q_pelt_auto_penalty_step(sf_dir: str, step: int = 40):
     from ..kernels.pelt import PELT, PELTOptions
     from ..kernels.penalty_selection import PELTPenaltySelector
 
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -707,7 +676,7 @@ def q_pelt_auto_penalty_step(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_pelt_auto_penalty(sf_dir: str):
@@ -715,7 +684,7 @@ def q_pelt_auto_penalty(sf_dir: str):
     from ..kernels.pelt import PELT, PELTOptions
     from ..kernels.penalty_selection import PELTPenaltySelector
 
-    t1d = rollup_tier(_events(sf_dir), "1d", key_cols=["event_type"])
+    t1d = event_tier(sf_dir, "1d")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -731,7 +700,7 @@ def q_pelt_auto_penalty(sf_dir: str):
             }
         )
 
-    return t1d.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1d, ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -2064,7 +2033,7 @@ def q_pelt_cost_functions(sf_dir: str):
     """Breakpoints per cost function (L2/L1/RBF/Gaussian/Poisson/Bernoulli/
     AR) on the 1h-tier count/mean series per event_type — §2.2 coverage
     through the distributed path. Rows-only (DP not SQL-expressible)."""
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -2093,13 +2062,13 @@ def q_pelt_cost_functions(sf_dir: str):
             rows, columns=["event_type", "cost", "breakpoint_index"]
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_pelt_multivariate(sf_dir: str):
     """Multivariate PELT (dims x time: [mean, count z-scored]) on the 1h
     tier per event_type — reference double[,] semantics distributed."""
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -2117,7 +2086,7 @@ def q_pelt_multivariate(sf_dir: str):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 def q_optimize_ses_alpha(sf_dir: str):
@@ -2381,7 +2350,7 @@ def q_sliding_window_3h(sf_dir: str):
     """3-bucket sliding aggregate over the 1h rollup per event_type."""
     from ..stages.windows import sliding_window
 
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
     out = sliding_window(t1h, ["event_type"], window=3, value_col="sum")
 
     def fmt(batch: pd.DataFrame) -> pd.DataFrame:

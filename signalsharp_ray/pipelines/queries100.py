@@ -10,7 +10,7 @@ rn - rn_by_type group key in SQL == the Python linear scan); zero
 discounts are exact basis-point predicates.
 
 Scale contracts: eta^2 and the brand share are bounded partial+final
-aggregates; runs reduce per user inside map_groups then histogram.
+aggregates; runs reduce per user inside bucketed_map_groups then histogram.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries4 import _cents
 from .queries14 import _fold
@@ -178,7 +178,7 @@ def q_type_run_histogram(sf_dir: str):
 
     hist = (
         hash_bucket_aggregate(
-            ev.groupby("user_id").map_groups(max_run, batch_format="pandas"),
+            bucketed_map_groups(ev, ["user_id"], max_run),
             ["k"],
             [("n", "sum")],
         )

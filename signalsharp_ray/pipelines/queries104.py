@@ -11,7 +11,7 @@ the 2x2 counts are exact integers and the MI folds cell-ascending; the
 price bands are half-away unit cents // 1000; the concentration folds
 user-ascending rational shares.
 
-Scale contracts: MI reduces per event_type inside map_groups; the
+Scale contracts: MI reduces per event_type inside bucketed_map_groups; the
 band rates and per-user concentrations pre-reduce through one
 exchange.
 """
@@ -23,10 +23,10 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from ..kernels.seasonal import dense_counts
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 from .queries16 import _read
 from .queries42 import _unit_cents
@@ -92,9 +92,7 @@ def q_load_persistence_mi(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES104["load_persistence_mi"] = """

@@ -24,7 +24,6 @@ import pandas as pd
 
 from ..common.raytools import hash_bucket_aggregate
 from .queries2 import _documents, _events, _r6away
-from .queries3 import _tier_counts
 from .queries16 import _read, _TOKEN_RE
 
 QUERIES105: dict = {}

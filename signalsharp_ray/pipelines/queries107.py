@@ -9,7 +9,7 @@ order with exact cents differences; short-doc predicates are exact
 integer length comparisons; first-day shares are exact integer ratios
 folded user-ascending.
 
-Scale contracts: pairs and shares reduce per entity inside map_groups
+Scale contracts: pairs and shares reduce per entity inside bucketed_map_groups
 or one exchange; everything emitted is bounded.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _documents, _events, _r6away
 from .queries4 import _cents
 from .queries14 import _fold
@@ -74,8 +74,7 @@ def q_order_value_momentum(sf_dir: str):
         )
 
     parts = (
-        orders.groupby("custkey")
-        .map_groups(pairs, batch_format="pandas")
+        bucketed_map_groups(orders, ["custkey"], pairs)
         .to_pandas()
     )
     out_empty = pd.DataFrame(
@@ -214,7 +213,7 @@ def q_first_day_activity_share(sf_dir: str):
         )
 
     per_user = (
-        ev.groupby("user_id").map_groups(share, batch_format="pandas")
+        bucketed_map_groups(ev, ["user_id"], share)
         .to_pandas()
         .sort_values("user_id")
     )

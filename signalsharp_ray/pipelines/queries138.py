@@ -14,7 +14,7 @@ in ascending idx order; the power formula uses the shared literals
 counts.
 
 Scale contracts: decomposition folds run per type over the
-retention-bounded dense series inside the rollup's map_groups; power
+retention-bounded dense series inside the rollup's bucketed_map_groups; power
 ingredients are four integers through one user-keyed exchange."""
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import classical_decompose, dense_counts
-from .queries2 import _r6away
-from .queries3 import _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _bucket_us
 from .queries14 import _fold
 from .queries137 import q_ab_test_srm
 
@@ -96,9 +97,7 @@ def q_seasonality_strength(sf_dir: str, period: int = 24):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES138["seasonality_strength"] = """

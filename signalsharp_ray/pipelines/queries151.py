@@ -34,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries2 import _documents, _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _documents, _events, _r6, event_tier
 
 QUERIES151: dict = {}
 ORACLES151: dict = {}
@@ -45,12 +46,8 @@ def q_bocd_changepoints(sf_dir: str, step: int = 40):
     square-wave series over that type's hourly buckets. Closed-form
     expectation: every multiple of `step` below the bucket count."""
     from ..kernels.bocd import BOCDOptions, bocd_changepoints
-    from ..stages.rollup import rollup_tier
 
-    t1h = rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
+    t1h = event_tier(sf_dir, "1h")
     opts = BOCDOptions(hazard=1.0 / step, beta0=1.0)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -65,7 +62,7 @@ def q_bocd_changepoints(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 QUERIES151["bocd_changepoints"] = q_bocd_changepoints
@@ -135,12 +132,8 @@ def q_gaussian_smooth(sf_dir: str):
     libm exp weights, ascending-j left-fold accumulation (==
     list_sum(list_transform(...))), shared normalizer division."""
     from ..kernels.filters import gaussian_smooth
-    from ..stages.rollup import rollup_tier
 
-    t1h = rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -154,7 +147,7 @@ def q_gaussian_smooth(sf_dir: str):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 QUERIES151["gaussian_smooth"] = q_gaussian_smooth
@@ -204,7 +197,7 @@ def q_butterworth_lowpass(sf_dir: str):
             }
         )
 
-    return ev.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(ev, ["event_type"], fn)
 
 
 QUERIES151["butterworth_lowpass"] = q_butterworth_lowpass

@@ -21,20 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6, _r6away
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _events, _r6, _r6away, event_tier
 
 QUERIES152: dict = {}
 ORACLES152: dict = {}
-
-
-def _daily_counts(sf_dir: str):
-    """(event_type, bucket_ts, count) 1d rollup — the shared input series."""
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_dft_magnitudes(sf_dir: str, k_max: int = 8):
@@ -55,9 +46,7 @@ def q_dft_magnitudes(sf_dir: str, k_max: int = 8):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES152["dft_magnitudes"] = q_dft_magnitudes
@@ -115,9 +104,7 @@ def q_arima_forecast(sf_dir: str):
     integrate back. Degenerate denominator (constant diffs) falls back to
     pure drift in BOTH engines; series of fewer than 4 days are dropped
     in both."""
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        _arima_group, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], _arima_group)
 
 
 QUERIES152["arima_forecast"] = q_arima_forecast
@@ -205,9 +192,7 @@ def q_spline_resample(sf_dir: str, factor: int = 4):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES152["spline_resample"] = q_spline_resample
@@ -424,7 +409,7 @@ def q_fourier_resample(sf_dir: str):
             }
         )
 
-    return counts.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(counts, ["event_type"], fn)
 
 
 QUERIES152["fourier_resample"] = q_fourier_resample

@@ -29,29 +29,11 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _events, _r6, event_tier
 
 QUERIES154: dict = {}
 ORACLES154: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    """(event_type, bucket_ts, count) 1h rollup — shared input series."""
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 _HURST_MS = (1, 2, 4, 8, 16)
@@ -105,9 +87,7 @@ def q_hurst_exponent(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES154["hurst_aggvar"] = q_hurst_exponent
@@ -194,9 +174,7 @@ def q_ewma_chart(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES154["ewma_chart"] = q_ewma_chart
@@ -364,9 +342,7 @@ def q_theta_forecast(sf_dir: str, horizon: int = 3):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES154["theta_forecast"] = q_theta_forecast

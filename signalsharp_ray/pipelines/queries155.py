@@ -20,7 +20,7 @@ top_bigrams pattern); the bigram type table flows through a scratch
 parquet handoff (raytools.parquet_handoff) so its three consumers
 (left-context stats, right-continuation stats, top-k) never pin it in
 the object store; packing is inherently sequential per source, so it
-runs as a per-source map_groups over the (doc_id, n_tokens) pairs —
+runs as a per-source bucketed_map_groups over the (doc_id, n_tokens) pairs —
 at real scale the unit would be (source, shard), same code shape.
 """
 
@@ -31,6 +31,7 @@ import re
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from .queries2 import _documents, _r6, _r6away
 
 QUERIES155: dict = {}
@@ -95,9 +96,7 @@ def q_sequence_packing(sf_dir: str, cap: int = _PACK_CAP):
             }
         )
 
-    return _doc_tokens(sf_dir).groupby("source").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(_doc_tokens(sf_dir), ["source"], fn)
 
 
 QUERIES155["sequence_packing"] = q_sequence_packing

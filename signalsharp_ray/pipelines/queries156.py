@@ -24,19 +24,11 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _r6, event_tier
 
 QUERIES156: dict = {}
 ORACLES156: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
 
 
 def _top2_aligned(sf_dir: str):
@@ -44,7 +36,7 @@ def _top2_aligned(sf_dir: str):
     counts on their common hours (count DESC, type ASC; hour-ascending
     int64 vectors). The rollup is distributed; the two bounded series
     come to the driver, as in every per-series kernel."""
-    hc = _hourly_counts(sf_dir).to_pandas()
+    hc = event_tier(sf_dir, "1h").to_pandas()
     totals = (
         hc.groupby("event_type")["count"].sum().astype(np.int64)
     )
@@ -368,9 +360,7 @@ def q_acf_integrated_time(sf_dir: str, k_max: int = 20):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES156["acf_integrated_time"] = q_acf_integrated_time

@@ -24,7 +24,8 @@ import re
 import numpy as np
 import pandas as pd
 
-from .queries2 import _documents, _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _documents, _r6, event_tier
 
 QUERIES157: dict = {}
 ORACLES157: dict = {}
@@ -32,15 +33,6 @@ ORACLES157: dict = {}
 _GARCH_A = 0.1
 _GARCH_B = 0.8
 _BPE_TOKEN_RE = re.compile(r"[a-z0-9_]+")
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
 
 
 def q_garch_volatility(sf_dir: str):
@@ -74,9 +66,7 @@ def q_garch_volatility(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES157["garch_volatility"] = q_garch_volatility

@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from .queries2 import _r6, event_tier
 
 QUERIES158: dict = {}
 ORACLES158: dict = {}
@@ -33,19 +33,10 @@ _COH_L = 128  # Welch segment length
 _COH_K = 4  # frequencies 1..4 (per-segment cycles)
 
 
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
-
-
 def _busiest_series(sf_dir: str, k: int = 1):
     """Hourly count vectors of the k busiest event types
     (count DESC, type ASC), hour-ascending."""
-    hc = _hourly_counts(sf_dir).to_pandas()
+    hc = event_tier(sf_dir, "1h").to_pandas()
     totals = hc.groupby("event_type")["count"].sum().astype(np.int64)
     order = sorted(totals.index, key=lambda t: (-int(totals[t]), t))
     out = []
@@ -210,7 +201,7 @@ def q_welch_coherence(sf_dir: str):
     if len(pair) < 2:
         return pd.DataFrame({"k": [], "n_segments": [], "coherence": []})
     # align on common hours via the shared helper logic
-    hc = _hourly_counts(sf_dir).to_pandas()
+    hc = event_tier(sf_dir, "1h").to_pandas()
     totals = hc.groupby("event_type")["count"].sum().astype(np.int64)
     order = sorted(totals.index, key=lambda t: (-int(totals[t]), t))
     a, b = order[0], order[1]

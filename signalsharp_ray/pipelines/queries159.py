@@ -23,7 +23,8 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _documents, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _documents, _events, _r6, event_tier
 
 QUERIES159: dict = {}
 ORACLES159: dict = {}
@@ -31,15 +32,6 @@ ORACLES159: dict = {}
 _LS_PERIODS_H = (24.0, 168.0)
 _FOLD_K = 5
 _FOLD_MIX = np.uint64(1_000_003)
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_cusum_break_ttest(sf_dir: str):
@@ -100,9 +92,7 @@ def q_cusum_break_ttest(sf_dir: str):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES159["cusum_break_ttest"] = q_cusum_break_ttest
@@ -219,10 +209,8 @@ def q_lomb_scargle(sf_dir: str):
             rows, columns=["event_type", "period_h", "power", "power_norm"]
         )
 
-    return (
-        _events(sf_dir, ["event_id", "ts", "event_type", "value"])
-        .groupby("event_type")
-        .map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(
+        _events(sf_dir, ["event_id", "ts", "event_type", "value"]), ["event_type"], fn
     )
 
 

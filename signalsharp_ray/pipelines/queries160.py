@@ -26,28 +26,11 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _events, _r6, event_tier
 
 QUERIES160: dict = {}
 ORACLES160: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_gap_memory_coefficient(sf_dir: str):
@@ -92,10 +75,8 @@ def q_gap_memory_coefficient(sf_dir: str):
             }
         )
 
-    return (
-        _events(sf_dir, ["event_id", "ts", "event_type"])
-        .groupby("event_type")
-        .map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(
+        _events(sf_dir, ["event_id", "ts", "event_type"]), ["event_type"], fn
     )
 
 
@@ -185,9 +166,7 @@ def q_spectral_flatness(sf_dir: str, k_max: int = 12):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES160["spectral_flatness"] = q_spectral_flatness
@@ -378,9 +357,7 @@ def q_knee_point(sf_dir: str):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES160["knee_point"] = q_knee_point

@@ -21,19 +21,11 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _r6, event_tier
 
 QUERIES161: dict = {}
 ORACLES161: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
 
 
 def q_adf_level_test(sf_dir: str):
@@ -79,9 +71,7 @@ def q_adf_level_test(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES161["adf_level_test"] = q_adf_level_test
@@ -178,9 +168,7 @@ def q_extremal_index(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES161["extremal_index"] = q_extremal_index

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from .queries2 import _documents, _r6
 
 QUERIES163: dict = {}
@@ -80,11 +81,11 @@ def q_samelen_edit_distance(sf_dir: str):
             out, columns=["source", "n_chars", "doc_a", "doc_b", "ta", "tb"]
         )
 
+    docs = _documents(sf_dir, ["doc_id", "source", "text", "n_chars"])
     pairs = (
-        _documents(sf_dir, ["doc_id", "source", "text", "n_chars"])
-        .map_batches(trunc, batch_format="pandas")
-        .groupby(["source", "n_chars"])
-        .map_groups(emit_pairs, batch_format="pandas")
+        bucketed_map_groups(
+            docs.map_batches(trunc, batch_format="pandas"), ["source", "n_chars"], emit_pairs
+        )
         .to_pandas()  # bounded: blocking-collision pairs with 300-char prefixes
         .sort_values(["source", "n_chars", "doc_a", "doc_b"])
         .head(_ED_CAP_PAIRS)

@@ -24,20 +24,12 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _events, _r6, event_tier
 from .queries125 import DAY_US, KM_CENSOR_DAYS
 
 QUERIES164: dict = {}
 ORACLES164: dict = {}
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_pettitt_test(sf_dir: str):
@@ -75,9 +67,7 @@ def q_pettitt_test(sf_dir: str):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES164["pettitt_test"] = q_pettitt_test
@@ -143,11 +133,7 @@ def q_anderson_darling_tod(sf_dir: str):
             }
         )
 
-    return (
-        _events(sf_dir, ["ts", "event_type"])
-        .groupby("event_type")
-        .map_groups(fn, batch_format="pandas")
-    )
+    return bucketed_map_groups(_events(sf_dir, ["ts", "event_type"]), ["event_type"], fn)
 
 
 QUERIES164["anderson_darling_tod"] = q_anderson_darling_tod

@@ -22,22 +22,14 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _r6, event_tier
 
 QUERIES166: dict = {}
 ORACLES166: dict = {}
 
 _HUBER_K = 1.345
 _HUBER_ITERS = 5
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
 
 
 def q_huber_mean(sf_dir: str):
@@ -87,9 +79,7 @@ def q_huber_mean(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES166["huber_mean"] = q_huber_mean
@@ -182,9 +172,7 @@ def q_gev_shape_pwm(sf_dir: str):
             }
         )
 
-    return _hourly_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES166["gev_shape_pwm"] = q_gev_shape_pwm

@@ -20,28 +20,11 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _r6, event_tier
 
 QUERIES168: dict = {}
 ORACLES168: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_drawdown_durations(sf_dir: str):
@@ -83,9 +66,7 @@ def q_drawdown_durations(sf_dir: str):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES168["drawdown_durations"] = q_drawdown_durations
@@ -140,7 +121,7 @@ def q_tail_dependence(sf_dir: str):
     nearest-rank p95; lambda_u = P(both exceed) / P(busiest exceeds).
     Output (type_a, type_b, n_hours, qa, qb, n_a_exc, n_joint,
     lambda_u)."""
-    hc = _hourly_counts(sf_dir).to_pandas()
+    hc = event_tier(sf_dir, "1h").to_pandas()
     totals = hc.groupby("event_type")["count"].sum().astype(np.int64)
     order = sorted(totals.index, key=lambda t: (-int(totals[t]), t))
     a, b = order[0], order[1]

@@ -18,28 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from .queries2 import _r6, event_tier
 
 QUERIES170: dict = {}
 ORACLES170: dict = {}
-
-
-def _hourly_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1h",
-        key_cols=["event_type"],
-    )
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_kendall_w_types(sf_dir: str):
@@ -49,7 +31,7 @@ def q_kendall_w_types(sf_dir: str):
     (k^2 (n^3 - n)) with S the squared deviation of rank sums from
     k(n+1)/2. W = 1 means every stream agrees on the busy-day order.
     Output (n_days, n_types, w, chi2)."""
-    dc = _daily_counts(sf_dir).to_pandas()
+    dc = event_tier(sf_dir, "1d").to_pandas()
     dc["day"] = dc["bucket_ts"].to_numpy("datetime64[us]").astype(
         "datetime64[D]"
     )
@@ -134,7 +116,7 @@ def q_cohens_kappa_busy(sf_dir: str):
     indicators (count > own median over their common hours):
     chance-corrected agreement on WHEN the system is busy. Output
     (type_a, type_b, n_hours, p_observed, p_expected, kappa)."""
-    hc = _hourly_counts(sf_dir).to_pandas()
+    hc = event_tier(sf_dir, "1h").to_pandas()
     totals = hc.groupby("event_type")["count"].sum().astype(np.int64)
     order = sorted(totals.index, key=lambda t: (-int(totals[t]), t))
     a, b = order[0], order[1]

@@ -23,21 +23,13 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries2 import _events, _r6
+from ..common.raytools import bucketed_map_groups
+from .queries2 import _events, _r6, event_tier
 
 QUERIES171: dict = {}
 ORACLES171: dict = {}
 
 _NW_L = 5
-
-
-def _daily_counts(sf_dir: str):
-    from ..stages.rollup import rollup_tier
-
-    return rollup_tier(
-        _events(sf_dir, ["ts", "event_type", "value"]), "1d",
-        key_cols=["event_type"],
-    )
 
 
 def q_newey_west_lrv(sf_dir: str):
@@ -83,9 +75,7 @@ def q_newey_west_lrv(sf_dir: str):
             }
         )
 
-    return _daily_counts(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 QUERIES171["newey_west_lrv"] = q_newey_west_lrv

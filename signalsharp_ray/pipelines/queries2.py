@@ -34,6 +34,15 @@ def _events(sf_dir: str, columns=None):
     return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns or EVENT_COLS)
 
 
+def event_tier(sf_dir: str, tier: str):
+    """The events rolled up per event_type at `tier` resolution
+    (event_type, bucket_ts, count, sum, min, max, mean): the shared input
+    series of the per-type kernels. Rebuilt on every call."""
+    return rollup_tier(
+        _events(sf_dir, ["ts", "event_type", "value"]), tier, key_cols=["event_type"]
+    )
+
+
 def _documents(sf_dir: str, columns=None):
     import ray.data as rd
 
@@ -51,6 +60,15 @@ def _r6away(x):
     arithmetic on 6-dp-rounded inputs: deltas, interpolations, ratios)."""
     v = np.asarray(x, dtype=np.float64)
     return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
+
+
+def _r6h(x):
+    """Round-half-UP to 6 decimals (matches SQL ROUND's half-away-from-zero
+    for non-negative values). Required for RATIONAL-valued outputs like
+    Jaccard ratios, which land on exact decimal midpoints (e.g. 1/128 =
+    0.0078125) where numpy's banker's rounding and SQL disagree."""
+    v = np.asarray(x, dtype=np.float64)
+    return np.floor(v * 1e6 + 0.5) / 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
-from .queries2 import _documents, _events, _r6away
+from .queries2 import _documents, _events, _r6away, event_tier
 from .queries4 import _cents
 from .queries14 import _fold
 from .queries16 import _read
@@ -356,7 +356,7 @@ def q_pacf(sf_dir: str):
     phi11 = r1; phi22 = (r2 - r1^2)/(1 - r1^2); phi21 = r1 - phi22*r1;
     phi33 = (r3 - phi21*r2 - phi22*r1)/(1 - phi21*r1 - phi22*r2)."""
     from ..kernels.seasonal import acf_exact, dense_counts
-    from .queries3 import _bucket_us, _tier_counts
+    from .queries3 import _bucket_us
 
     HOUR_US = 3_600_000_000
 
@@ -387,9 +387,7 @@ def q_pacf(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 from .queries3 import _DENSE_1H  # noqa: E402  (per-type dense grid fragment)

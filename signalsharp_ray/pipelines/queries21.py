@@ -30,8 +30,8 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _cents, _quantize_rows
 from .queries14 import _fold
 from .queries16 import _read
@@ -72,9 +72,7 @@ def q_variogram(sf_dir: str):
             rows, columns=["event_type", "lag", "n_pairs", "abs_sum", "gamma"]
         ).astype({"lag": np.int64, "n_pairs": np.int64, "abs_sum": np.int64})
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES21["variogram"] = """

@@ -27,8 +27,8 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 from .queries16 import _read
 
@@ -160,9 +160,7 @@ def q_acf_decay_time(sf_dir: str, max_lag: int = 12):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES24["acf_decay_time"] = """

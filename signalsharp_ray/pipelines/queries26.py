@@ -30,8 +30,8 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 from .queries17 import _per_token_counts
 
@@ -105,9 +105,7 @@ def q_mann_kendall(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES26["mann_kendall"] = """

@@ -27,8 +27,8 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_map_groups
-from .queries2 import _documents, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _documents, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _quantize_rows
 
 QUERIES27: dict = {}
@@ -179,9 +179,7 @@ def q_volatility_clustering(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 _VC_EMPTY = pd.DataFrame(

@@ -24,9 +24,9 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _cents
 from .queries14 import _fold
 
@@ -164,9 +164,7 @@ def q_ramp_asymmetry(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES28["ramp_asymmetry"] = """

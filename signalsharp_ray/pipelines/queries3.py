@@ -23,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import (
     acf_exact,
     classical_decompose,
@@ -30,18 +31,10 @@ from ..kernels.seasonal import (
     rolling_corr_exact,
     theil_sen,
 )
-from ..stages.rollup import rollup_tier
-from .queries2 import _documents, _events, _r6away
+from .queries2 import _documents, _events, _r6away, event_tier
 
 HOUR_US = 3_600_000_000
 DAY_US = 86_400_000_000
-
-
-def _tier_counts(sf_dir: str, tier: str):
-    """(event_type, bucket_ts, count) at tier resolution via the standard
-    partial+final distributed rollup."""
-    t = rollup_tier(_events(sf_dir), tier, key_cols=["event_type"])
-    return t.select_columns(["event_type", "bucket_ts", "count"])
 
 
 def _bucket_us(df: pd.DataFrame) -> np.ndarray:
@@ -81,9 +74,7 @@ def q_acf(sf_dir: str, max_lag: int = 12):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +109,7 @@ def q_seasonal_decompose(sf_dir: str, period: int = 24):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +137,7 @@ def q_theilsen_trend(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1d").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +180,7 @@ def q_mad_anomaly(sf_dir: str, k: float = 3.0):
             }
         )
 
-    return _events(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(_events(sf_dir), ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +200,7 @@ def q_rolling_corr(sf_dir: str, type_a: str = "click", type_b: str = "view",
     resolution, bounded by the retention window, the same single-series
     state contract as the forecast kernels."""
 
-    counts = _tier_counts(sf_dir, "1h")
+    counts = event_tier(sf_dir, "1h")
 
     def mark(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[batch["event_type"].isin([type_a, type_b])].copy()
@@ -239,9 +224,9 @@ def q_rolling_corr(sf_dir: str, type_a: str = "click", type_b: str = "view",
         )
 
     return (
-        counts.map_batches(mark, batch_format="pandas")
-        .groupby("pair")
-        .map_groups(fn, batch_format="pandas")
+        bucketed_map_groups(
+            counts.map_batches(mark, batch_format="pandas"), ["pair"], fn
+        )
         .select_columns(["bucket_ts", "corr"])
     )
 
@@ -527,9 +512,7 @@ def q_holt_winters(sf_dir: str, horizon: int = 6):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 QUERIES3["holt_winters"] = q_holt_winters
@@ -823,9 +806,7 @@ def q_winsorize(sf_dir: str, lo: float = 0.05, hi: float = 0.95):
             }
         )
 
-    return _events(sf_dir).groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(_events(sf_dir), ["event_type"], fn)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +823,7 @@ def q_cross_correlation(sf_dir: str, type_a: str = "click",
     exact integer arithmetic; the correlation is a shared float
     expression (the rolling_corr formula over the lag-k overlap)."""
 
-    counts = _tier_counts(sf_dir, "1h")
+    counts = event_tier(sf_dir, "1h")
 
     def mark(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[batch["event_type"].isin([type_a, type_b])].copy()
@@ -886,9 +867,9 @@ def q_cross_correlation(sf_dir: str, type_a: str = "click",
         )
 
     return (
-        counts.map_batches(mark, batch_format="pandas")
-        .groupby("pair")
-        .map_groups(fn, batch_format="pandas")
+        bucketed_map_groups(
+            counts.map_batches(mark, batch_format="pandas"), ["pair"], fn
+        )
         .select_columns(["lag", "ccf"])
     )
 

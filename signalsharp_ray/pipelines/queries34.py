@@ -24,9 +24,9 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import bucketed_join, hash_bucket_aggregate
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _cents
 from .queries6 import HOUR_US, _hourly_counts
 from .queries14 import _dense_totals
@@ -75,9 +75,7 @@ def q_time_reversibility(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 _TR_EMPTY = pd.DataFrame(

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries16 import _read
 
 QUERIES37: dict = {}
@@ -75,9 +75,7 @@ def q_variance_ratio_halves(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 _VR_EMPTY = pd.DataFrame(
@@ -233,9 +231,7 @@ def q_load_kurtosis(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 _KT_EMPTY = pd.DataFrame(

@@ -22,7 +22,7 @@ import pandas as pd
 
 from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
 from ..stages.rollup import rollup_tier
-from .queries2 import _documents, _events, _r6away
+from .queries2 import _documents, _events, _r6away, event_tier
 
 HOUR_US = 3_600_000_000
 DAY_US = 86_400_000_000
@@ -294,7 +294,7 @@ def q_daily_movers(sf_dir: str, k: int = 20):
     the TINY tier rows; the top-k is a sort+limit over (types x days)
     rows — all post-shuffle state is tier-sized, never event-sized.
     """
-    t = rollup_tier(_events(sf_dir), "1d", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1d").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
 
@@ -1214,7 +1214,7 @@ def q_rolling_median_24h(sf_dir: str):
     bucketed exchange; medians of integer counts are exact doubles (x.0
     or x.5), so no rounding is needed anywhere.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], rolling_median_kernel)
@@ -1359,7 +1359,7 @@ def q_hourly_profile(sf_dir: str):
     bias the phase means upward. Same tier-series kernel contract as
     acf/seasonal_decompose (one retention window of buckets per key).
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], hourly_profile_kernel)
@@ -1433,7 +1433,7 @@ def q_ewm_var(sf_dir: str):
     identical float64 expressions, so values match bitwise into the
     shared ROUND.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], ewm_var_kernel)
@@ -2645,7 +2645,7 @@ def q_diff_variance_ratio(sf_dir: str):
     the SQL oracle reproduces the identical float expressions over
     window-lagged differences.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], diff_variance_kernel)
@@ -2936,7 +2936,7 @@ def q_feature_matrix_1d(sf_dir: str):
     dropped on both sides); counts and lags are exact integers, the
     rolling mean is a ratio of exact sums. Tier-series kernel contract.
     """
-    t = rollup_tier(_events(sf_dir), "1d", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1d").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], feature_matrix_kernel)
@@ -3010,7 +3010,7 @@ def q_seasonal_naive_backtest(sf_dir: str, period: int = 24):
     exact integers over the zero-filled grid; the two ratios are the
     shared float division.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], seasonal_naive_kernel)

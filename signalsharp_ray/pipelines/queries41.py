@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
-from .queries2 import _documents, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
+from .queries2 import _documents, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _quantize_rows
 from .queries16 import _TOKEN_RE
 
@@ -76,9 +76,7 @@ def q_flatline_runs(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES41["flatline_runs"] = """

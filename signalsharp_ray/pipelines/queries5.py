@@ -31,7 +31,7 @@ import pandas as pd
 
 from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from ..stages.rollup import rollup_tier
-from .queries2 import _documents, _events, _r6away
+from .queries2 import _documents, _events, _r6away, _r6h, event_tier
 from .queries4 import _cents, _ts_us, hourly_cents_partial
 
 HOUR_US = 3_600_000_000
@@ -353,7 +353,7 @@ def q_sax_symbols(sf_dir: str):
     on event_type; per-key state is one retention window of buckets;
     symbol output means ZERO float-rounding surface in the oracle.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], sax_series_kernel)
@@ -778,7 +778,7 @@ def q_lttb_grid(sf_dir: str):
     sequential per series / parallel across series — the same contract
     as the PELT/forecast kernels.
     """
-    t = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1h").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], lttb_grid_kernel)
@@ -4146,19 +4146,12 @@ def q_lsh_verify(sf_dir: str, threshold: float = _LSH_VERIFY_T):
                 "doc_a": batch["doc_a"].astype(np.int64),
                 "doc_b": batch["doc_b"].astype(np.int64),
                 "n_shared_bands": batch["n_shared_bands"].astype(np.int64),
-                "jaccard": _r6h_local(out_j),
+                "jaccard": _r6h(out_j),
                 "is_dup": (out_j >= threshold).astype(np.int64),
             }
         )
 
     return with_both.map_batches(score, batch_format="pandas")
-
-
-def _r6h_local(x):
-    """Round-half-UP to 6 dp (SQL ROUND parity for non-negative rationals
-    like Jaccard — see queries.py _r6h)."""
-    v = np.asarray(x, dtype=np.float64)
-    return np.floor(v * 1e6 + 0.5) / 1e6
 
 
 LSH_VERIFY_SQL = f"""
@@ -4603,7 +4596,7 @@ def q_max_drawdown(sf_dir: str):
     ints; one bucketed exchange on event_type; earliest-trough tie rule
     matches the oracle's (dd DESC, day ASC) pick.
     """
-    t = rollup_tier(_events(sf_dir), "1d", key_cols=["event_type"]).select_columns(
+    t = event_tier(sf_dir, "1d").select_columns(
         ["event_type", "bucket_ts", "count"]
     )
     return bucketed_map_groups(t, ["event_type"], max_drawdown_kernel)

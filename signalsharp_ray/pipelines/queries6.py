@@ -24,18 +24,13 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
-from .queries2 import _documents, _events, _r6away
+from .queries2 import _documents, _events, _r6away, _r6h, event_tier
 
 HOUR_US = 3_600_000_000
 DAY_US = 86_400_000_000
 
 QUERIES6: dict = {}
 ORACLES6: dict = {}
-
-
-def _r6h(x):
-    v = np.asarray(x, dtype=np.float64)
-    return np.floor(v * 1e6 + 0.5) / 1e6
 
 
 def _hourly_counts(sf_dir: str, types: tuple | None = None) -> pd.DataFrame:
@@ -452,9 +447,8 @@ def q_binseg_step_detection(sf_dir: str, step: int = 40):
     greedy split/recursion machinery (the cheap screen pipelines run
     before exact PELT)."""
     from ..kernels.binseg import binseg_breakpoints
-    from ..stages.rollup import rollup_tier
 
-    t1h = rollup_tier(_events(sf_dir), "1h", key_cols=["event_type"])
+    t1h = event_tier(sf_dir, "1h")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("bucket_ts")
@@ -468,7 +462,7 @@ def q_binseg_step_detection(sf_dir: str, step: int = 40):
             }
         )
 
-    return t1h.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(t1h, ["event_type"], fn)
 
 
 QUERIES6["binseg_step_detection"] = q_binseg_step_detection

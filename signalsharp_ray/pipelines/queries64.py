@@ -12,8 +12,9 @@ multi-term float reduction is an ascending-index left fold
 (list_sum(list(x ORDER BY idx)) == the Python loop, bitwise).
 
 Scale contracts: all three reduce each event_type's calendar-bounded
-dense hourly series (a few thousand points) inside one map_groups task
-after the standard partial+final rollup exchange.
+dense hourly series (a few thousand points) inside one
+bucketed_map_groups kernel call after the standard partial+final rollup
+exchange.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import acf_exact, dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 
 QUERIES64: dict = {}
 ORACLES64: dict = {}
@@ -72,9 +74,7 @@ def q_ljung_box(sf_dir: str, max_lag: int = 12):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES64["ljung_box"] = """
@@ -162,9 +162,7 @@ def q_durbin_watson(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES64["durbin_watson"] = """
@@ -255,9 +253,7 @@ def q_dominant_period(sf_dir: str, max_lag: int = 48):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES64["dominant_period"] = """

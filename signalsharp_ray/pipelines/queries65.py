@@ -13,10 +13,10 @@ ascend a deterministic key (pattern code) via
 list_sum(list(x ORDER BY code)) == the Python ascending loop, bitwise.
 
 Scale contracts: each event_type's calendar-bounded dense hourly series
-is a few thousand points, reduced inside ONE map_groups task after the
-standard partial+final rollup exchange; the SampEn O(n^2) template
-comparison is bounded per series (720 points -> 0.26M pairs as a numpy
-broadcast), never corpus-wide.
+is a few thousand points, reduced inside ONE bucketed_map_groups kernel
+call after the standard partial+final rollup exchange; the SampEn O(n^2)
+template comparison is bounded per series (720 points -> 0.26M pairs as
+a numpy broadcast), never corpus-wide.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 
 QUERIES65: dict = {}
 ORACLES65: dict = {}
@@ -98,9 +99,7 @@ def q_permutation_entropy(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES65["permutation_entropy"] = """
@@ -206,9 +205,7 @@ def q_sample_entropy(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES65["sample_entropy"] = """
@@ -305,9 +302,7 @@ def q_grubbs_test(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES65["grubbs_test"] = """

@@ -13,10 +13,10 @@ op-for-op and every multi-term float fold ascends a deterministic key
 via list_sum(list(x ORDER BY k)).
 
 Scale contracts: Mann-Whitney and Wilcoxon reduce each event_type's
-bounded dense hourly grid in one map_groups task after the standard
-partial+final rollup exchange; Kruskal-Wallis combines the distributed
-daily rollup (n_types x n_days rows, calendar-bounded) on the driver —
-the same bounded-combine pattern as lang_source_chi2.
+bounded dense hourly grid in one bucketed_map_groups kernel call after
+the standard partial+final rollup exchange; Kruskal-Wallis combines the
+distributed daily rollup (n_types x n_days rows, calendar-bounded) on
+the driver — the same bounded-combine pattern as lang_source_chi2.
 
 Day-of-week on both sides is (epoch_us // DAY_US + 3) % 7 (0=Mon,
 1970-01-01 was a Thursday), the repo's weekend_effect convention;
@@ -30,9 +30,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 
 QUERIES66: dict = {}
@@ -113,9 +114,7 @@ def q_mann_whitney_weekend(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES66["mann_whitney_weekend"] = """
@@ -181,7 +180,7 @@ def q_kruskal_wallis_daily(sf_dir: str):
     daily rollup is distributed and the combine is bounded by
     n_types x n_days."""
     agg = (
-        _tier_counts(sf_dir, "1d")
+        event_tier(sf_dir, "1d")
         .to_pandas()
         .sort_values(["event_type", "bucket_ts"])
     )
@@ -348,9 +347,7 @@ def q_wilcoxon_halves(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES66["wilcoxon_halves"] = """

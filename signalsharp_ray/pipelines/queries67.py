@@ -13,9 +13,9 @@ left-associative chains and the shared libm constants (sqrt(6)/pi, the
 Euler-Mascheroni literal).
 
 Scale contracts: all three reduce each event_type's calendar-bounded
-dense hourly series inside one map_groups task after the standard
-partial+final rollup exchange; daily block maxima shrink the series
-~24x before the fit.
+dense hourly series inside one bucketed_map_groups kernel call after the
+standard partial+final rollup exchange; daily block maxima shrink the
+series ~24x before the fit.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import acf_exact, dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 
 QUERIES67: dict = {}
 ORACLES67: dict = {}
@@ -101,9 +102,7 @@ def q_chow_test_midpoint(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 _CHOW_SEG = """
@@ -208,9 +207,7 @@ def q_yule_walker_ar2(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES67["yule_walker_ar2"] = """
@@ -307,9 +304,7 @@ def q_block_maxima_gumbel(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES67["block_maxima_gumbel"] = """

@@ -17,7 +17,7 @@ only the bounded cell grid reaches the driver. Sentence stats are a
 pure partial+final integer aggregate. The cosine histogram joins
 vec_id k with k + n//2 through the co-partitioned bucketed_join — no
 driver-side vector collection — and folds per histogram bucket inside
-map_groups.
+bucketed_map_groups.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import bucketed_join, hash_bucket_aggregate
+from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _documents, _r6away
 from .queries14 import _fold
 from .queries16 import _TOKEN_RE
@@ -403,7 +403,7 @@ def q_cosine_pair_histogram(sf_dir: str):
             }
         )
 
-    return pairs.groupby("bucket").map_groups(final, batch_format="pandas")
+    return bucketed_map_groups(pairs, ["bucket"], final)
 
 
 ORACLES68["cosine_pair_histogram"] = """

@@ -13,10 +13,10 @@ integer cross-products over the aligned dense grids; every float
 combination is transcribed op-for-op.
 
 Scale contracts: mean-excess and GPD reduce per event_type inside one
-map_groups task. The Granger combine is bounded by n_types x grid
-(the kruskal_wallis_daily pattern): the distributed hourly rollup
-lands a calendar-bounded table on the driver and the T^2 pair loop
-runs over a few thousand integers per pair.
+bucketed_map_groups kernel call. The Granger combine is bounded by
+n_types x grid (the kruskal_wallis_daily pattern): the distributed
+hourly rollup lands a calendar-bounded table on the driver and the T^2
+pair loop runs over a few thousand integers per pair.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 
 QUERIES69: dict = {}
 ORACLES69: dict = {}
@@ -87,9 +88,7 @@ def q_mean_excess_curve(sf_dir: str):
                      "mean_excess"],
         ).astype({"k": np.int64, "n_exceed": np.int64})
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES69["mean_excess_curve"] = """
@@ -147,7 +146,7 @@ def q_granger_pairwise(sf_dir: str):
     F = r_p^2 (n-3) / (1 - r_p^2). Bounded driver combine over the
     distributed hourly rollup."""
     agg = (
-        _tier_counts(sf_dir, "1h")
+        event_tier(sf_dir, "1h")
         .to_pandas()
         .sort_values(["event_type", "bucket_ts"])
     )
@@ -318,9 +317,7 @@ def q_pot_gpd_fit(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES69["pot_gpd_fit"] = """

@@ -13,8 +13,8 @@ integers |24*cum - (h+1)*total|; JS folds ascend hour-of-day with the
 shared ln. Day-of-week is (epoch_us // DAY_US + 3) % 7, weekend >= 5.
 
 Scale contracts: all three reduce each event_type's bounded series /
-24-cell profile inside one map_groups task after the standard rollup
-exchange.
+24-cell profile inside one bucketed_map_groups kernel call after the
+standard rollup exchange.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 
 QUERIES71: dict = {}
@@ -96,9 +97,7 @@ def q_cusum_ols_residuals(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES71["cusum_ols_residuals"] = """
@@ -191,9 +190,7 @@ def q_ks_uniform_hod(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES71["ks_uniform_hod"] = """
@@ -275,9 +272,7 @@ def q_weekday_profile_divergence(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES71["weekday_profile_divergence"] = """

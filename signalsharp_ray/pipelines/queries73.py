@@ -11,8 +11,8 @@ op-for-op; the share series folds ascend the calendar day. HUGEINT
 promotion guards the squared cents sums.
 
 Scale contracts: the hod ANOVA reduces per event_type in one
-map_groups task; the price ANOVA and share volatility are bounded
-partial+final combines (types x days, part types).
+bucketed_map_groups kernel call; the price ANOVA and share volatility
+are bounded partial+final combines (types x days, part types).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from ..kernels.seasonal import dense_counts
-from .queries2 import _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries4 import _cents
 from .queries14 import _fold
 from .queries16 import _read
@@ -86,9 +86,7 @@ def q_hod_anova(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES73["hod_anova"] = """
@@ -243,7 +241,7 @@ def q_type_share_volatility(sf_dir: str):
     total events, over the calendar days where any event occurred.
     Shares are count ratios of exact integers; folds ascend the day."""
     agg = (
-        _tier_counts(sf_dir, "1d")
+        event_tier(sf_dir, "1d")
         .to_pandas()
     )
     out_empty = pd.DataFrame(

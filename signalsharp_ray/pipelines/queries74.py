@@ -13,7 +13,7 @@ these magnitudes, the weighted_median_price precedent).
 
 Scale contracts: NB fit and concentration pre-reduce per entity inside
 the exchange and emit bounded rows; the nation median groups cents
-inside map_groups per nation (bounded by customers-per-nation at any
+inside bucketed_map_groups per nation (bounded by customers-per-nation at any
 scale split)."""
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries4 import _cents
 from .queries16 import _read
@@ -239,7 +239,7 @@ def q_median_order_value_by_nation(sf_dir: str):
             }
         )
 
-    return orders.groupby("nation").map_groups(final, batch_format="pandas")
+    return bucketed_map_groups(orders, ["nation"], final)
 
 
 ORACLES74["median_order_value_by_nation"] = """

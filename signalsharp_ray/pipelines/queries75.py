@@ -12,7 +12,7 @@ kernels/seasonal.acf_exact's integer expansion verbatim. Floats are
 transcribed op-for-op with ascending-key folds.
 
 Scale contracts: all three pre-reduce inside one exchange / one
-map_groups task with bounded outputs.
+bucketed_map_groups kernel call with bounded outputs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from ..kernels.seasonal import acf_exact, dense_counts
-from .queries2 import _documents, _events, _r6away
-from .queries3 import _bucket_us, _tier_counts
+from .queries2 import _documents, _events, _r6away, event_tier
+from .queries3 import _bucket_us
 from .queries14 import _fold
 
 QUERIES75: dict = {}
@@ -271,9 +271,7 @@ def q_daily_acf7(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1d").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 ORACLES75["daily_acf7"] = """

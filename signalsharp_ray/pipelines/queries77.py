@@ -11,9 +11,9 @@ sum of the middle; MAEs are integer absolute-difference sums; the
 entropy trend folds daily entropies (shared ln over integer shares)
 through transcribed OLS sums ordered by day.
 
-Scale contracts: the trim runs per event_type inside map_groups after
-a lean (cents, event_id) projection; MAE and entropy reduce the
-calendar-bounded daily rollup.
+Scale contracts: the trim runs per event_type inside
+bucketed_map_groups after a lean (cents, event_id) projection; MAE and
+entropy reduce the calendar-bounded daily rollup.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..common.raytools import bucketed_map_groups
 from ..kernels.seasonal import dense_counts
-from .queries2 import _events, _r6away
-from .queries3 import _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _bucket_us
 from .queries14 import _fold
 
 QUERIES77: dict = {}
@@ -90,7 +91,7 @@ def q_trimmed_mean_value(sf_dir: str):
             }
         )
 
-    return ev.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(ev, ["event_type"], fn)
 
 
 ORACLES77["trimmed_mean_value"] = """
@@ -161,9 +162,7 @@ def q_naive_mae_ratio(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1d").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1d"), ["event_type"], fn)
 
 
 ORACLES77["naive_mae_ratio"] = """
@@ -213,7 +212,7 @@ def q_type_mix_entropy_trend(sf_dir: str):
     mix, its mean, and the OLS slope over day index — positive slope
     means traffic is diversifying. Entropy folds ascend event_type;
     the OLS sums fold ascending day."""
-    agg = _tier_counts(sf_dir, "1d").to_pandas()
+    agg = event_tier(sf_dir, "1d").to_pandas()
     out_empty = pd.DataFrame(
         {"n_days": pd.Series(dtype=np.int64),
          "mean_entropy": pd.Series(dtype=np.float64),

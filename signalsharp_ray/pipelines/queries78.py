@@ -14,7 +14,7 @@ ORDER BY dim))); the chi2 margins are exact integers.
 
 Scale contracts: the confusion pass is two map_batches sweeps (sum
 exchange -> bounded centroid broadcast -> count exchange); the chi2 is
-one bounded 7x24 aggregate; norms fold per label inside map_groups of
+one bounded 7x24 aggregate; norms fold per label inside bucketed_map_groups of
 per-vector integer norm rows.
 """
 
@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries14 import _fold
 
@@ -300,9 +300,9 @@ def q_embedding_norm_by_label(sf_dir: str):
             }
         )
 
-    return ds.map_batches(pervec, batch_format="pandas").groupby(
-        "label"
-    ).map_groups(fold_label, batch_format="pandas")
+    return bucketed_map_groups(
+        ds.map_batches(pervec, batch_format="pandas"), ["label"], fold_label
+    )
 
 
 ORACLES78["embedding_norm_by_label"] = """

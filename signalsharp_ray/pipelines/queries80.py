@@ -23,8 +23,7 @@ import numpy as np
 import pandas as pd
 
 from ..common.raytools import bucketed_join, hash_bucket_aggregate
-from .queries2 import _documents, minhash_sig_batch
-from .queries6 import _r6h
+from .queries2 import _documents, _r6h, minhash_sig_batch
 from .queries5 import LSH_CANDIDATES_SQL, q_lsh_candidates, q_lsh_verify
 from .queries14 import _fold
 from .queries16 import _read

@@ -13,7 +13,7 @@ OLS folds ordered by day.
 
 Scale contracts: lead time joins orders via the co-partitioned
 bucketed exchange; transitions reduce per (from, to) after a per-user
-ordered pass inside map_groups; the Gini trend combines bounded
+ordered pass inside bucketed_map_groups; the Gini trend combines bounded
 per-day integer triples on the driver.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import bucketed_join, hash_bucket_aggregate
+from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries14 import _fold
 from .queries16 import _read
@@ -161,7 +161,7 @@ def q_transition_lift(sf_dir: str):
         )
 
     trans = hash_bucket_aggregate(
-        ev.groupby("user_id").map_groups(pairs, batch_format="pandas"),
+        bucketed_map_groups(ev, ["user_id"], pairs),
         ["from_type", "to_type"],
         [("n", "sum")],
     ).to_pandas()
@@ -262,7 +262,7 @@ def q_user_gini_trend(sf_dir: str):
         )
 
     daily = (
-        per_day_user.groupby("day").map_groups(gini_day, batch_format="pandas")
+        bucketed_map_groups(per_day_user, ["day"], gini_day)
         .to_pandas()
         .sort_values("day")
     )

@@ -10,7 +10,7 @@ fold ln over integer shares ascending the category; medians run
 np.quantile == quantile_cont over integer centivalues.
 
 Scale contracts: all three pre-reduce through one exchange; the
-day-of-week median groups centivalues inside map_groups per dow.
+day-of-week median groups centivalues inside bucketed_map_groups per dow.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from ..kernels.seasonal import dense_counts
-from .queries2 import _events, _r6away
-from .queries3 import _DENSE_1H, _bucket_us, _tier_counts
+from .queries2 import _events, _r6away, event_tier
+from .queries3 import _DENSE_1H, _bucket_us
 from .queries14 import _fold
 from .queries16 import _read
 
@@ -72,9 +72,7 @@ def q_weekend_load_lift(sf_dir: str):
             }
         )
 
-    return _tier_counts(sf_dir, "1h").groupby("event_type").map_groups(
-        fn, batch_format="pandas"
-    )
+    return bucketed_map_groups(event_tier(sf_dir, "1h"), ["event_type"], fn)
 
 
 ORACLES83["weekend_load_lift"] = """
@@ -259,7 +257,7 @@ def q_value_median_by_dow(sf_dir: str):
             }
         )
 
-    return ev.groupby("dow").map_groups(final, batch_format="pandas")
+    return bucketed_map_groups(ev, ["dow"], final)
 
 
 ORACLES83["value_median_by_dow"] = """

@@ -11,7 +11,7 @@ integers with the standard transcribed fold; sentence sets use the
 batch-70 splitter and reduce to exact distinct/total counts, with the
 per-source mean folding doc_id-ascending rational rates.
 
-Scale contracts: gaps reduce per customer inside map_groups after one
+Scale contracts: gaps reduce per customer inside bucketed_map_groups after one
 exchange; chi2 and the sentence rate are bounded partial+final
 aggregates.
 """
@@ -23,7 +23,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _documents, _r6away
 from .queries14 import _fold
 from .queries16 import _read, _TOKEN_RE
@@ -97,8 +97,7 @@ def q_order_gap_drift(sf_dir: str):
         )
 
     agg = (
-        orders.groupby("custkey")
-        .map_groups(gaps, batch_format="pandas")
+        bucketed_map_groups(orders, ["custkey"], gaps)
         .to_pandas()
         .groupby("half")
         .sum()

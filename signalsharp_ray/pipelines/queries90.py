@@ -11,7 +11,7 @@ over integer microseconds and rounds to WHOLE seconds on both sides
 microsecond-quantile rule, since 1 ulp at 1e9 is the 6th decimal).
 
 Scale contracts: all three pre-reduce through one exchange; gaps
-derive per type inside map_groups over (ts, event_id)-ordered events.
+derive per type inside bucketed_map_groups over (ts, event_id)-ordered events.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries4 import _cents
 from .queries16 import _read
@@ -230,7 +230,7 @@ def q_median_gap_by_type(sf_dir: str):
             }
         )
 
-    return ev.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(ev, ["event_type"], fn)
 
 
 ORACLES90["median_gap_by_type"] = """

@@ -9,7 +9,7 @@ argmin/argmax per user; repeat and weekend shares are exact integer
 ratios; the order day-of-week uses the house (epoch day + 3) % 7
 convention on midnight order dates.
 
-Scale contracts: first/last reduce per user inside map_groups after
+Scale contracts: first/last reduce per user inside bucketed_map_groups after
 one exchange; the other two are bounded dimension-join aggregates.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries16 import _read
 
@@ -61,7 +61,7 @@ def q_user_first_last_matrix(sf_dir: str):
 
     agg = (
         hash_bucket_aggregate(
-            ev.groupby("user_id").map_groups(ends, batch_format="pandas"),
+            bucketed_map_groups(ev, ["user_id"], ends),
             ["first_type", "last_type"],
             [("n", "sum")],
         )

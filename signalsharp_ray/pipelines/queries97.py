@@ -10,7 +10,7 @@ House parity: gap CVs combine exact integer microsecond sums
 house tokenizer; part revenue is the exact cents x bp unit with integer
 top-k selection (revenue DESC, partkey ASC).
 
-Scale contracts: gaps reduce per user inside map_groups; name-term
+Scale contracts: gaps reduce per user inside bucketed_map_groups; name-term
 stats broadcast the bounded part dimension; the top-share reduces per
 part through one exchange and compares only the 1% head on the driver.
 """
@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries4 import _cents
 from .queries16 import _read, _TOKEN_RE
@@ -84,7 +84,7 @@ def q_user_regularity_topk(sf_dir: str, k: int = 10):
         )
 
     per_user = (
-        ev.groupby("user_id").map_groups(gaps, batch_format="pandas")
+        bucketed_map_groups(ev, ["user_id"], gaps)
         .to_pandas()
     )
     out_empty = pd.DataFrame(

@@ -9,9 +9,9 @@ House parity: switch counts and marginals are exact integers; the
 expectation folds p_i^2 ascending type; HHIs fold ascending brand;
 first-order selection is the (o_orderdate, o_orderkey) argmin.
 
-Scale contracts: switches reduce per user inside map_groups; the HHI
-collapses per (supplier, brand) in one exchange; first orders reduce
-per customer then join order counts co-partitioned.
+Scale contracts: switches reduce per user inside bucketed_map_groups;
+the HHI collapses per (supplier, brand) in one exchange; first orders
+reduce per customer then join order counts co-partitioned.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import bucketed_join, hash_bucket_aggregate
+from ..common.raytools import bucketed_join, bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries14 import _fold
 from .queries16 import _read
@@ -74,7 +74,7 @@ def q_type_switch_rate(sf_dir: str):
 
     agg = (
         hash_bucket_aggregate(
-            ev.groupby("user_id").map_groups(pairs, batch_format="pandas"),
+            bucketed_map_groups(ev, ["user_id"], pairs),
             ["to_type"],
             [("n", "sum"), ("sw", "sum")],
         )
@@ -284,9 +284,7 @@ def q_repeat_by_first_priority(sf_dir: str):
 
     agg = (
         hash_bucket_aggregate(
-            orders.groupby("custkey").map_groups(
-                firsts, batch_format="pandas"
-            ),
+            bucketed_map_groups(orders, ["custkey"], firsts),
             ["priority"],
             [("n", "sum"), ("rep", "sum")],
         )

@@ -10,7 +10,7 @@ integer centivalues (np.quantile == quantile_cont at these
 magnitudes); revenue is exact cents with one growth division per
 month pair.
 
-Scale contracts: gaps reduce per type inside map_groups then band;
+Scale contracts: gaps reduce per type inside bucketed_map_groups then band;
 quantiles group per type; monthly revenue is a bounded calendar
 aggregate.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import hash_bucket_aggregate
+from ..common.raytools import bucketed_map_groups, hash_bucket_aggregate
 from .queries2 import _events, _r6away
 from .queries4 import _cents
 from .queries16 import _read
@@ -72,7 +72,7 @@ def q_gap_hazard_curve(sf_dir: str):
 
     agg = (
         hash_bucket_aggregate(
-            ev.groupby("event_type").map_groups(gaps, batch_format="pandas"),
+            bucketed_map_groups(ev, ["event_type"], gaps),
             ["band"],
             [("n", "sum")],
         )
@@ -177,7 +177,7 @@ def q_tail_ratio_by_type(sf_dir: str):
             }
         )
 
-    return ev.groupby("event_type").map_groups(fn, batch_format="pandas")
+    return bucketed_map_groups(ev, ["event_type"], fn)
 
 
 ORACLES99["tail_ratio_by_type"] = """

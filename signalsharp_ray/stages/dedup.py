@@ -23,7 +23,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from ..common.raytools import pool_size
+from ..common.raytools import bucketed_map_groups, pool_size
 
 # -- exact ---------------------------------------------------------------
 
@@ -203,9 +203,7 @@ def minhash_lsh_candidates(
         a, b = np.triu_indices(ids.size, k=1)
         return pd.DataFrame({"doc_a": ids[a], "doc_b": ids[b]})
 
-    pairs = exploded.groupby(["band", "band_hash"]).map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
+    pairs = bucketed_map_groups(exploded, ["band", "band_hash"], bucket_pairs)
     # dedup pairs that collided in multiple bands (bucketed aggregation:
     # pair-key cardinality equals the candidate count)
     from ..common.raytools import hash_bucket_aggregate

@@ -2,11 +2,16 @@
 entries with an oracle_sql() compare row count + schema + order-insensitive
 values against DuckDB. Run before the real driver does.
 
+Each line ends with a short digest of the entry's output (its sorted
+columns, their dtypes and its normalized, sorted rows), so a `diff` of two
+sweeps also covers the rows-only entries.
+
 Usage: PYTHONPATH=. python tools/check_oracles.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -38,6 +43,21 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
         elif pd.api.types.is_bool_dtype(df[c]):
             df[c] = df[c].astype(bool)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def digest(df: pd.DataFrame) -> str:
+    """12 hex digits over the sorted column names, their dtypes and the
+    normalized rows; rows that do not sort (list or array cells) are
+    sorted by their CSV text instead."""
+    cols = sorted(df.columns, key=str)
+    h = hashlib.sha1(repr([(str(c), str(df[c].dtype)) for c in cols]).encode())
+    try:
+        rows = normalize(df).to_csv(index=False)
+    except (TypeError, ValueError):
+        lines = df[cols].to_csv(index=False).splitlines()
+        rows = "\n".join(lines[:1] + sorted(lines[1:]))
+    h.update(rows.encode())
+    return h.hexdigest()[:12]
 
 
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
@@ -108,7 +128,7 @@ def main():
         status = verdict if verdict.startswith(("OK", "rows-only")) else "FAIL " + verdict
         if status.startswith("FAIL"):
             failures += 1
-        print(f"{name:24s} {dt:6.1f}s  {status}")
+        print(f"{name:24s} {dt:6.1f}s  {status}  [{digest(ray_df)}]")
 
     print(f"\n{failures} failures")
     ray.shutdown()
