@@ -1,18 +1,19 @@
 """Small Ray helpers shared by stages.
 
 The library has one shuffle, `hash_exchange` (no library code runs Ray
-Data's sort-based groupby().map_groups): every grouped operator
-(hash_bucket_aggregate, bucketed_map_groups, bucketed_cogroup,
-bucketed_join, the Dataset-form rollup tiers, the incremental stores'
-apply) puts its rows in a
-`__bucket` by its own hash and hands a per-bucket reducer to it. The
-grouped helpers compute the bucket inside the exchange's split tasks,
-with no Ray Data map of their own. The exchange runs the reducer on EVERY
-bucket, empty ones included, so a reducer must accept an empty table and
-return an empty table of its usual schema. The grouped helpers then drop
-the empty buckets' blocks from their results (a downstream map_batches
-would strip their schema), and the pandas helpers never call their
-kernels on an empty bucket.
+Data's sort-based groupby().map_groups), and one key hash, `key_buckets`:
+every grouped operator (hash_bucket_aggregate, bucketed_map_groups,
+bucketed_cogroup, bucketed_join, the Dataset-form rollup tiers, the
+incremental tier store's apply) puts its rows in the `__bucket` that
+`key_buckets` gives their key values, whatever type a block holds them
+in, and hands a per-bucket reducer to the exchange. The grouped helpers
+compute the bucket inside the exchange's split tasks, with no Ray Data
+map of their own. The exchange runs the reducer on EVERY bucket, empty
+ones included, so a reducer must accept an empty table and return an
+empty table of its usual schema. The grouped helpers then drop the empty
+buckets' blocks from their results (a downstream map_batches would strip
+their schema), and the pandas helpers never call their kernels on an
+empty bucket.
 
 The exchange pays its per-task costs per CPU rather than per block or per
 bucket: reads that it starts plan about 2 blocks per CPU (coarse_reads),
@@ -27,10 +28,12 @@ import contextlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 
-_HANDOFF_SEQ = [0]
+# the handoff directories this process created, removed when it exits
+_HANDOFF_DIRS: list[str] = []
 
 
 def parquet_handoff(ds, tag: str, root: str | None = None):
@@ -52,13 +55,16 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
     handoff — point it at a shared filesystem / object store URI on a real
     multi-node cluster: the /tmp default raises on a cluster with more
     than one alive node (an explicit root is trusted to be shared).
-    Directories are left for the OS tmp reaper; callers
-    that loop can pass an explicit root and clean it themselves.
+    The directories a process creates are removed when its interpreter
+    exits, so a returned Dataset must be consumed before then.
     """
+    import atexit
     import os
     import uuid
 
     import ray.data as rd
+
+    from . import fsio
 
     base = root or os.environ.get("SIGNALSHARP_HANDOFF_ROOT")
     if base is None:
@@ -72,14 +78,14 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
                 "(a shared mount or an object-store URI)."
             )
         base = "/tmp/signalsharp_ray/handoff"
-    _HANDOFF_SEQ[0] += 1
-    out = f"{base}/{tag}-{os.getpid()}-{_HANDOFF_SEQ[0]}-{uuid.uuid4().hex[:8]}"
+    out = f"{base}/{tag}-{os.getpid()}-{len(_HANDOFF_DIRS) + 1}-{uuid.uuid4().hex[:8]}"
     ds.write_parquet(out)
+    if not _HANDOFF_DIRS:
+        atexit.register(_remove_handoff_dirs)
+    _HANDOFF_DIRS.append(out)
     import pyarrow.fs as pafs
 
-    fs, path = pafs.FileSystem.from_uri(out) if "://" in out else (
-        pafs.LocalFileSystem(), out
-    )
+    fs, path = fsio.resolve_fs(out)
     files = [
         f.path
         for f in fs.get_file_info(pafs.FileSelector(path, recursive=True))
@@ -93,6 +99,17 @@ def parquet_handoff(ds, tag: str, root: str | None = None):
         empty = pa.table({n: pa.nulls(0, t) for n, t in zip(schema.names, schema.types)})
         return rd.from_arrow(empty)
     return rd.read_parquet(out)
+
+
+def _remove_handoff_dirs() -> None:
+    from . import fsio
+
+    for out in _HANDOFF_DIRS:
+        fs, path = fsio.resolve_fs(out)
+        try:
+            fs.delete_dir(path)
+        except OSError:
+            pass  # already gone
 
 
 def _alive_nodes() -> int:
@@ -113,7 +130,7 @@ def hash_bucket_aggregate(
 
     Ray's built-in groupby().aggregate() iterates result groups in Python,
     which is O(#groups) interpreter work — measured ~90s for 55k groups on
-    one node. This helper instead exchanges rows on hash(keys) % n_buckets
+    one node. This helper instead exchanges rows on key_buckets(keys)
     (hash_exchange) and runs the real aggregation inside each bucket with
     pyarrow's C++ hash groupby. Exact for commutative aggregates
     (sum/min/max/count): every row of a key lands in the same bucket.
@@ -126,7 +143,6 @@ def hash_bucket_aggregate(
     """
     if n_buckets is None:
         n_buckets = default_buckets()
-    bcols = bucket_cols or keys
     agg_specs = [(c, op) for c, op in aggs]
     if count_alias is not None:
         agg_specs = agg_specs + [(keys[0], "count")]
@@ -142,30 +158,76 @@ def hash_bucket_aggregate(
             cols[count_alias] = g[f"{keys[0]}_count"]
         return pa.table(cols)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return with_key_bucket(batch, bcols, n_buckets)
+    return _exchange(
+        [(ds, _bucket_by(bucket_cols or keys, n_buckets))], n_buckets, agg_bucket,
+        empty_like=ds, drop_empty=True,
+    )
 
-    return _exchange([(ds, add_bucket)], n_buckets, agg_bucket, empty_like=ds, drop_empty=True)
+
+# the hash of a null key value in every column type: pandas' hash of a
+# None in an object column, so string keys with nulls keep their ids
+_NULL_HASH = pd.util.hash_array(np.array([None], dtype=object), categorize=False)[0]
 
 
-def with_key_bucket(batch: pa.Table, cols: list[str], n_buckets: int) -> pa.Table:
-    """`batch` with `__bucket` appended: a hash of the `cols` values mod
-    n_buckets (integer columns mix their int64 bits, others a pandas hash),
-    so every row of one key lands in one bucket. Parquet/pandas-origin
-    schema metadata is an unhashable dict: Ray's schema dedup then warns
-    'Failed to hash the schemas', so it is dropped at the exchange edge."""
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for k in cols:
-        col = batch[k].to_numpy(zero_copy_only=False)
-        if np.issubdtype(col.dtype, np.integer):
-            h = h * np.uint64(1000003) ^ col.view(np.uint64)
-        else:
-            h = h * np.uint64(1000003) + pd.util.hash_array(
-                np.asarray(col, dtype=object) if col.dtype == object else col,
-                categorize=False,
-            )
-    b = (h % np.uint64(n_buckets)).astype(np.int64)
-    return batch.replace_schema_metadata(None).append_column("__bucket", pa.array(b))
+def key_buckets(table: pa.Table, key_cols: list[str], n_buckets: int) -> np.ndarray:
+    """Bucket id per row of `table`: a hash of its `key_cols` values mod
+    n_buckets, the library's one key bucketing (every keyed exchange, and
+    the ids the incremental tier store persists as bucket=<B> paths).
+
+    A key hashes by value, not by the type a block happens to hold it in:
+    every integer width (and bool) hashes as int64, and so does a float
+    that holds an integer (a pandas block holds an int column with nulls
+    as float64); other floats hash as float64; string, large_string and
+    dictionary columns hash alike; a null (and a float NaN, which pandas
+    groups with it) has the one hash _NULL_HASH. Each column's hash is
+    pandas' hash_array of those values, so a null-free int64 or string
+    column keeps the ids a pandas frame of it always had."""
+    h = np.zeros(table.num_rows, dtype=np.uint64)
+    for k in key_cols:
+        h = h * np.uint64(1000003) + _value_hashes(table[k])
+    return (h % np.uint64(n_buckets)).astype(np.int64)
+
+
+def _value_hashes(col: pa.ChunkedArray) -> np.ndarray:
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    typ = col.type
+    if any(f(typ) for f in (pa.types.is_string, pa.types.is_large_string,
+                            pa.types.is_binary, pa.types.is_large_binary)):
+        # a null is None here, which pandas hashes to _NULL_HASH
+        return pd.util.hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
+    null = col.is_null()
+    if pa.types.is_integer(typ) or pa.types.is_boolean(typ):
+        # an unsafe cast keeps a uint64's bits, as pandas hashes them
+        values = pc.fill_null(col.cast(pa.int64(), safe=False), 0).to_numpy()
+        h = pd.util.hash_array(values, categorize=False)
+    elif pa.types.is_floating(typ):
+        null = pc.is_null(col, nan_is_null=True)
+        values = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy()
+        h = pd.util.hash_array(values, categorize=False)
+        ints = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
+        h[ints] = pd.util.hash_array(values[ints].astype(np.int64), categorize=False)
+    else:
+        values = pa.table({"k": col}).to_pandas()["k"].to_numpy()
+        h = pd.util.hash_array(values, categorize=False)
+    h[null.to_numpy(zero_copy_only=False)] = _NULL_HASH
+    return h
+
+
+def _bucket_by(key_cols: list[str], n_buckets: int, prep=None):
+    """The split-task function of a keyed exchange: `prep` (None: none)
+    maps each typed input table, and `__bucket` = key_buckets(key_cols) is
+    appended. Parquet/pandas-origin schema metadata is an unhashable dict:
+    Ray's schema dedup then warns 'Failed to hash the schemas', so it is
+    dropped at the exchange edge."""
+
+    def bucketed(t: pa.Table) -> pa.Table:
+        if prep is not None:
+            t = prep(t)
+        buckets = pa.array(key_buckets(t, key_cols, n_buckets))
+        return t.replace_schema_metadata(None).append_column("__bucket", buckets)
+
+    return bucketed
 
 
 def pool_size(requested: int, num_cpus_per_actor: float = 1.0) -> tuple[int, int]:
@@ -194,9 +256,10 @@ def default_buckets() -> int:
     return 64
 
 
-def _pandas_bucket_exchange(sources, n_buckets: int, kernel, empty_like):
-    """_exchange `sources` (whose bucket_fns add `__bucket`) and apply the
-    pandas `kernel` to each non-empty bucket frame.
+def _pandas_bucket_exchange(sources, key_cols, n_buckets: int, kernel, empty_like):
+    """_exchange `sources` (a list of (Dataset or iterator of its ref
+    bundles, prep)) bucketed on key_cols (_bucket_by), and apply the pandas
+    `kernel` to each non-empty bucket frame.
 
     Blocks convert with Ray's own BlockAccessor conversions in both
     directions, so the kernel sees the dtypes map_groups(batch_format=
@@ -213,20 +276,10 @@ def _pandas_bucket_exchange(sources, n_buckets: int, kernel, empty_like):
         out = kernel(BlockAccessor.for_block(t.drop_columns(["__bucket"])).to_pandas())
         return BlockAccessor.for_block(out).to_arrow()
 
-    return _exchange(sources, n_buckets, reduce, empty_like=empty_like, drop_empty=True)
-
-
-def key_buckets(frame: pd.DataFrame, key_cols: list[str], n_buckets: int) -> np.ndarray:
-    """Bucket id per row: a pandas hash of the key columns mod n_buckets
-    (the ids the incremental stores persist as bucket=<B> paths)."""
-    h = np.zeros(len(frame), dtype=np.uint64)
-    for k in key_cols:
-        col = frame[k].to_numpy()
-        h = h * np.uint64(1000003) + pd.util.hash_array(
-            np.asarray(col, dtype=object) if col.dtype == object else col,
-            categorize=False,
-        )
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+    return _exchange(
+        [(src, _bucket_by(key_cols, n_buckets, prep)) for src, prep in sources],
+        n_buckets, reduce, empty_like=empty_like, drop_empty=True,
+    )
 
 
 def bucketed_map_groups(
@@ -241,7 +294,7 @@ def bucketed_map_groups(
 
     Ray's map_groups sorts the whole dataset and pays interpreter + block
     overhead per group; with millions of (host, url) series that dominates
-    wall time. This exchanges rows on hash(key) % n_buckets instead and
+    wall time. This exchanges rows on key_buckets(key) instead and
     applies `fn` per key-group INSIDE the bucket kernel via pandas groupby:
     the same whole-group-in-one-call contract, Ray overhead proportional to
     n_buckets only. fn takes and returns a pandas DataFrame. Rows whose
@@ -265,20 +318,6 @@ def _map_groups_exchange(sources, key_cols, fn, n_buckets, empty_like, whole_buc
     if n_buckets is None:
         n_buckets = default_buckets()
 
-    def add_bucket(prep):
-        def bucketed(batch: pa.Table) -> pa.Table:
-            if prep is not None:
-                batch = prep(batch)
-            # bucket in Arrow: a pandas round trip of the whole batch would
-            # turn int columns with nulls into float64 in some blocks
-            # only, and the exchange concatenates a bucket's blocks
-            buckets = key_buckets(batch.select(key_cols).to_pandas(), key_cols, n_buckets)
-            return batch.replace_schema_metadata(None).append_column(
-                "__bucket", pa.array(buckets)
-            )
-
-        return bucketed
-
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if whole_bucket_fn is not None:
             return whole_bucket_fn(df)
@@ -294,43 +333,16 @@ def _map_groups_exchange(sources, key_cols, fn, n_buckets, empty_like, whole_buc
             return outs[0]
         return pd.concat(non_empty, ignore_index=True)
 
-    return _pandas_bucket_exchange(
-        [(src, add_bucket(prep)) for src, prep in sources], n_buckets, per_bucket, empty_like
-    )
+    return _pandas_bucket_exchange(sources, key_cols, n_buckets, per_bucket, empty_like)
 
 
 def bucketed_cogroup(left_ds, right_ds, key_cols: list[str], fn):
     """Both sides through ONE bucketed exchange on key_cols: every row is
-    tagged with its side (`__side` = "l" / "r") and aligned to one schema,
-    the other side's columns as TYPED nulls (so datetime/int columns keep
-    their types), and fn(df) runs once per key group of both sides' rows.
-
-    Each side's schema comes from its first typed block
-    (_schema_and_bundles), and the rest of the side streams into the
-    exchange. Dataset.schema() would run a limit(1) probe that cancels the
-    map tasks it started, which has aborted the calling process under Ray
-    2.49."""
-    lschema, lbundles = _schema_and_bundles(left_ds)
-    rschema, rbundles = _schema_and_bundles(right_ds)
-    types: dict = {}
-    for side_types in (_pa_types(lschema), _pa_types(rschema)):
-        for n, t in side_types.items():
-            types.setdefault(n, t)
-    all_names = list(types)
-
-    def tag(side):
-        def tagged(t: pa.Table) -> pa.Table:
-            for name in all_names:
-                if name not in t.column_names:
-                    t = t.append_column(name, pa.nulls(t.num_rows, types[name]))
-            t = t.select(all_names)
-            return t.append_column("__side", pa.array([side] * t.num_rows))
-
-        return tagged
-
-    return _map_groups_exchange(
-        [(lbundles, tag("l")), (rbundles, tag("r"))], key_cols, fn, None, left_ds
-    )
+    tagged with its side (`__side` = "l" / "r") and aligned to one schema
+    (_aligned_sides), and fn(df) runs once per key group of both sides'
+    rows."""
+    sides, _, _ = _aligned_sides(left_ds, right_ds, key_cols)
+    return _map_groups_exchange(sides, key_cols, fn, None, left_ds)
 
 
 def bucketed_join(
@@ -345,73 +357,16 @@ def bucketed_join(
     co-partitioned alternative to broadcasting a side to the driver.
 
     Both sides stream into the exchange, where each block is tagged and
-    aligned to one Arrow schema (typed nulls for the other side's columns,
-    one widened type for a column the sides type differently) and hash
-    bucketed on the key columns; each bucket is pandas-merged (vectorized
-    C join inside each kernel; Ray overhead proportional to n_buckets).
-    Neither side is collected on the driver or materialized whole, so both
-    may be arbitrarily large. Key columns must be hashable scalars.
+    aligned to one Arrow schema (_aligned_sides) and bucketed on the key
+    columns; each bucket is pandas-merged (vectorized C join inside each
+    kernel; Ray overhead proportional to n_buckets). Neither side is
+    collected on the driver or materialized whole, so both may be
+    arbitrarily large. Key columns must be hashable scalars.
     """
     if n_buckets is None:
         n_buckets = default_buckets()
-
-    # both sides start streaming here: their first typed blocks' schemas
-    # align them, and the exchange consumes the rest of each stream
-    lschema, lbundles = _schema_and_bundles(left_ds)
-    rschema, rbundles = _schema_and_bundles(right_ds)
-    ltypes, rtypes = _pa_types(lschema), _pa_types(rschema)
-    # a side without a typed block has no rows: give it the other's keys
-    ltypes = ltypes or {k: rtypes.get(k, pa.null()) for k in on}
-    rtypes = rtypes or {k: ltypes[k] for k in on}
+    sides, ltypes, rtypes = _aligned_sides(left_ds, right_ds, on)
     lcols, rcols = list(ltypes), list(rtypes)
-    all_types = dict(ltypes)
-    widened = set()
-    for n, t in rtypes.items():
-        if n in all_types and all_types[n] != t:
-            # one column, two side types (int64 vs double): widen it so
-            # both sides' blocks share a schema; _restore narrows per side
-            try:
-                all_types[n] = pa.unify_schemas(
-                    [pa.schema([(n, all_types[n])]), pa.schema([(n, t)])],
-                    promote_options="permissive",
-                ).field(n).type
-                widened.add(n)
-            except (pa.ArrowInvalid, pa.ArrowTypeError):
-                pass
-        all_types.setdefault(n, t)
-
-    # hash each key under ONE unified dtype: a float64 block and an int64
-    # block carrying the same values must land in the same bucket
-    key_is_int = {
-        k: pa.types.is_integer(ltypes[k]) and pa.types.is_integer(rtypes[k])
-        for k in on
-    }
-
-    def tag(side):
-        # tag and bucket in Arrow (inside the exchange's split tasks): a
-        # pandas round trip here would turn int columns with nulls into
-        # float64 in some blocks only, and the exchange concatenates both
-        # sides' blocks per bucket
-        def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for name, typ in all_types.items():
-                col = t[name] if name in t.column_names else None
-                if col is None or pa.types.is_null(col.type):
-                    # the other side's column, or a pandas all-None one
-                    cols[name] = pa.nulls(t.num_rows, typ)
-                elif name in widened:
-                    cols[name] = col.cast(typ)
-                else:
-                    cols[name] = col
-            keys = pa.table({k: cols[k] for k in on}).to_pandas()
-            for k in on:
-                if key_is_int[k] and keys[k].dtype != np.int64 and keys[k].dtype != object:
-                    keys[k] = keys[k].astype(np.int64)
-            cols["__side"] = pa.array([side] * t.num_rows, pa.string())
-            cols["__bucket"] = pa.array(key_buckets(keys, on, n_buckets))
-            return pa.table(cols)
-
-        return fn
 
     def _restore(df: pd.DataFrame, types: dict) -> pd.DataFrame:
         # the per-bucket union of both sides turns int columns with
@@ -434,9 +389,61 @@ def bucketed_join(
         right = _restore(df[df["__side"] == "r"][rcols], rtypes)
         return left.merge(right, on=on, how=how, suffixes=("", suffix))
 
-    return _pandas_bucket_exchange(
-        [(lbundles, tag("l")), (rbundles, tag("r"))], n_buckets, merge_bucket, left_ds
-    )
+    return _pandas_bucket_exchange(sides, on, n_buckets, merge_bucket, left_ds)
+
+
+def _aligned_sides(left_ds, right_ds, key_cols: list[str]):
+    """The two sides of a two-sided exchange, aligned to one Arrow schema:
+    ([(left bundles, prep), (right bundles, prep)], left types, right
+    types). Each prep gives a block every column of both sides, the other
+    side's as TYPED nulls (so datetime/int columns keep their types), casts
+    a column the sides type differently (int64 vs double) to the one
+    widened type, and tags each row with its side (`__side` = "l" / "r"),
+    so both sides' rows of one key hash alike. A side with no typed block
+    has no rows and takes the other side's key types.
+
+    Both sides start streaming here. Each side's schema comes from its
+    first typed block (_schema_and_bundles), and the rest of the side
+    streams into the exchange: Dataset.schema() would run a limit(1) probe
+    that cancels the map tasks it started, which has aborted the calling
+    process under Ray 2.49."""
+    lschema, lbundles = _schema_and_bundles(left_ds)
+    rschema, rbundles = _schema_and_bundles(right_ds)
+    ltypes, rtypes = _pa_types(lschema), _pa_types(rschema)
+    ltypes = ltypes or {k: rtypes.get(k, pa.null()) for k in key_cols}
+    rtypes = rtypes or {k: ltypes[k] for k in key_cols}
+    all_types = dict(ltypes)
+    widened = set()
+    for n, t in rtypes.items():
+        if n in all_types and all_types[n] != t:
+            try:
+                all_types[n] = pa.unify_schemas(
+                    [pa.schema([(n, all_types[n])]), pa.schema([(n, t)])],
+                    promote_options="permissive",
+                ).field(n).type
+                widened.add(n)
+            except (pa.ArrowInvalid, pa.ArrowTypeError):
+                pass
+        all_types.setdefault(n, t)
+
+    def tag(side):
+        def aligned(t: pa.Table) -> pa.Table:
+            cols = {}
+            for name, typ in all_types.items():
+                col = t[name] if name in t.column_names else None
+                if col is None or pa.types.is_null(col.type):
+                    # the other side's column, or a pandas all-None one
+                    cols[name] = pa.nulls(t.num_rows, typ)
+                elif name in widened:
+                    cols[name] = col.cast(typ)
+                else:
+                    cols[name] = col
+            cols["__side"] = pa.array([side] * t.num_rows, pa.string())
+            return pa.table(cols)
+
+        return aligned
+
+    return [(lbundles, tag("l")), (rbundles, tag("r"))], ltypes, rtypes
 
 
 def _schema_and_bundles(ds):
@@ -659,6 +666,8 @@ def _wait_all(refs: list) -> None:
 
 # input bytes per split task: bounds a map task's memory at any input size
 _MAP_BYTES = 256 << 20
+# input blocks per split task: bounds its argument list when blocks are tiny
+_MAP_BLOCKS = 32
 
 
 @contextlib.contextmanager
@@ -706,15 +715,9 @@ def _await_data_actors() -> None:
     _wait_all(refs)
 
 
-def hash_exchange(
-    ds,
-    n_buckets: int,
-    reduce_fn,
-    max_blocks_per_map: int = 32,
-    partial_fn=None,
-    partial_every: int = 8,
-):
-    """STREAMING map/reduce hash exchange with raw Ray tasks.
+def hash_exchange(ds, n_buckets: int, reduce_fn):
+    """STREAMING map/reduce hash exchange with raw Ray tasks, over a
+    Dataset whose rows carry their `__bucket`.
 
     Ray Data's sort-based shuffle spends ~30s serializing a 5M-row exchange
     that this two-phase task graph does in a few seconds. The map side is
@@ -743,47 +746,20 @@ def hash_exchange(
     (failed ones too, so a reducer that writes files never outlives a
     failed call).
 
-    Map tasks are sized by BYTES (_MAP_BYTES per split group, capped
-    at max_blocks_per_map tiny blocks), keeping per-task memory bounded at
-    100-TB inputs while bounding the shuffle object count at
+    Map tasks are sized by BYTES (_MAP_BYTES per split group, at most
+    _MAP_BLOCKS tiny blocks), keeping per-task memory bounded at 100-TB
+    inputs while bounding the shuffle object count at
     ceil(total/_MAP_BYTES) x n_buckets. Driver refs to consumed input blocks
     are dropped as each group is submitted, so upstream blocks become
     reclaimable the moment their split task completes.
 
     This is the brief's 'raw Ray tasks as a last resort' case: the Dataset
     API cannot express a hash exchange without its sort machinery.
-
-    partial_fn: OPT-IN associative pre-reduce that overlaps the reduce
-    barrier with the map tail. When given, every `partial_every` map
-    groups each bucket's accumulated slices are folded by a
-    _fold_slices task SUBMITTED DURING the map loop (it runs as soon as
-    its split slices land — while later maps are still producing), and
-    the final reduce sees pre-shrunk partials instead of every raw
-    slice. Contract: partial_fn must be SCHEMA-PRESERVING (same columns,
-    same order, `__bucket` retained) and associative with reduce_fn —
-    reduce_fn(concat(partial_fn(A), partial_fn(B), C)) ==
-    reduce_fn(concat(A, B, C)) — which holds for dedup/min/max/sum-style
-    combiners (the flagship's first-per-key dedup). Reduce-side compute
-    and memory then scale with the DISTINCT keys per bucket rather than
-    the raw exchange rows, and split slices become reclaimable as soon as
-    their partial folds them instead of living until the final reduce.
     """
-    return _exchange(
-        [(ds, None)], n_buckets, reduce_fn, max_blocks_per_map, partial_fn,
-        partial_every, empty_like=ds,
-    )
+    return _exchange([(ds, None)], n_buckets, reduce_fn, empty_like=ds)
 
 
-def _exchange(
-    sources,
-    n_buckets: int,
-    reduce_fn,
-    max_blocks_per_map: int = 32,
-    partial_fn=None,
-    partial_every: int = 8,
-    empty_like=None,
-    drop_empty: bool = False,
-):
+def _exchange(sources, n_buckets: int, reduce_fn, empty_like=None, drop_empty: bool = False):
     """hash_exchange over `sources`, a list of (Dataset or iterator of its
     ref bundles, bucket_fn): bucket_fn (None: the blocks already carry
     `__bucket`) maps each typed input table to the table to split, inside
@@ -792,18 +768,14 @@ def _exchange(
     Dataset with one block per reduce task (a contiguous bucket group, see
     hash_exchange); with drop_empty a group keeps only its non-empty
     buckets' outputs, and only the non-empty blocks are returned (the
-    first one when all are empty). When no source yields a block, the
-    result is `empty_like`'s columns (minus `__bucket`) with no rows."""
+    first one when all are empty). Untyped input blocks (zero columns:
+    Ray Data's empty blocks after a map or filter that kept no row) are
+    skipped; when no source yields a typed block, the result is
+    `empty_like`'s columns (minus `__bucket`) with no rows (_no_rows)."""
     import ray.data as rd
 
-    def put(fn):
-        # one object per exchange instead of one function export per call
-        return None if fn is None else ray.put(fn)
-
-    reduce_ref, partial_ref = put(reduce_fn), put(partial_fn)
+    reduce_ref = ray.put(reduce_fn)
     per_block: list = []
-    partials: list = [[] for _ in range(n_buckets)]
-    pending: list = [[] for _ in range(n_buckets)]
     group: list = []
     group_bytes = 0
 
@@ -812,19 +784,7 @@ def _exchange(
         refs = _split_blocks.options(num_returns=n_buckets).remote(
             n_buckets, bucket_ref, *group
         )
-        refs = [refs] if n_buckets == 1 else list(refs)
-        if partial_fn is None:
-            per_block.append(refs)
-        else:
-            # eager associative pre-reduce: the partial task is submitted
-            # NOW and runs as soon as its slices land — overlapping the
-            # still-running map tail; its inputs' refs are dropped here so
-            # split output is reclaimable the moment the partial folds it
-            for b in range(n_buckets):
-                pending[b].append(refs[b])
-                if len(pending[b]) >= partial_every:
-                    partials[b].append(_fold_slices.remote(partial_ref, *pending[b]))
-                    pending[b].clear()
+        per_block.append([refs] if n_buckets == 1 else list(refs))
         # drop driver refs: the pending split task keeps the blocks alive;
         # once it completes they are reclaimable (the streaming property)
         group = []
@@ -833,14 +793,17 @@ def _exchange(
     input_bytes = 0
     with coarse_reads():
         for src, bucket_fn in sources:
-            bucket_ref = put(bucket_fn)
+            # one object per exchange instead of one function export per call
+            bucket_ref = None if bucket_fn is None else ray.put(bucket_fn)
             bundles = src.iter_internal_ref_bundles() if hasattr(src, "iter_internal_ref_bundles") else src
             for bundle in bundles:
+                if bundle.schema is not None and not len(bundle.schema.names):
+                    continue  # untyped: no rows, and no reducer could type them
                 for block_ref, meta in bundle.blocks:
                     group.append(block_ref)
                     group_bytes += meta.size_bytes or 0
                     input_bytes += meta.size_bytes or 0
-                    if group_bytes >= _MAP_BYTES or len(group) >= max_blocks_per_map:
+                    if group_bytes >= _MAP_BYTES or len(group) >= _MAP_BLOCKS:
                         flush(bucket_ref)
             if group:
                 # a group never mixes sources: each has its own bucket_fn
@@ -848,12 +811,8 @@ def _exchange(
     # the sources' executions have ended: their helper actors are requested
     _await_data_actors()
 
-    if not per_block and not any(partials) and not any(pending):
-        schema = empty_like.schema()
-        empty = pa.table({n: pa.nulls(0, t) for n, t in zip(schema.names, schema.types)})
-        if "__bucket" in empty.column_names:
-            empty = empty.drop_columns(["__bucket"])
-        return rd.from_arrow(empty)
+    if not per_block:
+        return rd.from_arrow(_no_rows(empty_like))
 
     # tree fan-in: a 100-TB input yields ~4e5 map tasks, and a single
     # remote call with 4e5 ObjectRef args is not a reasonable task spec —
@@ -863,17 +822,10 @@ def _exchange(
     FANIN = 256
 
     def gather(b: int):
-        if partial_fn is None:
-            slices = [slots[b] for slots in per_block]
-            fold_ref = None
-        else:
-            # intermediate tree levels keep folding with partial_fn, so
-            # every task's output stays distinct-keys-sized
-            slices = partials[b] + pending[b]
-            fold_ref = partial_ref
+        slices = [slots[b] for slots in per_block]
         while len(slices) > FANIN:
             slices = [
-                _fold_slices.remote(fold_ref, *slices[i: i + FANIN])
+                _concat_slices.remote(*slices[i: i + FANIN])
                 for i in range(0, len(slices), FANIN)
             ]
         return slices
@@ -898,6 +850,23 @@ def _exchange(
         tables = [t for t, n in zip(tables, ray.get(list(rows))) if n] or tables[:1]
     # refs stay in the object store; the Dataset consumes them lazily
     return rd.from_arrow_refs(tables)
+
+
+def _no_rows(ds) -> pa.Table:
+    """`ds`'s columns, minus `__bucket`, with no rows. A row filter that
+    kept no row leaves only untyped blocks, and Dataset.schema() is None:
+    the columns are then those of the filter's input, where its plan
+    knows them without running (a from_* or read input)."""
+    from ray.data._internal.logical.operators.map_operator import Filter
+
+    schema = ds.schema()
+    op = ds._logical_plan.dag
+    while schema is None and isinstance(op, Filter):
+        op = op.input_dependencies[0]
+        schema = op.infer_schema()
+    types = _pa_types(schema)
+    types.pop("__bucket", None)
+    return pa.table({n: pa.nulls(0, t) for n, t in types.items()})
 
 
 def _concat(tables: list) -> pa.Table:
@@ -954,13 +923,10 @@ def _split_blocks(n_buckets: int, bucket_fn, *blocks):
 
 
 @ray.remote
-def _fold_slices(fn, *slices):
-    """Concatenate a bucket's slices (a fan-in level), folding them with
-    the partial_fn `fn` when one is given."""
+def _concat_slices(*slices):
+    """One fan-in level: a bucket's slices as one table."""
     t = _bucket_table(slices)
-    if t is None:
-        return slices[0]
-    return _strip_meta(t if fn is None or not t.num_rows else fn(t))
+    return slices[0] if t is None else _strip_meta(t)
 
 
 @ray.remote(num_returns=2)

@@ -425,11 +425,11 @@ def exact_jaccard_pairs(docs_ds, threshold: float = 0.5, shingle_k: int = 3,
     the minhash path. The filter threshold is relaxed by 1e-6 because the
     final keep compares ROUND(j, 6) >= t.
     """
-    from ..common.raytools import bucketed_join, hash_bucket_aggregate, parquet_handoff
+    from ..common.raytools import hash_bucket_aggregate, parquet_handoff
 
     t_eff = max(threshold - 1e-6, 0.0)
-    # the index feeds four consumers (df counts, prefix join, candidate
-    # restriction, set sizes): hand it off through scratch parquet so the
+    # the index feeds three consumers (df counts, prefix join, candidate
+    # restriction): hand it off through scratch parquet so the
     # shingling pass runs once WITHOUT pinning the whole index in the
     # object store — at corpus scale the word-shingle index is ~5-10x the
     # corpus bytes, and a .materialize() here was the dedup family's
@@ -444,7 +444,17 @@ def exact_jaccard_pairs(docs_ds, threshold: float = 0.5, shingle_k: int = 3,
         "jaccard-cands",
     )
 
-    # exact verification on the candidate-restricted index only
+    return _verify_candidates(index, cands, threshold, n_buckets)
+
+
+def _verify_candidates(index_ds, pairs_ds, threshold: float, n_buckets=None):
+    """The exact verification of candidate pairs (doc_a, doc_b) against a
+    shingle index (g, doc_id): the distinct candidate doc ids, the index
+    semi-joined down to them (a bucketed join; it filters whole docs, so
+    set sizes stay exact), the pair intersections over that restricted
+    index, restricted to exactly the candidate pairs, and the scores."""
+    from ..common.raytools import bucketed_join, hash_bucket_aggregate, parquet_handoff
+
     def both_sides(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -458,17 +468,22 @@ def exact_jaccard_pairs(docs_ds, threshold: float = 0.5, shingle_k: int = 3,
         )
 
     cand_ids = hash_bucket_aggregate(
-        cands.map_batches(both_sides, batch_format="pandas"), ["doc_id"], [],
+        pairs_ds.map_batches(both_sides, batch_format="pandas"), ["doc_id"], [],
         n_buckets=n_buckets,
     )
-    # single consumer (_pair_intersections) — no pin, stream straight through
-    cand_index = bucketed_join(index, cand_ids, on=["doc_id"], n_buckets=n_buckets)
+    # the restricted index feeds two consumers (pair counts + set sizes):
+    # parquet handoff, not materialize, so it is not pinned in the store
+    index = parquet_handoff(
+        bucketed_join(index_ds, cand_ids, on=["doc_id"], n_buckets=n_buckets),
+        "verify-index",
+    )
     inter = bucketed_join(
-        _pair_intersections(cand_index, n_buckets), cands, on=["doc_a", "doc_b"],
+        _pair_intersections(index, n_buckets),
+        pairs_ds.select_columns(["doc_a", "doc_b"]),
+        on=["doc_a", "doc_b"],
         n_buckets=n_buckets,
     )
-    return _score_pairs(inter, _doc_shingle_sizes(index, n_buckets), threshold,
-                        n_buckets)
+    return _score_pairs(inter, _doc_shingle_sizes(index, n_buckets), threshold, n_buckets)
 
 
 def _verify_jaccard_broadcast(docs_ds, pairs_df, threshold, shingle_k):
@@ -543,7 +558,7 @@ def verify_jaccard(
     result is inner-joined back to the candidate pair set, with nothing
     corpus-sized on the driver either way.
     """
-    from ..common.raytools import bucketed_join, hash_bucket_aggregate, parquet_handoff
+    from ..common.raytools import parquet_handoff
 
     # pairs are consumed more than once and gate the plan choice — hand
     # them off through scratch parquet so the LSH pipeline runs once but
@@ -555,41 +570,7 @@ def verify_jaccard(
             docs_ds, pairs_ds.to_pandas(), threshold, shingle_k
         )
 
-    # 1. distinct candidate doc ids (tiny relative to the corpus)
-    def both_sides(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": np.concatenate(
-                    [
-                        batch["doc_a"].to_numpy(np.int64),
-                        batch["doc_b"].to_numpy(np.int64),
-                    ]
-                )
-            }
-        )
-
-    cand_ids = hash_bucket_aggregate(
-        pairs_ds.map_batches(both_sides, batch_format="pandas"), ["doc_id"], []
-    )
-
-    # 2. inverted index restricted to candidate docs (bucketed semi-join);
-    # restriction only filters whole docs, so set sizes stay exact. The
-    # restricted index feeds two consumers (pair counts + set sizes) —
-    # parquet handoff, not materialize, for the same no-pin reason as
-    # exact_jaccard_pairs.
-    index = parquet_handoff(
-        bucketed_join(_shingle_index(docs_ds, shingle_k), cand_ids, on=["doc_id"]),
-        "verify-index",
-    )
-
-    # 3./4. intersections among candidate docs, then restrict to exactly
-    # the candidate pair set (LSH candidates), then score
-    inter = bucketed_join(
-        _pair_intersections(index),
-        pairs_ds.select_columns(["doc_a", "doc_b"]),
-        on=["doc_a", "doc_b"],
-    )
-    return _score_pairs(inter, _doc_shingle_sizes(index), threshold)
+    return _verify_candidates(_shingle_index(docs_ds, shingle_k), pairs_ds, threshold)
 
 
 def minhash_dedup_pairs(docs_ds, threshold: float = 0.8, **lsh_kwargs):

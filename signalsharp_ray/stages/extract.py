@@ -100,7 +100,7 @@ def build_url_dict(pages_ds, n_buckets: int | None = None):
         return first_url(t).rename_columns(["url_hash", "url", "host", "series_bucket"])
 
     dicts = pages_ds.select_columns(["url"]).map_batches(batch_dict, batch_format="pyarrow")
-    return hash_exchange(dicts, n_buckets, reduce_dict, partial_fn=first_url)
+    return hash_exchange(dicts, n_buckets, reduce_dict)
 
 
 def _compact_bucket_batch(batch: pa.Table, n_buckets: int) -> pa.Table:
@@ -132,18 +132,6 @@ def _compact_bucket_batch(batch: pa.Table, n_buckets: int) -> pa.Table:
     uh = t["url_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
     bucket = (uh % np.uint64(n_buckets)).astype(np.int64)
     return t.append_column("__bucket", pa.array(bucket))
-
-
-def _fold_points(t: pa.Table) -> pa.Table:
-    """The exchange's schema-preserving combiner: min-of-min per
-    (url_hash, ts) equals one min over the concatenation, the url's min
-    skips nulls (so each url survives on one row of its key), and
-    `__bucket` (constant within a bucket's slices) rides through."""
-    g = t.group_by(["url_hash", "ts", "__bucket"], use_threads=False).aggregate(
-        [("value", "min"), ("text_hash", "min"), ("url", "min")]
-    )
-    g = g.rename_columns(["url_hash", "ts", "__bucket", "value", "text_hash", "url"])
-    return g.select(t.column_names)
 
 
 def dedup_bucket(t: pa.Table) -> pa.Table:
@@ -183,15 +171,14 @@ def exchange_points(pages_ds, n_buckets: int, reduce_fn):
     """Extract + exact dedup as ONE manual hash exchange (no Ray sort):
     each page row becomes a compact row in bucket url_hash % n_buckets,
     and `reduce_fn` gets each bucket's rows (url_hash, ts, value,
-    text_hash, url, __bucket; see _compact_bucket_batch), in part already
-    folded by _fold_points. Returns the exchange's Dataset of reduce
-    outputs."""
+    text_hash, url, __bucket; see _compact_bucket_batch). Returns the
+    exchange's Dataset of reduce outputs."""
     from ..common.raytools import hash_exchange
 
     bucketed = pages_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
         partial(_compact_bucket_batch, n_buckets=n_buckets), batch_format="pyarrow"
     )
-    return hash_exchange(bucketed, n_buckets, reduce_fn, partial_fn=_fold_points)
+    return hash_exchange(bucketed, n_buckets, reduce_fn)
 
 
 def _points_with_bucket(t: pa.Table) -> pa.Table:

@@ -86,10 +86,9 @@ class IncrementalTierStore:
         _LEDGER = b"signalsharp_applied_chunks"
         _LEDGER_MAX = 1024
 
-        def partial(batch) -> pd.DataFrame:
-            t = partial_rollup_batch(batch, tier_us, key_cols).to_pandas()
-            t["__bucket"] = key_buckets(t, key_cols, self.n_buckets)
-            return t
+        def partial(batch: pa.Table) -> pa.Table:
+            t = partial_rollup_batch(batch, tier_us, key_cols)
+            return t.append_column("__bucket", pa.array(key_buckets(t, key_cols, self.n_buckets)))
 
         def manifest(b: list, rows: list, skipped: list) -> pa.Table:
             return pa.table(

@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..common.fsio import with_pandas_metadata
-from ..common.raytools import _exchange, default_buckets, with_key_bucket
+from ..common.raytools import _bucket_by, _exchange, default_buckets
 
 TIERS_US = {
     "1m": 60_000_000,
@@ -119,13 +119,13 @@ def _tier_exchange(ds, tier_us: int, keys: list, as_tier=None):
     (_partial_tier) and buckets them by the series key only, so a whole
     series lands in one bucket; each reduce task merges its bucket's
     partials and appends mean = sum/count (not mergeable, so computed
-    after the final merge). An empty input keeps the tier's columns."""
+    after the final merge). Typed empty input blocks keep the tier's
+    columns; an input with no typed block keeps its own (raytools._no_rows)."""
     gk = keys + ["bucket_ts"]
     n_buckets = default_buckets()
 
-    def split(batch: pa.Table) -> pa.Table:
-        rows = batch if as_tier is None else as_tier(batch)
-        return with_key_bucket(_partial_tier(rows, tier_us, keys), keys, n_buckets)
+    def partial(batch: pa.Table) -> pa.Table:
+        return _partial_tier(batch if as_tier is None else as_tier(batch), tier_us, keys)
 
     def final(t: pa.Table) -> pa.Table:
         merged = _merge_tier(t, gk)
@@ -133,7 +133,10 @@ def _tier_exchange(ds, tier_us: int, keys: list, as_tier=None):
             "mean", pc.divide(merged["sum"], pc.cast(merged["count"], pa.float64()))
         )
 
-    return _exchange([(ds, split)], n_buckets, final, empty_like=ds, drop_empty=True)
+    return _exchange(
+        [(ds, _bucket_by(keys, n_buckets, partial))], n_buckets, final, empty_like=ds,
+        drop_empty=True,
+    )
 
 
 def rollup_tier(

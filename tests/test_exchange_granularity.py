@@ -96,8 +96,12 @@ def test_grouped_reduce_matches_one_reduce_per_bucket(case):
         return t.append_column("bucket_rows", pa.array([t.num_rows] * t.num_rows, pa.int64()))
 
     ds = rd.from_arrow(blocks)
-    got = ray.get(raytools._exchange([(ds, None)], n_buckets, reduce_fn, max_blocks_per_map=1,
-                                     empty_like=ds, drop_empty=drop_empty).to_arrow_refs())
+    # one input block per split task
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raytools, "_MAP_BLOCKS", 1)
+        out = raytools._exchange([(ds, None)], n_buckets, reduce_fn, empty_like=ds,
+                                 drop_empty=drop_empty)
+    got = ray.get(out.to_arrow_refs())
     want = _rows(_per_bucket_reference(blocks, n_buckets, reduce_fn, drop_empty))
     # rows in bucket order, each bucket's rows in input order, same dtypes;
     # with drop_empty and no rows at all, the first GROUP's typed empty
@@ -108,9 +112,12 @@ def test_grouped_reduce_matches_one_reduce_per_bucket(case):
         assert _rows(got).equals(want)
     if drop_empty:
         assert all(t.num_rows for t in got) or len(got) == 1
-    else:
+    elif any(t.num_columns for t in blocks):
         # one block per group: as many groups as CPUs, at most one per bucket
         assert len(got) == min(n_buckets, _cpus())
+    else:
+        # no typed block: no reduce runs, and one block holds no rows
+        assert len(got) == 1
 
 
 # -- the flagship's exchange -------------------------------------------------------

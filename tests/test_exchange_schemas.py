@@ -216,3 +216,27 @@ def test_grouped_helpers_over_blocks_emptied_upstream(keep_from, rows):
         for build in (_aggregate, _map_groups, _join)
     )
     assert got == rows
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_rollup_of_an_input_filtered_to_nothing_is_that_of_an_input_with_no_blocks():
+    """A row filter that keeps no row leaves only untyped blocks; the
+    exchange then returns what it returns for an input with no blocks: the
+    input's columns, no rows."""
+    import ray
+    import ray.data as rd
+
+    from signalsharp_ray.stages.rollup import rollup_tier
+
+    points = pa.table(
+        {
+            "host": ["a", "b"],
+            "url": ["u", "v"],
+            "ts": pa.array([1, 2], pa.timestamp("us")),
+            "value": [1.0, 2.0],
+        }
+    )
+    want = ray.get(rollup_tier(rd.from_arrow(points).limit(0), "1h").to_arrow_refs())
+    got = ray.get(rollup_tier(rd.from_arrow(points).filter(lambda r: False), "1h").to_arrow_refs())
+    assert [t.schema for t in got] == [t.schema for t in want] == [points.schema]
+    assert sum(t.num_rows for t in got) == 0

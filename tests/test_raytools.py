@@ -50,3 +50,44 @@ def test_parquet_handoff_counts_only_alive_nodes(monkeypatch):
     monkeypatch.setattr(ray, "nodes", lambda: [{"Alive": True}, {"Alive": False}])
     with pytest.raises(_Written):
         raytools.parquet_handoff(_FakeDataset(), "t")
+
+
+def test_parquet_handoff_removes_its_directories_when_the_process_exits(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import textwrap
+
+    repo = str(pathlib.Path(__file__).resolve().parents[1])
+    script = textwrap.dedent(
+        f"""
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray.data
+
+        from signalsharp_ray.common import raytools
+
+
+        class Dataset:
+            def write_parquet(self, path):
+                os.makedirs(path)
+                pq.write_table(pa.table({{"x": [1]}}), os.path.join(path, "part-0.parquet"))
+
+
+        ray.data.read_parquet = lambda path: path  # the read needs no Ray session here
+        for tag in ("a", "b"):
+            out = raytools.parquet_handoff(Dataset(), tag, root={str(tmp_path)!r})
+            assert os.path.isfile(os.path.join(out, "part-0.parquet"))
+            print(out)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=repo)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    outs = res.stdout.split()
+    assert len(outs) == 2 and all(o.startswith(str(tmp_path)) for o in outs)
+    assert not any(os.path.exists(o) for o in outs)

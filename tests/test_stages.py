@@ -314,43 +314,6 @@ class TestEngineExactness:
         b = df.sort_values(["k", "v"]).reset_index(drop=True)
         np.testing.assert_allclose(a["v"], b["v"])
 
-    def test_hash_exchange_partial_fn_equivalence(self):
-        """Overlapped associative pre-reduce (partial_fn) must produce the
-        identical reduced output to the plain barrier path — min-combiner
-        per key, partial_every=1 to force a partial per map group."""
-        import pyarrow as pa
-        import ray.data as rd
-
-        from signalsharp_ray.common.raytools import hash_exchange
-
-        df = self._random_kv(4, n=5_000, n_keys=120)
-        df["__bucket"] = (df["k"].to_numpy() % 3).astype(np.int64)
-
-        def combiner(t: pa.Table) -> pa.Table:
-            g = t.group_by(["k", "__bucket"], use_threads=False).aggregate(
-                [("v", "min")]
-            )
-            g = g.rename_columns(["k", "__bucket", "v"])
-            return g.select(["k", "v", "__bucket"])
-
-        def run(**kw):
-            ds = rd.from_pandas(df[["k", "v", "__bucket"]]).repartition(11)
-            return (
-                hash_exchange(ds, 3, combiner, max_blocks_per_map=2, **kw)
-                .to_pandas()
-                .sort_values(["k"])
-                .reset_index(drop=True)
-            )
-
-        plain = run()
-        overlapped = run(partial_fn=combiner, partial_every=1)
-        pd.testing.assert_frame_equal(plain, overlapped)
-        want = (
-            df.groupby("k", as_index=False)["v"].min().sort_values("k")
-            .reset_index(drop=True)
-        )
-        np.testing.assert_allclose(overlapped["v"], want["v"])
-
     def test_bucketed_join_matches_pandas_merge(self):
         import ray.data as rd
 
