@@ -145,7 +145,8 @@ def hash_bucket_aggregate(
         n_buckets = default_buckets()
     agg_specs = [(c, op) for c, op in aggs]
     if count_alias is not None:
-        agg_specs = agg_specs + [(keys[0], "count")]
+        # every row, a null key's too: SQL's COUNT(*)
+        agg_specs = agg_specs + [([], "count_all")]
 
     def agg_bucket(t: pa.Table) -> pa.Table:
         # an empty bucket aggregates to an empty table of the same schema
@@ -155,7 +156,7 @@ def hash_bucket_aggregate(
         for c, op in aggs:
             cols[f"{c}_{op}"] = g[f"{c}_{op}"]
         if count_alias is not None:
-            cols[count_alias] = g[f"{keys[0]}_count"]
+            cols[count_alias] = g["count_all"]
         return pa.table(cols)
 
     return _exchange(
@@ -572,7 +573,8 @@ def run_bucket_groups(fn, bucket_rows: dict[int, int], out_dirs: dict[str, str],
 
     `fn(buckets)` gets the task's buckets and yields one dict per phase:
     {stage: {bucket: DataFrame or Table}}, plus float entries that are
-    step seconds, summed over tasks with the write seconds (`write_s`). A
+    step seconds, summed over tasks with `write_s`: a task's wall time
+    from its first write of the phase to the end of its last one. A
     task writes a phase's outputs, then reports, then asks `fn` for the
     next phase, so later phases can reuse what `fn` computed.
     `on_phase(i, steps)` is called once every task has finished phase i,
@@ -633,11 +635,6 @@ def _run_group(fn, buckets, out_dirs):
 
     from . import fsio
 
-    def write(data, out_dir, b) -> float:
-        t0 = time.perf_counter()
-        fsio.write_bucket(data, out_dir, b)
-        return time.perf_counter() - t0
-
     # writer threads: a phase's files are created mostly in kernel time,
     # outside the interpreter lock, and in separate directories. Every
     # write of a phase ends before the phase reports, and leaving the
@@ -646,13 +643,17 @@ def _run_group(fn, buckets, out_dirs):
         for out in fn(buckets):
             steps: dict[str, float] = {}
             writes = []
+            t0 = time.perf_counter()
             for stage, data in out.items():
                 if isinstance(data, float):
                     steps[stage] = data
                 elif stage in out_dirs:
-                    writes += [writer.submit(write, t, out_dirs[stage], b) for b, t in data.items()]
+                    writes += [writer.submit(fsio.write_bucket, t, out_dirs[stage], b)
+                               for b, t in data.items()]
             for w in writes:
-                steps["write_s"] = steps.get("write_s", 0.0) + w.result()
+                w.result()
+            if writes:
+                steps["write_s"] = time.perf_counter() - t0
             yield steps
 
 

@@ -38,8 +38,9 @@ Four forms of the DP, one per case, with the same CP array:
   of admissible starts, candidate by candidate.
 
 Parallelism note: the DP is inherently sequential per series; the distributed
-engine gets parallelism from millions of (host,url) groups, each series
-fitting one bucketed_map_groups kernel call.
+engine gets parallelism from millions of series, spread over buckets that
+run at once, each bucket's series in one call (pelt_l2_segments runs the
+short L2 ones as one padded DP).
 """
 
 from __future__ import annotations

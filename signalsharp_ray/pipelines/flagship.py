@@ -90,10 +90,6 @@ class FlagshipConfig:
     forecast: ForecastConfig = field(
         default_factory=lambda: ForecastConfig(method="linear", horizon=3)
     )
-    analyze: bool = True
-    smooth: bool = True
-    do_forecast: bool = True
-    encode: bool = True
 
 
 def _ingest_bucket(t, points_dir, tier_dir, tier_us):
@@ -248,10 +244,9 @@ def run_flagship(pages_ds_factory, fingerprint: str, config: FlagshipConfig | No
     # job 2: the coarser tiers commit first, then everything derived
     tiers = {f"tier_{t}": [f"tier_{finer}"] for finer, t in zip(cfg.tiers, cfg.tiers[1:])}
     at = cfg.analysis_tier
-    derived = {f"blocks_{t}": [f"tier_{t}"] for t in cfg.tiers if cfg.encode}
-    derived.update({stage: [f"tier_{at}"] for stage, on in (
-        (f"changepoints_{at}", cfg.analyze), (f"smoothed_{at}", cfg.smooth),
-        (f"forecast_{at}", cfg.do_forecast)) if on and at in cfg.tiers})
+    derived = {f"blocks_{t}": [f"tier_{t}"] for t in cfg.tiers}
+    if at in cfg.tiers:
+        derived.update({f"{a}_{at}": [f"tier_{at}"] for a in ("changepoints", "smoothed", "forecast")})
 
     def post_1m(out_dirs, commit):
         fn = partial(_post_1m_buckets, cfg=cfg, src_dir=outputs[f"tier_{first}"],

@@ -1,21 +1,18 @@
 """Analysis stage: the reference's algorithms as distributed per-series
 operators over rolled-up tier points.
 
-Two forms over the same kernels from signalsharp_ray.kernels:
-- the flagship's: *_sorted run every series of a SortedTier (rows sorted
-  by key, bucket_ts; a chunk of buckets in the post-1m bucket-group
-  tasks), and *_tier build the output tables from them. PELT with the
-  univariate L2 cost and jump 1 runs every series of at most
-  pelt._SMALL_N_FAST_PATH points as one padded DP (pelt_l2_segments),
-  and EMA smoothing runs as one padded recurrence (ema_segments); both
-  give each series exactly what its per-series kernel gives. Every other
-  method, cost and op, and the forecast, run the per-series kernel on
-  each series in turn: linear_forecast sums with numpy's pairwise sum and
-  a BLAS dot, which a padded form could not reproduce bit for bit.
-- the per-group form: changepoints_kernel, smooth_kernel and
-  forecast_kernel take one (host, url) group's frame and sort it by
-  bucket_ts (the exchange keeps no intra-group order); detect_changepoints
-  runs changepoints_kernel per group over raytools.bucketed_map_groups.
+One form over the kernels from signalsharp_ray.kernels: *_sorted run
+every series of a SortedTier (rows sorted by key, bucket_ts; a chunk of
+buckets in the flagship's post-1m bucket-group tasks), and *_tier build
+the output tables from them. PELT with the univariate L2 cost and jump 1
+runs every series of at most pelt._SMALL_N_FAST_PATH points as one padded
+DP (pelt_l2_segments), and EMA smoothing runs as one padded recurrence
+(ema_segments); both give each series exactly what its per-series kernel
+gives. Every other method, cost and op, and the forecast, run the
+per-series kernel on each series in turn: linear_forecast sums with
+numpy's pairwise sum and a BLAS dot, which a padded form could not
+reproduce bit for bit. The *_partition_pandas functions are the pandas
+views of the *_tier builders over a frame (SortedTier.from_frame).
 Per-series state never crosses series.
 
 Quadratic-memory kernels (RBF, L1 medians) are guarded by max_series_len:
@@ -47,16 +44,11 @@ from ..kernels.smoothing import (
 )
 from ..kernels.stats import zscore
 from .extract import dict_lookup
-from .rollup import series_offsets, us_to_ns
+from .rollup import SortedTier, us_to_ns
 
 QUADRATIC_COSTS = {"rbf", "l1"}
 DEFAULT_MAX_SERIES_LEN = 20_000
 QUADRATIC_MAX_SERIES_LEN = 4_000
-
-
-def _sorted_series(df: pd.DataFrame, value_col: str) -> tuple[pd.DataFrame, np.ndarray]:
-    df = df.sort_values("bucket_ts")
-    return df, df[value_col].to_numpy(dtype=np.float64)
 
 
 @dataclass
@@ -101,52 +93,6 @@ def _detect_values(values: np.ndarray, config: ChangepointConfig):
     raise ValueError(f"Unknown changepoint method {config.method!r}")
 
 
-def changepoints_kernel(
-    df: pd.DataFrame,
-    config: ChangepointConfig,
-    value_col: str = "mean",
-    key_cols: tuple = ("host", "url"),
-) -> pd.DataFrame:
-    df, values = _sorted_series(df, value_col)
-    key_vals = {k: df[k].iloc[0] for k in key_cols}
-    n = values.size
-    if n > config.effective_cap():
-        raise ValueError(
-            f"Series {key_vals} has {n} points > cap {config.effective_cap()}; "
-            "analyze a coarser tier."
-        )
-    bkps, penalty = _detect_values(values, config)
-
-    ts = df["bucket_ts"].to_numpy()
-    k = len(bkps)
-    out = {kk: np.repeat(v, k) for kk, v in key_vals.items()}
-    out.update(
-        {
-            "method": np.repeat(config.method, k),
-            "penalty": np.repeat(penalty, k),
-            "breakpoint_index": np.asarray(bkps, dtype=np.int32),
-            "breakpoint_ts": ts[np.asarray(bkps, dtype=np.int64)] if k else ts[:0],
-        }
-    )
-    return pd.DataFrame(out)
-
-
-def detect_changepoints(
-    tier_ds,
-    config: ChangepointConfig | None = None,
-    value_col: str = "mean",
-    key_cols: tuple = ("host", "url"),
-):
-    from ..common.raytools import bucketed_map_groups
-
-    cfg = config or ChangepointConfig()
-    return bucketed_map_groups(
-        tier_ds,
-        list(key_cols),
-        lambda df: changepoints_kernel(df, cfg, value_col, key_cols),
-    )
-
-
 @dataclass
 class SmoothingConfig:
     op: str = "sma"  # sma | ema | wma | savgol | kalman
@@ -181,16 +127,6 @@ def _smooth_values(values: np.ndarray, config: SmoothingConfig) -> np.ndarray:
     raise ValueError(f"Unknown smoothing op {op!r}")
 
 
-def smooth_kernel(
-    df: pd.DataFrame, config: SmoothingConfig, value_col: str = "mean"
-) -> pd.DataFrame:
-    df, values = _sorted_series(df, value_col)
-    out = df.copy()
-    out["smoothed"] = _smooth_values(values, config)  # same length (padding != none)
-    out["op"] = config.op
-    return out
-
-
 @dataclass
 class ForecastConfig:
     method: str = "linear"  # linear | ses | holt
@@ -199,57 +135,6 @@ class ForecastConfig:
     alpha: float = 0.3
     initial_level: float | None = None
     holt: HoltOptions = field(default_factory=HoltOptions)
-
-
-def forecast_kernel(
-    df: pd.DataFrame,
-    config: ForecastConfig,
-    tier_us: int,
-    value_col: str = "mean",
-    key_cols: tuple = ("host", "url"),
-) -> pd.DataFrame:
-    df, values = _sorted_series(df, value_col)
-    key_vals = {k: df[k].iloc[0] for k in key_cols}
-    try:
-        if config.method == "linear":
-            fc = linear_forecast(values, config.horizon, config.window_size)
-        elif config.method == "ses":
-            fc = ses_forecast(values, config.horizon, config.alpha, config.initial_level)
-        elif config.method == "holt":
-            fc = holt_forecast(values, config.horizon, config.holt)
-        else:
-            raise ValueError(f"Unknown forecast method {config.method!r}")
-    except ValueError:
-        # series too short / invalid for the model -> no forecast rows
-        return pd.DataFrame(
-            columns=list(key_cols) + ["method", "h", "forecast_ts", "forecast"]
-        )
-    last_ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").iloc[-1]
-    hs = np.arange(1, config.horizon + 1)
-    out = {k: np.repeat(v, config.horizon) for k, v in key_vals.items()}
-    out.update(
-        {
-            "method": np.repeat(config.method, config.horizon),
-            "h": hs.astype(np.int32),
-            "forecast_ts": pd.to_datetime(last_ts + hs * tier_us, unit="us"),
-            "forecast": fc,
-        }
-    )
-    return pd.DataFrame(out)
-
-
-# -- fused whole-partition kernels ----------------------------------------
-# Each runs over a partition sorted once by (key, bucket_ts): series i is
-# rows offsets[i]:offsets[i+1] of plain numpy arrays, and per-series work is
-# the numpy kernel only, with no per-series frame or sort. The
-# *_partition_pandas functions are thin pandas adapters over them; the
-# *_tier functions build the flagship's Arrow tables from a SortedTier.
-
-
-def _partition_slices(df: pd.DataFrame, key_col: str):
-    df = df.sort_values([key_col, "bucket_ts"])
-    keys = df[key_col].to_numpy()
-    return df, keys, series_offsets(keys)
 
 
 def _l2_pelt(config: ChangepointConfig) -> bool:
@@ -335,40 +220,17 @@ def changepoints_partition_pandas(
     value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, keys, offsets = _partition_slices(df, key_col)
-    ts_all = df["bucket_ts"].to_numpy()
-    rows, pen, bk = changepoints_sorted(
-        keys, df[value_col].to_numpy(dtype=np.float64), offsets, config, key_col)
-    if not rows.size:
-        return pd.DataFrame(
-            {
-                key_col: keys[:0],
-                "method": pd.Series(dtype="object"),
-                "penalty": pd.Series(dtype="float64"),
-                "breakpoint_index": pd.Series(dtype="int32"),
-                "breakpoint_ts": ts_all[:0],
-            }
-        )
-    return pd.DataFrame(
-        {
-            key_col: keys[rows],
-            "method": config.method,
-            "penalty": pen,
-            "breakpoint_index": bk,
-            "breakpoint_ts": ts_all[rows],
-        }
-    )
+    """changepoints_tier over a tier frame, as a frame."""
+    return changepoints_tier(SortedTier.from_frame(df, key_col), config, value_col,
+                             key_col).to_pandas()
 
 
 def smooth_partition_pandas(
     df: pd.DataFrame, config: SmoothingConfig, value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, _, offsets = _partition_slices(df, key_col)
-    out = df.copy()
-    out["smoothed"] = smooth_sorted(df[value_col].to_numpy(dtype=np.float64), offsets, config)
-    out["op"] = config.op
-    return out
+    """smooth_tier over a tier frame, as a frame."""
+    return smooth_tier(SortedTier.from_frame(df, key_col), config, value_col, key_col).to_pandas()
 
 
 def forecast_partition_pandas(
@@ -378,30 +240,9 @@ def forecast_partition_pandas(
     value_col: str = "mean",
     key_col: str = "url_hash",
 ) -> pd.DataFrame:
-    df, keys, offsets = _partition_slices(df, key_col)
-    key, h, fts, fc = forecast_sorted(
-        keys, df[value_col].to_numpy(dtype=np.float64),
-        df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy(),
-        offsets, config, tier_us)
-    if not key.size:
-        return pd.DataFrame(
-            {
-                key_col: keys[:0],
-                "method": pd.Series(dtype="object"),
-                "h": pd.Series(dtype="int32"),
-                "forecast_ts": pd.Series(dtype="datetime64[us]"),
-                "forecast": pd.Series(dtype="float64"),
-            }
-        )
-    return pd.DataFrame(
-        {
-            key_col: key,
-            "method": config.method,
-            "h": h,
-            "forecast_ts": pd.to_datetime(fts, unit="us"),
-            "forecast": fc,
-        }
-    )
+    """forecast_tier over a tier frame, as a frame."""
+    return forecast_tier(SortedTier.from_frame(df, key_col), config, tier_us, value_col,
+                         key_col).to_pandas()
 
 
 def _const(value: str, n: int) -> pa.Array:

@@ -1,8 +1,8 @@
 """Encode stage: per-series Gorilla + delta-of-delta compressed blocks.
 
-encode_sorted gap-fills and encodes every series of a sorted partition in
-one pass (one grid, one DoD and one Gorilla pass for all series), emitting
-one block row per series:
+encode_sorted gap-fills and encodes every series of a SortedTier in one
+pass (one grid, one DoD and one Gorilla pass for all series), and
+encode_tier makes the blocks table of it, one block row per series:
 
     <key>, tier, n_points:int32, first_ts:timestamp[ns],
     first_value:float64, ts_dod:binary, values_gorilla:binary
@@ -12,7 +12,8 @@ decode over all rows of a blocks table, then one pandas frame built from
 numpy arrays (each key column converted on its own, bucket_ts cast from
 int64 microseconds to datetime64[ns]); the table itself never goes through
 Table.to_pandas. Round-trip is exact (bit-identical float64, exact int64
-timestamps) — see tests/test_stages.py.
+timestamps) — see tests/test_stages.py. encode_partition_pandas is the
+pandas view of encode_tier over a frame.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..codecs.dod import decode_timestamps_dod_segments, encode_timestamps_dod_s
 from ..codecs.gorilla import decode_values_gorilla_segments, encode_values_gorilla_segments
 from ..common.fsio import with_pandas_metadata
 from .gapfill import gapfill_segments
-from .rollup import series_offsets, us_to_ns
+from .rollup import SortedTier, us_to_ns
 
 
 def encode_sorted(
@@ -42,7 +43,7 @@ def encode_sorted(
     One gap-fill grid for all series, then one DoD and one Gorilla pass
     over all of them; no per-series Python. Returns one block per series:
     key, n_points, first_ts (us), first_value and the two binary arrays."""
-    grid, value, goff = gapfill_segments(ts, values, offsets, tier_us, method, max_gap_buckets)
+    grid, value, goff, _ = gapfill_segments(ts, values, offsets, tier_us, method, max_gap_buckets)
     start = goff[:-1]
     return {
         "key": key[offsets[:-1]],
@@ -83,39 +84,9 @@ def encode_partition_pandas(
     value_col: str = "mean",
 ) -> pd.DataFrame:
     """Fused gap-fill + encode over a WHOLE partition frame, one block row
-    per series: the pandas adapter of encode_sorted."""
-    if len(df) == 0:
-        return pd.DataFrame(
-            {
-                key_col: pd.Series(dtype="int64"),
-                "tier": pd.Series(dtype="object"),
-                "n_points": pd.Series(dtype="int32"),
-                "first_ts": pd.Series(dtype="datetime64[us]"),
-                "first_value": pd.Series(dtype="float64"),
-                "ts_dod": pd.Series(dtype="object"),
-                "values_gorilla": pd.Series(dtype="object"),
-            }
-        )
-    df = df.sort_values([key_col, "bucket_ts"])
-    keys = df[key_col].to_numpy()
-    b = encode_sorted(
-        keys,
-        df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy(),
-        df[value_col].to_numpy(dtype=np.float64),
-        series_offsets(keys),
-        tier_us, method, max_gap_buckets,
-    )
-    return pd.DataFrame(
-        {
-            key_col: b["key"],
-            "tier": tier,
-            "n_points": b["n_points"],
-            "first_ts": pd.to_datetime(b["first_ts"], unit="us"),
-            "first_value": b["first_value"],
-            "ts_dod": b["ts_dod"].to_numpy(zero_copy_only=False),
-            "values_gorilla": b["values_gorilla"].to_numpy(zero_copy_only=False),
-        }
-    )
+    per series: encode_tier over the frame's SortedTier, as a frame."""
+    return encode_tier(SortedTier.from_frame(df, key_col), tier, tier_us, method,
+                       max_gap_buckets, key_col, value_col).to_pandas()
 
 
 _BLOCK_COLS = ("tier", "n_points", "first_ts", "first_value", "ts_dod", "values_gorilla")
@@ -181,14 +152,3 @@ def _pandas_index_columns(schema: pa.Schema) -> set:
     if meta is None or b'"index_columns": []' in meta:
         return set()
     return {c for c in schema.pandas_metadata.get("index_columns", []) if isinstance(c, str)}
-
-
-def read_blocks(blocks_dir: str):
-    """Read a compressed-blocks parquet dataset back into a Dataset of
-    decoded (key..., tier, bucket_ts, value) point rows — the inverse sink
-    of the encode stage, decoded lazily per batch (streaming, not driver-
-    side)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(blocks_dir)
-    return ds.map_batches(decode_blocks, batch_format="pyarrow")

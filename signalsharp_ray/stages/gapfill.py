@@ -1,5 +1,5 @@
-"""Gap-fill stage: make each (host, url) series dense on the tier's bucket
-grid, synthesizing missing buckets by LOCF (forward-fill) or linear
+"""Gap-fill stage: make each series dense on the tier's bucket grid,
+synthesizing missing buckets by LOCF (forward-fill) or linear
 interpolation.
 
 No reference counterpart (the reference has index==time, so gaps cannot
@@ -10,21 +10,24 @@ exist); required by BASELINE.json north_rule. Semantics:
   separate numpy ops — bitwise np.interp-equivalent without FMA-contraction
   build dependence); every NaN it gives is the one canonical NaN
 - synthesized buckets get gap_filled=True, count=0, sum/min/max=NaN
-- ordering: the group is sorted by bucket_ts inside the kernel (groupby does
-  not guarantee intra-group order)
 
-Two forms: gapfill_segments fills every series of a sorted bucket at once
-(the flagship's post-1m encode); gapfill_tier runs gapfill_series per
-(host, url) group over raytools.bucketed_map_groups, each series fully
-materialized in one kernel call (as the analysis stage's Dataset form).
+One form: gapfill_segments fills every series of a sorted table at once,
+for the flagship's post-1m encode (encode_sorted) and for gapfill_table,
+the reducer gapfill_tier runs on each bucket of one hash exchange.
+gapfill_arrays fills one series: the reference the tests check them
+against.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
+from functools import partial
 
-from .rollup import TIERS_US
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..common.raytools import _bucket_by, _exchange, default_buckets
+from .rollup import TIERS_US, us_to_ns
 
 GAPFILL_METHODS = ("locf", "linear")
 
@@ -36,9 +39,9 @@ def gapfill_arrays(
     method: str = "locf",
     max_gap_buckets: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Numpy-only core: (sorted ts int64, observed means) ->
-    (grid, value, observed_mask, pos). Shared by the per-series DataFrame
-    path and the fused whole-partition encode kernel."""
+    """One series: (sorted ts int64, observed means) -> (grid, value,
+    observed_mask, pos), pos being each grid slot's searchsorted row. The
+    reference gapfill_segments is checked against."""
     if max_gap_buckets is not None:
         # enumerate only fillable gap slots + observed slots (never the
         # full dense range): bounded output regardless of series sparsity
@@ -87,12 +90,15 @@ def gapfill_segments(
     tier_us: int,
     method: str = "locf",
     max_gap_buckets: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """gapfill_arrays for many series in one pass: series i is
     ts[offsets[i]:offsets[i+1]] (sorted, non-empty). Returns (grid, value,
-    grid_offsets), series i's filled grid being grid[grid_offsets[i]:
+    grid_offsets, rows), series i's filled grid being grid[grid_offsets[i]:
     grid_offsets[i+1]], element for element what gapfill_arrays returns
-    for that series alone (same integer grid, same float operations)."""
+    for that series alone (same integer grid, same float operations), and
+    rows[j] the grid index of input row j: the slot it is observed at
+    when grid[rows[j]] == ts[j] (a timestamp off its series' grid has
+    none)."""
     offsets = np.asarray(offsets, dtype=np.int64)
     n = np.diff(offsets)
     first, last = offsets[:-1], offsets[1:] - 1
@@ -108,7 +114,8 @@ def gapfill_segments(
         start = np.cumsum(glen) - glen
         local = np.arange(glen.sum()) - np.repeat(start, glen)
         grid = np.repeat(ts[first], glen) + local * tier_us
-        last_idx = np.cumsum(np.bincount(slot + np.repeat(start, n), minlength=grid.size)) - 1
+        rows = slot + np.repeat(start, n)
+        last_idx = np.cumsum(np.bincount(rows, minlength=grid.size)) - 1
     else:
         # the observed buckets plus every slot of a gap of at most
         # max_gap_buckets missing buckets, placed after the point that
@@ -130,7 +137,7 @@ def gapfill_segments(
         last_idx = np.empty(grid.size, dtype=np.int64)
         last_idx[pos] = run_end[np.searchsorted(run_end, idx)]
         last_idx[slots] = np.repeat(fill, cnt)
-        start = pos[first]
+        start, rows = pos[first], pos
     goff = np.append(start, grid.size)
     if method == "locf":
         value = mean_obs[last_idx]
@@ -147,46 +154,58 @@ def gapfill_segments(
         # one NaN bit pattern: the payload of a NaN made from NaN operands
         # depends on which numpy loop ran
         value[np.isnan(value)] = np.nan
-    return grid, value, goff
+    return grid, value, goff, rows
 
 
-def gapfill_series(
-    df: pd.DataFrame,
+def gapfill_table(
+    t: pa.Table,
+    key_cols: list,
     tier_us: int,
     method: str = "locf",
     max_gap_buckets: int | None = None,
-    key_cols: tuple = ("host", "url"),
-) -> pd.DataFrame:
-    """max_gap_buckets bounds the fill: a gap with more than this many
-    missing buckets is left as a gap (its slots are dropped, not
-    synthesized). None = fill everything. Bounding matters at scale — a url
-    crawled twice a month must not explode into a dense 1-minute grid."""
-    if method not in GAPFILL_METHODS:
-        raise ValueError(f"Unknown gap-fill method {method!r}")
-    df = df.sort_values("bucket_ts")
-    ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
-    if ts.size == 0:
-        out = df.copy()
-        out["gap_filled"] = np.array([], dtype=bool)
-        return out
-    mean_obs = df["mean"].to_numpy()
-    grid, value, observed, pos = gapfill_arrays(
-        ts, mean_obs, tier_us, method, max_gap_buckets
-    )
+) -> pa.Table:
+    """Gap-fill every series of a tier table (key_cols..., bucket_ts,
+    count, sum, min, max, mean; rows in any order, bucket_ts distinct
+    within a series) in one gapfill_segments call. A series is one value
+    of the key columns, a null one included. Returns key_cols...,
+    bucket_ts:timestamp[ns], value, gap_filled, count:int64 and
+    sum/min/max:float64, the observed rows' aggregates carried over;
+    series are ordered by where each key column's value first appears
+    (column by column), each series sorted by bucket_ts.
 
-    out = pd.DataFrame(
-        {
-            **{k: df[k].iloc[0] for k in key_cols},
-            "bucket_ts": pd.to_datetime(grid, unit="us"),
-            "value": value,
-            "gap_filled": ~observed,
-        }
-    )
-    # carry observed aggregates; synthesized buckets get count 0 / NaN stats
-    for col, fill in (("count", 0), ("sum", np.nan), ("min", np.nan), ("max", np.nan)):
-        vals = np.full(grid.size, fill, dtype=np.float64)
-        vals[observed] = df[col].to_numpy()[pos[observed]]
-        out[col] = vals.astype(np.int64) if col == "count" else vals
+    max_gap_buckets bounds the fill: a gap with more than this many
+    missing buckets is left as a gap (its slots are dropped, not
+    synthesized). None = fill everything. Bounding matters at scale — a
+    url crawled twice a month must not explode into a dense 1-minute
+    grid."""
+    codes = [pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode").indices.to_numpy()
+             for k in key_cols]
+    ts = t["bucket_ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+    order = np.lexsort([ts] + codes[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for c in codes:
+        starts[1:] |= c[order[1:]] != c[order[:-1]]
+    offsets = np.append(np.flatnonzero(starts), order.size)
+    ts = ts[order]
+
+    def column(c, typ):
+        return pc.cast(t[c], typ).to_numpy(zero_copy_only=False)[order]
+
+    grid, value, goff, rows = gapfill_segments(
+        ts, column("mean", pa.float64()), offsets, tier_us, method, max_gap_buckets)
+    hit = grid[rows] == ts
+    observed = rows[hit]
+    gap_filled = np.ones(grid.size, dtype=bool)
+    gap_filled[observed] = False
+    out = t.select(key_cols).take(np.repeat(order[offsets[:-1]], np.diff(goff)))
+    out = out.append_column("bucket_ts", us_to_ns(grid)).append_column("value", pa.array(value))
+    out = out.append_column("gap_filled", pa.array(gap_filled))
+    for c, fill, typ in (("count", 0, pa.int64()), ("sum", np.nan, pa.float64()),
+                         ("min", np.nan, pa.float64()), ("max", np.nan, pa.float64())):
+        vals = np.full(grid.size, fill, dtype=typ.to_pandas_dtype())
+        vals[observed] = column(c, typ)[hit]
+        out = out.append_column(c, pa.array(vals))
     return out
 
 
@@ -197,11 +216,17 @@ def gapfill_tier(
     max_gap_buckets: int | None = None,
     key_cols: tuple = ("host", "url"),
 ):
-    from ..common.raytools import bucketed_map_groups
+    """gapfill_table over a tier Dataset: one hash exchange on the series
+    key, so a series lands whole in one bucket, and gapfill_table as the
+    reducer of each bucket (it reads only its named columns, not
+    `__bucket`)."""
+    if method not in GAPFILL_METHODS:
+        raise ValueError(f"Unknown gap-fill method {method!r}")
+    keys = list(key_cols)
+    n_buckets = default_buckets()
+    fill = partial(gapfill_table, key_cols=keys, tier_us=TIERS_US[tier], method=method,
+                   max_gap_buckets=max_gap_buckets)
+    return _exchange([(tier_ds, _bucket_by(keys, n_buckets))], n_buckets, fill,
+                     empty_like=tier_ds, drop_empty=True)
 
-    tier_us = TIERS_US[tier]
-    return bucketed_map_groups(
-        tier_ds,
-        list(key_cols),
-        lambda df: gapfill_series(df, tier_us, method, max_gap_buckets, key_cols),
-    )
+

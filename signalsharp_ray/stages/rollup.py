@@ -197,6 +197,15 @@ class SortedTier:
         order = np.lexsort((ts, k, part))
         return cls(k[order], ts[order], {c: t[c].to_numpy()[order] for c in TIER_COLUMNS})
 
+    @classmethod
+    def from_frame(cls, df, key: str = "url_hash") -> "SortedTier":
+        """A tier frame as a SortedTier: its rows sorted by (key,
+        bucket_ts) with pandas (so a key of any dtype sorts), with the
+        tier columns it has."""
+        df = df.sort_values([key, "bucket_ts"])
+        ts = df["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
+        return cls(df[key].to_numpy(), ts, {c: df[c].to_numpy() for c in TIER_COLUMNS if c in df})
+
     def table(self, key: str = "url_hash") -> pa.Table:
         """The tier file's table: key, bucket_ts:timestamp[ns], count:int64,
         sum/min/max/mean:float64, with the pandas metadata a DataFrame

@@ -134,7 +134,7 @@ def test_points_exchange_returns_a_block_per_group_and_writes_a_file_per_bucket(
     assert len(blocks) <= _cpus()
     assert sum(t.num_rows for t in blocks) > 0
 
-    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=n_buckets, tiers=("1m",), encode=False)
+    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=n_buckets, tiers=("1m",))
     run_flagship_synthetic(SPEC, cfg)
     pages = pa.concat_tables(ray.get(generate_webpages_dataset(SPEC).to_arrow_refs()))
     url_hash = _hash_strings(pages["url"]).to_numpy().view(np.uint64)
@@ -223,7 +223,7 @@ def read_floor():
 def test_flagship_leaves_the_read_floor_as_it_found_it(read_floor, tmp_path):
     import ray.data as rd
 
-    cfg = FlagshipConfig(out_root=str(tmp_path / "ok"), n_buckets=4, tiers=("1m",), encode=False)
+    cfg = FlagshipConfig(out_root=str(tmp_path / "ok"), n_buckets=4, tiers=("1m",))
     run_flagship(lambda: rd.from_arrow(_edge_pages([])), "floor-ok", cfg)
     assert read_floor.read_op_min_num_blocks == 37
 

@@ -63,7 +63,7 @@ def test_ingest_job_writes_no_empty_bucket_and_one_schema_per_output(tmp_path):
 
     from signalsharp_ray.pipelines.flagship import FlagshipConfig, run_flagship_synthetic
 
-    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=N_BUCKETS, tiers=("1m",), encode=False)
+    cfg = FlagshipConfig(out_root=str(tmp_path), n_buckets=N_BUCKETS, tiers=("1m",))
     res = run_flagship_synthetic(SPEC, cfg)
     bucket_dirs = None
     for out in ("points/data", "points/dict", "tier_1m"):

@@ -85,9 +85,7 @@ def test_flagship_end_to_end_and_resume(out_root):
 
 @pytest.mark.usefixtures("ray_session")
 def test_flagship_fingerprint_invalidation(out_root):
-    cfg = FlagshipConfig(
-        out_root=out_root, encode=False, analyze=False, tiers=("1m",)
-    )
+    cfg = FlagshipConfig(out_root=out_root, tiers=("1m",))
     res1 = run_flagship_synthetic(SPEC, cfg)
     spec2 = WebPagesSpec(
         n_rows=2_000, n_hosts=30, urls_per_host=4, rows_per_shard=1_000
@@ -102,7 +100,7 @@ def test_flagship_fingerprint_invalidation(out_root):
 
 @pytest.mark.usefixtures("ray_session")
 def test_flagship_smoothed_and_forecast_outputs(tmp_path):
-    cfg = FlagshipConfig(out_root=str(tmp_path / "fs"), encode=False)
+    cfg = FlagshipConfig(out_root=str(tmp_path / "fs"))
     res = run_flagship_synthetic(SPEC, cfg)
     outs = res["outputs"]
     sm = pd.read_parquet(outs["smoothed_1d"])

@@ -23,8 +23,8 @@ OUTPUTS = ["points/data", "points/dict", "tier_1m"]
 
 
 def _cfg(root):
-    # tiers=("1m",) and no encode: the first job is the whole run
-    return FlagshipConfig(out_root=str(root), n_buckets=N_BUCKETS, tiers=("1m",), encode=False)
+    # tiers=("1m",): the first job's outputs, then blocks_1m only
+    return FlagshipConfig(out_root=str(root), n_buckets=N_BUCKETS, tiers=("1m",))
 
 
 def _pages(path):
@@ -189,6 +189,25 @@ def test_a_phase_reports_once_its_writer_threads_wrote_it(tmp_path):
     with pytest.raises(Exception):
         raytools.run_bucket_groups(fn, {b: 1 for b in range(n)},
                                    {"a": str(tmp_path / "not_a_dir")})
+
+
+def test_write_s_is_a_phase_wall_not_the_sum_of_its_writes(tmp_path, monkeypatch):
+    """A run_bucket_groups task writes a phase's files on its writer
+    threads at once: `write_s` is the task's wall time over them, near one
+    write's time, not the seconds of every write added up."""
+    import time
+
+    from signalsharp_ray.common import fsio, raytools
+
+    monkeypatch.setattr(fsio, "write_bucket", lambda data, out_dir, b: time.sleep(0.3))
+
+    def fn(buckets):
+        yield {"a": {b: None for b in buckets}, "kernel_s": 1.5}
+
+    n = raytools._WRITER_THREADS
+    (steps,) = raytools._run_group._function(fn, list(range(n)), {"a": str(tmp_path)})
+    assert steps["kernel_s"] == 1.5
+    assert 0.3 <= steps["write_s"] < 0.3 * n / 2
 
 
 def _edge_pages(warc_ts: list) -> pa.Table:

@@ -112,9 +112,9 @@ def _groups(df: pd.DataFrame) -> list:
     return sorted(rows, key=lambda r: (r[0] is not None, r[0] or 0))
 
 
-def _pandas_groups(count: str = "size") -> list:
+def _pandas_groups() -> list:
     df = pa.concat_tables(_BLOCKS).to_pandas()
-    g = df.groupby("k", dropna=False).agg(n=("k" if count == "count" else "v", count), s=("v", "sum"))
+    g = df.groupby("k", dropna=False).agg(n=("v", "size"), s=("v", "sum"))
     return _groups(g.reset_index())
 
 
@@ -140,9 +140,8 @@ def test_aggregate_over_an_int_key_with_nulls_in_some_blocks(n_buckets):
     got = hash_bucket_aggregate(
         rd.from_arrow(_BLOCKS), ["k"], [("v", "sum")], n_buckets=n_buckets, count_alias="n"
     ).to_pandas()
-    # count_alias counts the non-null keys, as pandas' count does
-    want = [(None, 0, 2), (5, 2, 4), (6, 1, 4)]
-    assert _groups(got.rename(columns={"v_sum": "s"})) == want == _pandas_groups("count")
+    # count_alias counts rows, a null key's too, as SQL's COUNT(*) does
+    assert _groups(got.rename(columns={"v_sum": "s"})) == _WANT == _pandas_groups()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -175,7 +174,7 @@ def test_helpers_over_an_int_key_that_a_pandas_block_holds_as_float():
     assert _groups(bucketed_map_groups(blocks(), ["k"], summary, n_buckets=128).to_pandas()) == want
     assert _groups(blocks().groupby("k").map_groups(summary, batch_format="pandas").to_pandas()) == want
     agg = hash_bucket_aggregate(blocks(), ["k"], [("v", "sum")], n_buckets=128, count_alias="n")
-    assert _groups(agg.to_pandas().rename(columns={"v_sum": "s"})) == [(None, 0, 2), (5, 2, 4), (6, 1, 4)]
+    assert _groups(agg.to_pandas().rename(columns={"v_sum": "s"})) == want
     right = rd.from_arrow(pa.table({"k": pa.array([5, 6], pa.int64()), "w": [10, 20]}))
     joined = bucketed_join(blocks(), right, on=["k"], n_buckets=128).to_pandas()
     assert sorted(zip(joined["v"], joined["w"])) == [(1, 10), (3, 10), (4, 20)]

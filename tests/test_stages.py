@@ -1,22 +1,27 @@
 """Gap-fill, encode, and analysis stage tests (kernel level + through Ray)."""
 
+import ast
 import functools
+import pathlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalsharp_ray.stages.analysis import (
     ChangepointConfig,
     ForecastConfig,
     SmoothingConfig,
-    changepoints_kernel,
-    forecast_kernel,
-    smooth_kernel,
+    changepoints_tier,
+    forecast_tier,
+    smooth_tier,
 )
 from signalsharp_ray.stages.encode import decode_blocks, encode_partition_pandas
-from signalsharp_ray.stages.gapfill import gapfill_series
-from signalsharp_ray.stages.rollup import TIERS_US
+from signalsharp_ray.stages.gapfill import gapfill_arrays, gapfill_table
+from signalsharp_ray.stages.rollup import TIERS_US, SortedTier
 
 
 def _series_df(ts_minutes, values, host="h.example.com", url="https://h.example.com/p"):
@@ -37,10 +42,41 @@ def _series_df(ts_minutes, values, host="h.example.com", url="https://h.example.
     )
 
 
+STAGES = pathlib.Path(__file__).resolve().parents[1] / "signalsharp_ray" / "stages"
+
+
+def test_per_series_stages_have_no_per_group_form():
+    """Gap-fill, encode and the analyses run every series of a table in
+    one segmented kernel call: none of their modules groups a frame or
+    runs a kernel per group through bucketed_map_groups."""
+    sites = []
+    for name in ("analysis.py", "gapfill.py", "encode.py"):
+        path = STAGES / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            imported = isinstance(node, ast.ImportFrom) and any(
+                a.name == "bucketed_map_groups" for a in node.names)
+            grouped = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "groupby")
+            if imported or grouped:
+                sites.append(f"{name}:{node.lineno}")
+    assert sites == []
+
+
+def _gapfill(df, method, max_gap_buckets=None):
+    """gapfill_tier's reducer over a 1m tier frame keyed by (host, url)."""
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    return gapfill_table(t, ["host", "url"], TIERS_US["1m"], method, max_gap_buckets).to_pandas()
+
+
+def _tier(df):
+    """A one-key tier frame (keyed by url) as a SortedTier."""
+    return SortedTier.from_frame(df, "url")
+
+
 class TestGapfill:
     def test_locf(self):
         df = _series_df([0, 1, 4], [10.0, 20.0, 50.0])
-        out = gapfill_series(df, TIERS_US["1m"], "locf")
+        out = _gapfill(df, "locf")
         assert len(out) == 5
         np.testing.assert_allclose(out["value"], [10, 20, 20, 20, 50])
         np.testing.assert_array_equal(out["gap_filled"], [False, False, True, True, False])
@@ -49,19 +85,19 @@ class TestGapfill:
 
     def test_linear(self):
         df = _series_df([0, 3], [0.0, 30.0])
-        out = gapfill_series(df, TIERS_US["1m"], "linear")
+        out = _gapfill(df, "linear")
         np.testing.assert_allclose(out["value"], [0, 10, 20, 30])
         np.testing.assert_array_equal(out["gap_filled"], [False, True, True, False])
 
     def test_no_gaps_passthrough(self):
         df = _series_df([0, 1, 2], [1.0, 2.0, 3.0])
-        out = gapfill_series(df, TIERS_US["1m"], "locf")
+        out = _gapfill(df, "locf")
         assert len(out) == 3
         assert not out["gap_filled"].any()
 
     def test_unsorted_input_sorted_inside(self):
         df = _series_df([4, 0, 1], [50.0, 10.0, 20.0])
-        out = gapfill_series(df, TIERS_US["1m"], "locf")
+        out = _gapfill(df, "locf")
         np.testing.assert_allclose(out["value"], [10, 20, 20, 20, 50])
 
     def test_matches_pandas_ffill_oracle(self):
@@ -69,7 +105,7 @@ class TestGapfill:
         mins = np.sort(rng.choice(200, 40, replace=False))
         vals = rng.normal(size=40)
         df = _series_df(mins.tolist(), vals)
-        out = gapfill_series(df, TIERS_US["1m"], "locf")
+        out = _gapfill(df, "locf")
         oracle = (
             df.set_index("bucket_ts")["mean"]
             .resample("1min")
@@ -111,7 +147,7 @@ class TestAnalysisKernels:
     def test_pelt_changepoints_on_series(self):
         df = _series_df(range(9), [1, 1, 1, 5, 5, 5, 1, 1, 1])
         cfg = ChangepointConfig(method="pelt", cost="l2", penalty=2.0, min_size=1)
-        out = changepoints_kernel(df, cfg)
+        out = changepoints_tier(_tier(df), cfg, key_col="url").to_pandas()
         np.testing.assert_array_equal(out["breakpoint_index"], [3, 6])
         # breakpoint_ts = ts of the first point after the change
         assert out["breakpoint_ts"].iloc[0] == df["bucket_ts"].iloc[3]
@@ -124,30 +160,32 @@ class TestAnalysisKernels:
             method="cusum",
             cusum=CUSUMOptions(threshold_factor=1.2, slack_factor=0.1),
         )
-        out = changepoints_kernel(df, cfg)
+        out = changepoints_tier(_tier(df), cfg, key_col="url").to_pandas()
         np.testing.assert_array_equal(out["breakpoint_index"], [3, 6])
 
     def test_series_cap_enforced(self):
         df = _series_df(range(50), np.ones(50))
         cfg = ChangepointConfig(cost="rbf", max_series_len=10)
         with pytest.raises(ValueError, match="cap"):
-            changepoints_kernel(df, cfg)
+            changepoints_tier(_tier(df), cfg, key_col="url")
 
     def test_smooth_sma(self):
         df = _series_df(range(5), [1, 2, 3, 4, 5])
-        out = smooth_kernel(df, SmoothingConfig(op="sma", window=3, padding="nearest"))
+        out = smooth_tier(_tier(df), SmoothingConfig(op="sma", window=3, padding="nearest"),
+                          key_col="url").to_pandas()
         assert len(out) == 5
         # nearest padding: [1,1,1,2,3,4,5,5,5] windows -> first = (1+1+2)/3
         np.testing.assert_allclose(out["smoothed"].iloc[1:4], [2.0, 3.0, 4.0])
 
     def test_smooth_ema_matches_kernel(self):
         df = _series_df(range(5), [1, 2, 3, 4, 5])
-        out = smooth_kernel(df, SmoothingConfig(op="ema", alpha=0.5))
+        out = smooth_tier(_tier(df), SmoothingConfig(op="ema", alpha=0.5), key_col="url").to_pandas()
         np.testing.assert_allclose(out["smoothed"], [1, 1.5, 2.25, 3.125, 4.0625])
 
     def test_forecast_linear(self):
         df = _series_df(range(4), [1, 3, 5, 7])
-        out = forecast_kernel(df, ForecastConfig(method="linear", horizon=2), TIERS_US["1m"])
+        out = forecast_tier(_tier(df), ForecastConfig(method="linear", horizon=2), TIERS_US["1m"],
+                            key_col="url").to_pandas()
         np.testing.assert_allclose(out["forecast"], [9.0, 11.0])
         assert (
             out["forecast_ts"].iloc[0] - df["bucket_ts"].iloc[-1]
@@ -155,7 +193,8 @@ class TestAnalysisKernels:
 
     def test_forecast_too_short_series_empty(self):
         df = _series_df([0], [5.0])
-        out = forecast_kernel(df, ForecastConfig(method="linear", horizon=2), TIERS_US["1m"])
+        out = forecast_tier(_tier(df), ForecastConfig(method="linear", horizon=2), TIERS_US["1m"],
+                            key_col="url").to_pandas()
         assert len(out) == 0
 
 
@@ -178,14 +217,19 @@ class TestThroughRay:
             )
         return rd.from_pandas(pd.concat(frames, ignore_index=True)).repartition(4)
 
-    def test_detect_changepoints_distributed(self):
-        from signalsharp_ray.stages.analysis import detect_changepoints
+    def test_gapfill_tier_distributed(self):
+        from signalsharp_ray.stages.gapfill import gapfill_tier
 
-        cfg = ChangepointConfig(method="pelt", cost="l2", penalty=5.0, min_size=2)
-        out = detect_changepoints(self._tier_ds(), cfg).to_pandas()
-        assert set(out["host"].unique()) == {f"h{i}.example.com" for i in range(6)}
-        for _, grp in out.groupby("host"):
-            np.testing.assert_array_equal(grp["breakpoint_index"].to_numpy(), [20])
+        # every third minute missing: the exchange sends each series whole
+        # to one bucket, whose reducer restores its dense grid
+        tier = self._tier_ds().filter(lambda r: r["bucket_ts"].minute % 3 != 1)
+        got = gapfill_tier(tier, "1m", "locf").to_pandas()
+        assert len(got) == 240  # 6 series x 40 buckets
+        assert got["gap_filled"].sum() == 6 * 13
+        want = _gapfill(tier.to_pandas(), "locf")
+        key = ["url", "bucket_ts"]
+        pd.testing.assert_frame_equal(got.sort_values(key).reset_index(drop=True),
+                                      want.sort_values(key).reset_index(drop=True))
 
     def test_gapfill_and_encode_distributed(self):
         from signalsharp_ray.common.raytools import bucketed_map_groups
@@ -202,14 +246,14 @@ class TestThroughRay:
 class TestGapfillBounded:
     def test_max_gap_buckets_leaves_long_gaps(self):
         df = _series_df([0, 1, 2, 100, 101], [1.0, 2.0, 3.0, 4.0, 5.0])
-        out = gapfill_series(df, TIERS_US["1m"], "locf", max_gap_buckets=5)
+        out = _gapfill(df, "locf", 5)
         # the 97-bucket gap is NOT filled; observed points all present
         assert len(out) == 5
         assert not out["gap_filled"].any()
 
     def test_max_gap_buckets_fills_short_gaps(self):
         df = _series_df([0, 1, 5, 100], [1.0, 2.0, 3.0, 4.0])
-        out = gapfill_series(df, TIERS_US["1m"], "locf", max_gap_buckets=5)
+        out = _gapfill(df, "locf", 5)
         # gap 2..4 (3 buckets) filled, gap 6..99 (94) left out
         assert len(out) == 4 + 3
         import numpy as np
@@ -221,10 +265,10 @@ class TestGapfillBounded:
 
 @pytest.mark.usefixtures("ray_session")
 def test_read_blocks_roundtrip(tmp_path):
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from signalsharp_ray.common.raytools import bucketed_map_groups
-    from signalsharp_ray.stages.encode import read_blocks
 
     frames = [
         _series_df(range(30), np.arange(30.0) + i, host=f"h{i}.example.com",
@@ -236,7 +280,7 @@ def test_read_blocks_roundtrip(tmp_path):
     out_dir = str(tmp_path / "blocks")
     blocks.write_parquet(out_dir)
 
-    decoded = read_blocks(out_dir).to_pandas()
+    decoded = decode_blocks(pq.read_table(out_dir))
     assert len(decoded) == 4 * 30
     got = decoded.sort_values(["url", "bucket_ts"]).reset_index(drop=True)
     exp = (
@@ -348,7 +392,6 @@ class TestEngineExactness:
             decode_blocks,
             encode_partition_pandas,
         )
-        from signalsharp_ray.stages.gapfill import gapfill_series
 
         rng = np.random.default_rng(4)
         rows = []
@@ -364,27 +407,22 @@ class TestEngineExactness:
         fused = encode_partition_pandas(df, "1h", tier_us, "locf", 60)
         dec = decode_blocks(fused).sort_values(["url_hash", "bucket_ts"]).reset_index(drop=True)
 
-        # per-series reference path: gapfill_series then raw values
-        parts = []
-        for uh, g in df.groupby("url_hash"):
-            filled = gapfill_series(g, tier_us, "locf", 60, key_cols=("url_hash",))
-            parts.append(filled[["url_hash", "bucket_ts", "value"]])
-        want = (
-            pd.concat(parts).sort_values(["url_hash", "bucket_ts"]).reset_index(drop=True)
-        )
-        assert len(dec) == len(want)
-        np.testing.assert_array_equal(
-            dec["bucket_ts"].to_numpy(), want["bucket_ts"].to_numpy()
-        )
-        np.testing.assert_array_equal(dec["value"].to_numpy(), want["value"].to_numpy())
+        # per-series reference: gapfill_arrays over each series alone
+        want_ts, want_value = [], []
+        for _, g in df.sort_values("bucket_ts").groupby("url_hash"):
+            ts = g["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
+            grid, value, _, _ = gapfill_arrays(ts, g["mean"].to_numpy(), tier_us, "locf", 60)
+            want_ts.append(grid)
+            want_value.append(value)
+        got_ts = dec["bucket_ts"].astype("datetime64[us]").astype("int64").to_numpy()
+        np.testing.assert_array_equal(got_ts, np.concatenate(want_ts))
+        np.testing.assert_array_equal(dec["value"].to_numpy(), np.concatenate(want_value))
 
     def test_analysis_partition_kernels_match_per_series(self):
+        from signalsharp_ray.kernels.pelt import PELT, PELTOptions
+        from signalsharp_ray.kernels.smoothing import exponential_moving_average
         from signalsharp_ray.stages.analysis import (
-            ChangepointConfig,
-            SmoothingConfig,
-            changepoints_kernel,
             changepoints_partition_pandas,
-            smooth_kernel,
             smooth_partition_pandas,
         )
 
@@ -404,29 +442,22 @@ class TestEngineExactness:
             )
         df = pd.concat(frames, ignore_index=True).sample(frac=1.0, random_state=0)
 
+        # per-series references, each series sorted by bucket_ts
+        series = [(uh, g.sort_values("bucket_ts")["mean"].to_numpy())
+                  for uh, g in df.groupby("url_hash")]
+
         ccfg = ChangepointConfig(method="pelt", cost="l2", penalty=5.0, min_size=2)
         got = changepoints_partition_pandas(df, ccfg, "mean", "url_hash")
-        want = pd.concat(
-            [
-                changepoints_kernel(g, ccfg, "mean", ("url_hash",))
-                for _, g in df.groupby("url_hash")
-            ],
-            ignore_index=True,
-        )
-        g2 = got.sort_values(["url_hash", "breakpoint_index"]).reset_index(drop=True)
-        w2 = want.sort_values(["url_hash", "breakpoint_index"]).reset_index(drop=True)
-        np.testing.assert_array_equal(g2["url_hash"], w2["url_hash"])
-        np.testing.assert_array_equal(g2["breakpoint_index"], w2["breakpoint_index"])
+        want = [(uh, bk) for uh, v in series
+                for bk in PELT(PELTOptions(cost_function="l2", min_size=2)).fit_and_detect(v, 5.0)]
+        assert len(want) >= len(series)
+        assert sorted(zip(got["url_hash"], got["breakpoint_index"])) == want
 
-        scfg = SmoothingConfig(op="ema", alpha=0.3)
-        gs = smooth_partition_pandas(df, scfg, "mean", "url_hash")
-        ws = pd.concat(
-            [smooth_kernel(g, scfg, "mean") for _, g in df.groupby("url_hash")],
-            ignore_index=True,
-        )
-        gs2 = gs.sort_values(["url_hash", "bucket_ts"]).reset_index(drop=True)
-        ws2 = ws.sort_values(["url_hash", "bucket_ts"]).reset_index(drop=True)
-        np.testing.assert_array_equal(gs2["smoothed"], ws2["smoothed"])
+        gs = smooth_partition_pandas(df, SmoothingConfig(op="ema", alpha=0.3), "mean", "url_hash")
+        np.testing.assert_array_equal(gs["url_hash"], np.repeat([uh for uh, _ in series],
+                                                                [v.size for _, v in series]))
+        np.testing.assert_array_equal(
+            gs["smoothed"], np.concatenate([exponential_moving_average(v, 0.3) for _, v in series]))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -610,6 +641,75 @@ class TestGapfillProperties:
         for i, g in enumerate(gaps):
             inside = (synth > ts[i]) & (synth < ts[i + 1])
             assert inside.sum() == (g if g <= max_gap else 0)
+
+
+_HOUR = TIERS_US["1h"]
+_T0 = 1_704_067_200_000_000
+
+
+@st.composite
+def _tier_series(draw, n_keys: int):
+    """1-5 series of distinct string keys (one or two columns, a null key
+    value among the choices), each with unique hourly bucket_ts and its
+    count/sum/min/max/mean, and a shuffled order of all their rows."""
+    name = st.sampled_from(["x", "y", None])
+    keys = draw(st.lists(st.tuples(*[name] * n_keys), min_size=1, max_size=5, unique=True))
+    series = []
+    for k in keys:
+        slots = draw(st.lists(st.integers(0, 150), min_size=1, max_size=30, unique=True))
+        n = len(slots)
+        mean = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+        series.append((k, _T0 + np.sort(np.array(slots, np.int64)) * _HOUR, {
+            "count": np.arange(1, n + 1, dtype=np.int64), "sum": mean * 2,
+            "min": mean - 1, "max": mean + 1, "mean": mean}))
+    order = draw(st.permutations(range(sum(ts.size for _, ts, _ in series))))
+    return series, np.array(order, dtype=np.int64)
+
+
+@pytest.mark.parametrize("unit", ["us", "ns"])
+@pytest.mark.parametrize("key_cols", [["url"], ["host", "url"]])
+@pytest.mark.parametrize("max_gap", [None, 5])
+@pytest.mark.parametrize("method", ["locf", "linear"])
+def test_gapfill_table_is_gapfill_arrays_per_series(method, max_gap, key_cols, unit):
+    """gapfill_tier's reducer gives each series, rows in any order, what
+    gapfill_arrays gives it alone: the grid, the values, the gap flags and
+    the observed rows' aggregates (count 0, NaN stats on filled slots)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_tier_series(len(key_cols)))
+    def check(drawn):
+        series, order = drawn
+        n = [ts.size for _, ts, _ in series]
+        cols = {c: pa.array(np.repeat([k[i] for k, _, _ in series], n)[order], pa.string())
+                for i, c in enumerate(key_cols)}
+        ts = np.concatenate([ts for _, ts, _ in series])[order]
+        cols["bucket_ts"] = pa.array(ts, pa.timestamp("us")).cast(pa.timestamp(unit))
+        for c in ("count", "sum", "min", "max", "mean"):
+            cols[c] = np.concatenate([agg[c] for _, _, agg in series])[order]
+        out = gapfill_table(pa.table(cols), key_cols, _HOUR, method, max_gap)
+        assert out.schema.names == key_cols + [
+            "bucket_ts", "value", "gap_filled", "count", "sum", "min", "max"]
+        assert out.schema.field("bucket_ts").type == pa.timestamp("ns")
+        got = out.to_pandas()
+        rows = 0
+        for k, ts, agg in series:
+            sel = np.ones(len(got), dtype=bool)
+            for c, v in zip(key_cols, k):
+                sel &= got[c].isna().to_numpy() if v is None else (got[c] == v).to_numpy()
+            g = got[sel]
+            grid, value, observed, pos = gapfill_arrays(ts, agg["mean"], _HOUR, method, max_gap)
+            rows += grid.size
+            src = np.minimum(pos, ts.size - 1)
+            np.testing.assert_array_equal(g["bucket_ts"].to_numpy().astype("datetime64[us]")
+                                          .astype(np.int64), grid)
+            assert g["value"].to_numpy().tobytes() == value.tobytes()
+            np.testing.assert_array_equal(g["gap_filled"], ~observed)
+            np.testing.assert_array_equal(g["count"], np.where(observed, agg["count"][src], 0))
+            for c in ("sum", "min", "max"):
+                np.testing.assert_array_equal(g[c], np.where(observed, agg[c][src], np.nan))
+        assert len(got) == rows
+
+    check()
 
 
 def test_breakpoint_index_counts_observed_days_not_calendar_days():
